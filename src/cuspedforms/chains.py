@@ -1,23 +1,45 @@
 """Sparse simplicial chains with exact rational coefficients, and their
 reduction to coinvariants under the free-group action.
 
-A simplex is stored as a tuple of vertices sorted by the global vertex order;
-the sign of the sorting permutation is absorbed into the coefficient, and
-simplices with a repeated vertex die on construction.
+A `Chain` stores a simplex as a tuple of vertices sorted by the global vertex
+order; the sign of the sorting permutation is absorbed into the coefficient,
+and simplices with a repeated vertex die on construction.
+
+A `CoinvariantChain` is a chain modulo F = F(a,b) acting on the left.  Its
+terms are keyed by (k, s): s is the anchored simplex (the vertex order whose
+anchored tuple is lex-least, translated so that its first vertex is
+(e, 0, depth)), and k is the t-exponent of the vertex moved to the front.
+Since t^k F t^-k = F, the F-orbit of a simplex is exactly {g . s : theta(g)
+= k}, so the key determines the orbit and the orbit the key.  Left
+translation by g in G moves (k, s) to (k + theta(g), s); a t-translate of a
+coinvariant chain never writes out a psi-power of a word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 from typing import Callable, Iterable
 
 from .errors import NotInvariant
 from .graph import Vertex, vertex_key
-from .words import inv, mul
+from .words import (DEFAULT_PSI, Automorphism, GroupElem, gamma_inv,
+                    gamma_mul, mul)
 
 Simplex = tuple[Vertex, ...]
+#: (t-exponent of the front vertex, anchored simplex): one F-orbit
+OrbitKey = tuple[int, Simplex]
 
-NEG_INF = float("-inf")
+
+def _parity(seq) -> int:
+    """Sign of the permutation that sorts distinct items, by inversions."""
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
 
 
 def _sort_with_sign(verts: Simplex) -> tuple[Simplex | None, int]:
@@ -26,13 +48,7 @@ def _sort_with_sign(verts: Simplex) -> tuple[Simplex | None, int]:
     for i in range(len(sorted_verts) - 1):
         if sorted_verts[i] == sorted_verts[i + 1]:
             return None, 0
-    sign = 1
-    seen = list(order)
-    for i in range(len(seen)):  # parity by counting inversions
-        for j in range(i + 1, len(seen)):
-            if seen[i] > seen[j]:
-                sign = -sign
-    return sorted_verts, sign
+    return sorted_verts, _parity(order)
 
 
 class Chain:
@@ -40,9 +56,13 @@ class Chain:
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: dict[Simplex, Fraction] | None = None):
+    def __init__(self, dim: int, terms: dict | None = None):
         self.dim = dim
-        self.terms: dict[Simplex, Fraction] = terms or {}
+        self.terms: dict = terms or {}
+
+    def _new(self, dim: int, terms: dict | None = None) -> "Chain":
+        """An empty or given chain of this chain's kind."""
+        return Chain(dim, terms)
 
     @classmethod
     def build(cls, dim: int,
@@ -54,35 +74,37 @@ class Chain:
 
     def add(self, verts: Simplex, coeff: Fraction | int) -> None:
         canon, sign = _sort_with_sign(tuple(verts))
-        if canon is None or coeff == 0:
-            return
-        new = self.terms.get(canon, Fraction(0)) + sign * Fraction(coeff)
+        if canon is not None and coeff:
+            self._bump(canon, sign * Fraction(coeff))
+
+    def _bump(self, key, coeff: Fraction) -> None:
+        new = self.terms.get(key, 0) + coeff
         if new:
-            self.terms[canon] = new
+            self.terms[key] = new
         else:
-            self.terms.pop(canon, None)
+            self.terms.pop(key, None)
 
     def __add__(self, other: "Chain") -> "Chain":
-        out = Chain(self.dim, dict(self.terms))
-        for s, c in other.terms.items():
-            new = out.terms.get(s, Fraction(0)) + c
-            if new:
-                out.terms[s] = new
-            else:
-                out.terms.pop(s, None)
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to "
+                            f"{type(self).__name__}")
+        out = self._new(self.dim, dict(self.terms))
+        for key, c in other.terms.items():
+            out._bump(key, c)
         return out
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def __neg__(self) -> "Chain":
-        return Chain(self.dim, {s: -c for s, c in self.terms.items()})
+        return self._new(self.dim, {s: -c for s, c in self.terms.items()})
 
     def scale(self, factor: Fraction | int) -> "Chain":
         factor = Fraction(factor)
         if factor == 0:
-            return Chain(self.dim)
-        return Chain(self.dim, {s: c * factor for s, c in self.terms.items()})
+            return self._new(self.dim)
+        return self._new(self.dim,
+                         {s: c * factor for s, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Chain) and self.terms == other.terms
@@ -94,7 +116,8 @@ class Chain:
         return len(self.terms)
 
     def __repr__(self) -> str:
-        return f"Chain(dim={self.dim}, terms={len(self.terms)})"
+        name = type(self).__name__
+        return f"{name}(dim={self.dim}, terms={len(self.terms)})"
 
     def boundary(self) -> "Chain":
         out = Chain(self.dim - 1)
@@ -117,86 +140,110 @@ class Chain:
         return out
 
 
-def depth_range(chain: Chain, horoball_of: Callable) -> tuple[float, float]:
-    """(minD, maxD) over the chain.  A simplex contributes its min depth only
-    if one horoball contains all its vertices; otherwise it counts as -inf."""
-    min_d: float = float("inf")
-    max_d: float = NEG_INF
-    for verts in chain.terms:
-        depths = [v.depth for v in verts]
-        max_d = max(max_d, max(depths))
-        ids = {horoball_of(v) for v in verts}
-        min_d = min(min_d, min(depths) if len(ids) == 1 else NEG_INF)
-    return min_d, max_d
-
-
 # -- coinvariants -----------------------------------------------------------
 
 
-def orbit_canonical(verts: Simplex) -> tuple[Simplex, int]:
-    """Canonical representative of the simplex's orbit under the free-group
-    action combined with vertex reordering: over every ordering, translate so
-    the first vertex's free-group part is trivial, and keep the lex-least
-    tuple.  Returns (tuple, sign of the chosen permutation)."""
-    best: tuple | None = None
-    best_tuple: Simplex | None = None
-    best_sign = 1
+@cache
+def _orders(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Every vertex order of an n-simplex as (front vertex i, indices
+    i * n + j of the other vertices j in order, sign of the order)."""
+    return tuple((p[0], tuple(p[0] * n + j for j in p[1:]), _parity(p))
+                 for p in permutations(range(n)))
+
+
+def anchor_simplex(verts: Simplex, psi: Automorphism = DEFAULT_PSI
+                   ) -> tuple[Simplex, int, GroupElem]:
+    """(s, sign, g) with verts = g . s up to a reordering of sign `sign`:
+    over every vertex order, translate the front vertex to (e, 0, depth)
+    and keep the lex-least tuple s; g is the group element of the vertex
+    moved to the front.  The vertices must be distinct.
+
+    Only one inversion touches the input words; the other anchorings are
+    derived from the pairwise relative elements, which stay short even
+    when the inputs are long.
+    """
     n = len(verts)
-    for perm, sign in _permutations_with_sign(n):
-        first = verts[perm[0]]
-        shift = inv(first.base)
-        cand = tuple(
-            Vertex(mul(shift, verts[i].base), verts[i].texp, verts[i].depth)
-            for i in perm)
-        key = tuple(vertex_key(v) for v in cand)
-        if best is None or key < best:
-            best, best_tuple, best_sign = key, cand, sign
-    return best_tuple, best_sign
+    # rel[i * n + j]: vertex j anchored at vertex i
+    rel: list = [None] * (n * n)
+    inv0 = gamma_inv(verts[0].elem, psi)
+    for j in range(1, n):
+        r = gamma_mul(inv0, verts[j].elem, psi)
+        rel[j] = r
+        rel[j * n] = gamma_inv(r, psi)
+    for i in range(1, n):
+        for j in range(1, n):
+            if i != j:
+                rel[i * n + j] = gamma_mul(rel[i * n], rel[j], psi)
+    keys = rel[:]
+    for ij, e in enumerate(rel):
+        if e is not None:
+            v = rel[ij] = Vertex(e.base, e.texp, verts[ij % n].depth)
+            keys[ij] = vertex_key(v)
+    best_key = best = None
+    for i, others, sign in _orders(n):
+        # the front vertex is (e, 0, depth): its depth is its whole key
+        key = (verts[i].depth, *[keys[x] for x in others])
+        if best_key is None or key < best_key:
+            best_key, best = key, (i, others, sign)
+    i, others, sign = best
+    canon = (Vertex("", 0, verts[i].depth), *[rel[x] for x in others])
+    return canon, sign, verts[i].elem
 
 
-def _permutations_with_sign(n: int):
-    from itertools import permutations
-    base = list(range(n))
-    for perm in permutations(base):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        yield perm, sign
+def orbit_canonical(verts: Simplex, psi: Automorphism = DEFAULT_PSI
+                    ) -> tuple[int, Simplex, int]:
+    """(k, s, sign): the key (k, s) of the simplex's F-orbit, and the sign
+    of the vertex order that s lists.  For g in G the translate g . verts
+    gives (k + theta(g), s, sign)."""
+    canon, sign, g = anchor_simplex(verts, psi)
+    return g.texp, canon, sign
 
 
 class CoinvariantChain(Chain):
-    """A chain reduced modulo the free-group action and alternation; keys are
-    orbit-canonical simplices."""
+    """A chain reduced modulo the free-group action and alternation.  Keys
+    are (k, s) pairs, see the module docstring: the term (k, s) -> c stands
+    for c times the F-orbit of t^k . s.  `psi` is the twist used to anchor
+    the simplices added to the chain."""
 
-    def add(self, verts: Simplex, coeff: Fraction | int) -> None:
-        plain, presign = _sort_with_sign(tuple(verts))
-        if plain is None or coeff == 0:
+    __slots__ = ("psi",)
+
+    def __init__(self, dim: int, terms: dict[OrbitKey, Fraction] | None = None,
+                 psi: Automorphism = DEFAULT_PSI):
+        super().__init__(dim, terms)
+        self.psi = psi
+
+    def _new(self, dim, terms=None) -> "CoinvariantChain":
+        return CoinvariantChain(dim, terms, self.psi)
+
+    def add(self, verts: Simplex, coeff: Fraction | int,
+            shift: int = 0) -> None:
+        """Add coeff times the orbit of t^shift . verts."""
+        verts = tuple(verts)
+        if not coeff or len(set(verts)) < len(verts):
             return
-        canon, sign = orbit_canonical(plain)
-        new = self.terms.get(canon, Fraction(0)) + presign * sign * Fraction(coeff)
-        if new:
-            self.terms[canon] = new
-        else:
-            self.terms.pop(canon, None)
-
-    def __add__(self, other: Chain) -> "CoinvariantChain":
-        out = CoinvariantChain(self.dim, dict(self.terms))
-        for s, c in other.terms.items():
-            out.add(s, c)
-        return out
-
-    def __neg__(self) -> "CoinvariantChain":
-        return CoinvariantChain(self.dim, {s: -c for s, c in self.terms.items()})
+        k, canon, sign = orbit_canonical(verts, self.psi)
+        self._bump((k + shift, canon), sign * Fraction(coeff))
 
     def boundary(self) -> "CoinvariantChain":
-        out = CoinvariantChain(self.dim - 1)
-        for verts, coeff in self.terms.items():
+        out = self._new(self.dim - 1)
+        for (k, verts), coeff in self.terms.items():
             for j in range(len(verts)):
                 out.add(verts[:j] + verts[j + 1:],
-                        coeff if j % 2 == 0 else -coeff)
+                        coeff if j % 2 == 0 else -coeff, shift=k)
         return out
+
+    def translate(self, graph, g: GroupElem) -> "CoinvariantChain":
+        return self._new(self.dim, {(k + g.texp, s): c
+                                    for (k, s), c in self.terms.items()})
+
+    def representative(self, key: OrbitKey) -> Simplex:
+        """The simplex t^k . s of a key; its words grow like psi^k."""
+        k, verts = key
+        return tuple(Vertex(self.psi.apply(v.base, k), v.texp + k, v.depth)
+                     for v in verts)
+
+    def support(self) -> set[Vertex]:
+        return {v for key in self.terms for v in self.representative(key)}
 
 
 def coinvariant_reduce(chain: Chain) -> CoinvariantChain:
@@ -207,35 +254,46 @@ def coinvariant_reduce(chain: Chain) -> CoinvariantChain:
 
 
 def pair(functional: Callable[..., Fraction | int], chain: CoinvariantChain,
-         graph=None, validate: bool = True,
+         validate: bool = True,
          sample_words: tuple[str, ...] = ("a", "b", "ab")) -> Fraction:
     """Evaluate an invariant alternating vertex-tuple functional on a
-    coinvariant chain.  A small sample of the chain's simplices is checked for
-    invariance (under free-group translation) and alternation first."""
-    if validate and chain.terms:
-        probe = next(iter(chain.terms))
+    coinvariant chain, at the representative t^k . s of each key.  A sample
+    simplex of the chain is checked for alternation and for invariance under
+    free-group translation first."""
+    terms = [(chain.representative(key), coeff)
+             for key, coeff in chain.terms.items()]
+    if validate and terms:
+        probe = terms[0][0]
         val = Fraction(functional(*probe))
         swapped = (probe[1], probe[0]) + probe[2:]
         if len(probe) >= 2 and Fraction(functional(*swapped)) != -val:
             raise NotInvariant("functional is not alternating on a sample")
-        if graph is not None:
-            from .words import GroupElem
-            for w in sample_words:
-                moved = tuple(graph.left_mul(GroupElem(w, 0), v) for v in probe)
-                if Fraction(functional(*moved)) != val:
-                    raise NotInvariant(
-                        "functional is not invariant on a sample")
+        for w in sample_words:
+            moved = tuple(v._replace(base=mul(w, v.base)) for v in probe)
+            if Fraction(functional(*moved)) != val:
+                raise NotInvariant("functional is not invariant on a sample")
     total = Fraction(0)
-    for verts, coeff in chain.terms.items():
+    for verts, coeff in terms:
         total += coeff * Fraction(functional(*verts))
     return total
 
 
+def _simplex_order(verts: Simplex) -> tuple:
+    return tuple(vertex_key(v) for v in verts)
+
+
 def chain_to_json(chain: Chain) -> list[dict]:
+    """Terms sorted by the vertex order; a coinvariant term (k, s) is
+    written as {"shift": k, "simplex": s, "coeff": c}."""
+    if isinstance(chain, CoinvariantChain):
+        return [{"shift": k, "simplex": [str(v) for v in verts],
+                 "coeff": str(coeff)}
+                for (k, verts), coeff in sorted(
+                    chain.terms.items(),
+                    key=lambda kv: (kv[0][0], _simplex_order(kv[0][1])))]
     return [{"simplex": [str(v) for v in verts], "coeff": str(coeff)}
             for verts, coeff in sorted(
-                chain.terms.items(),
-                key=lambda kv: tuple(vertex_key(v) for v in kv[0]))]
+                chain.terms.items(), key=lambda kv: _simplex_order(kv[0]))]
 
 
 def chain_from_json(data: list[dict], dim: int | None = None) -> Chain:

@@ -13,7 +13,7 @@ from .chains import chain_to_json
 from .config import RunConfig
 from .graph import parse_vertex
 from .lipschitz import parse_spec
-from .words import parse_word
+from .words import GroupElem, parse_word
 
 
 def _q(x):
@@ -148,17 +148,19 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.command == "cycles":
         m = args.m
-        c = qcm.build_c()
-        d = qcm.build_d(m)
-        e = qcm.build_e(m)
+        psi = graph.psi
+        c = qcm.build_c(psi)
+        d = qcm.build_d(m, psi)
+        e = qcm.build_e(m, psi)
         A = qcm.build_A(graph, m)
         K = qcm.k_of(m)
-        aK = qcm.build_aK(K)
+        aK = qcm.build_aK(K, psi)
+        boundary = qcm.boundary_class(psi)
         checks = {
-            "boundary_c": c.boundary() == qcm.boundary_class(),
-            "boundary_d": d.boundary() == -qcm.boundary_class() + aK,
+            "boundary_c": c.boundary() == boundary,
+            "boundary_d": d.boundary() == -boundary + aK,
             "boundary_e": e.boundary() ==
-                aK - qcm.translate_chain(aK, graph, qcm.GroupElem("", m)),
+                aK - aK.translate(graph, GroupElem("", m)),
             "boundary_A_zero": not A.boundary(),
             "A_norm": A.l1_norm() == 12 - Fraction(4, 2 ** K),
         }

@@ -20,7 +20,6 @@ class RunConfig:
     fill_recursion_cap: int = 64
     lp_window_radius: int = 2
     lp_simplex_cap: int = 2000
-    filler: str = "cone"  # cone | lp
     rng_seed: int = 0
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
     psi_inverse_images: dict = field(default_factory=dict)
@@ -33,8 +32,6 @@ class RunConfig:
                      "lp_simplex_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.filler not in ("cone", "lp"):
-            raise ValueError("filler must be cone or lp")
 
     # -- construction ---------------------------------------------------
 
@@ -88,9 +85,7 @@ class RunConfig:
         for key, val in values.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in ("filler",):
-                kwargs[key] = val
-            elif key in ("psi_images", "psi_inverse_images"):
+            if key in ("psi_images", "psi_inverse_images"):
                 kwargs[key] = val if isinstance(val, dict) else _parse_words(val)
             elif key in ("rho_a", "rho_b"):
                 kwargs[key] = tuple(val) if isinstance(val, (list, tuple)) \

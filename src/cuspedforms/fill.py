@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from . import lp
-from .chains import Chain
+from .chains import Chain, anchor_simplex
 from .errors import FillDepthExceeded, Infeasible, WindowTooLarge
 from .graph import CuspedGraph, Vertex, vertex_key
-from .words import GroupElem, gamma_inv, gamma_mul
+from .words import GroupElem
 
 
 @dataclass(frozen=True)
@@ -97,45 +96,16 @@ class FillEngine:
         invariant evaluation can skip the translation entirely."""
         if len({x0, x1, x2}) < 3:
             return Chain(2), 1, GroupElem("", 0), "degenerate"
-        canon, sign, shift = self._canonical_triple((x0, x1, x2))
+        canon, sign, shift = anchor_simplex((x0, x1, x2), self.graph.psi)
+        chain, method = self._cached_fill(canon, 0)
+        return chain, sign, shift, method
+
+    def _cached_fill(self, canon: tuple[Vertex, ...], rec: int):
         hit = self._fill_cache.get(canon)
         if hit is None:
-            hit = self._fill_canonical(canon, 0)
+            hit = self._fill_canonical(canon, rec)
             self._fill_cache[canon] = hit
-        return hit[0], sign, shift, hit[1]
-
-    def _canonical_triple(self, verts: tuple[Vertex, Vertex, Vertex]):
-        """Lex-least tuple over reorderings and left translation moving the
-        first vertex to the identity.  Returns (tuple, sign, translate) with
-        original = translate . canonical, up to the permutation.
-
-        Only one inversion touches the input words; the other anchorings are
-        derived from the pairwise relative elements, which stay short even
-        when the inputs are long.
-        """
-        psi = self.graph.psi
-        inv0 = gamma_inv(verts[0].elem, psi)
-        r01 = gamma_mul(inv0, verts[1].elem, psi)
-        r02 = gamma_mul(inv0, verts[2].elem, psi)
-        r10 = gamma_inv(r01, psi)
-        r20 = gamma_inv(r02, psi)
-        rel = {(0, 1): r01, (0, 2): r02, (1, 0): r10, (2, 0): r20,
-               (1, 2): gamma_mul(r10, r02, psi),
-               (2, 1): gamma_mul(r20, r01, psi)}
-        best_key = None
-        best = None
-        for perm in permutations(range(3)):
-            sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-            i = perm[0]
-            cand = [Vertex("", 0, verts[i].depth)]
-            for j in perm[1:]:
-                e = rel[(i, j)]
-                cand.append(Vertex(e.base, e.texp, verts[j].depth))
-            cand = tuple(cand)
-            key = tuple(vertex_key(v) for v in cand)
-            if best_key is None or key < best_key:
-                best_key, best = key, (cand, sign, verts[i].elem)
-        return best
+        return hit
 
     def _fill_canonical(self, tri: tuple[Vertex, ...], rec: int):
         if rec > self.fill_recursion_cap:
@@ -161,12 +131,9 @@ class FillEngine:
         counter alive across cache misses."""
         if len({x0, x1, x2}) < 3:
             return Chain(2)
-        canon, sign, shift = self._canonical_triple((x0, x1, x2))
-        hit = self._fill_cache.get(canon)
-        if hit is None:
-            hit = self._fill_canonical(canon, rec)
-            self._fill_cache[canon] = hit
-        out = hit[0].translate(self.graph, shift)
+        canon, sign, shift = anchor_simplex((x0, x1, x2), self.graph.psi)
+        chain, _ = self._cached_fill(canon, rec)
+        out = chain.translate(self.graph, shift)
         return -out if sign < 0 else out
 
     # -- LP fillings -----------------------------------------------------
@@ -268,7 +235,3 @@ class FillEngine:
                 return {"B": b, "norm": b.l1_norm(), "method": "unit-simplex"}
         res = self.fill_cycle_lp(z, window_radius=window_radius)
         return {"B": res.chain, "norm": res.norm, "method": "lp"}
-
-    def clear_caches(self) -> None:
-        self._path_cache.clear()
-        self._fill_cache.clear()

@@ -15,9 +15,8 @@ from typing import Iterator, NamedTuple
 
 from . import words
 from .errors import CapExceeded, DegreeOverflow
-from .words import (Automorphism, DEFAULT_PSI, GroupElem, coset_rep,
-                    format_word, gamma_inv, gamma_mul, mul, parse_word,
-                    word_pow)
+from .words import (Automorphism, DEFAULT_PSI, GroupElem, format_word,
+                    gamma_inv, gamma_mul, mul, parse_word, word_pow)
 
 
 class Vertex(NamedTuple):
@@ -54,10 +53,6 @@ def parse_vertex(text: str) -> Vertex:
 def vertex_key(v: Vertex):
     """Global total order: depth, base length, base lex, t-exponent."""
     return (v.depth, len(v.base), v.base, v.texp)
-
-
-class HoroballId(NamedTuple):
-    rep: str  # canonical coset representative word
 
 
 _COMM_POWERS: dict[int, str] = {}
@@ -150,9 +145,6 @@ class CuspedGraph:
         if u.depth == 0:
             return rel.texp == 0 and rel.base in self.GENERATOR_WORDS
         return False
-
-    def horoball_of(self, v: Vertex) -> HoroballId:
-        return HoroballId(coset_rep(v.base))
 
     # -- distances -----------------------------------------------------
 
@@ -329,10 +321,6 @@ class CuspedGraph:
             nbrs = self.neighbors(v)
             v = nbrs[rng.randrange(len(nbrs))]
         return v
-
-    def clear_caches(self) -> None:
-        self._dist_cache.clear()
-        self._geo_cache.clear()
 
 
 def random_gamma0_word(rng: random.Random, max_len: int) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from fractions import Fraction
 
 from .errors import LipschitzViolation
@@ -13,14 +14,17 @@ def _nth_root_floor(x: int, n: int) -> int:
     """floor(x ** (1/n)) for x >= 0 by integer Newton iteration."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0 or n == 1:
+    if x < 2 or n == 1:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    if n == 2:
+        return math.isqrt(x)
+    # start above the root; the iterates then fall monotonically onto it
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 class LipFn:

@@ -8,12 +8,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .chains import CoinvariantChain, Simplex, pair
+from .chains import CoinvariantChain, Simplex
 from .fill import FillEngine
 from .graph import CuspedGraph, Vertex, random_gamma0_word
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
 from .moebius import OrientationCocycle
-from .words import COMM, GroupElem, mul, word_pow
+from .words import COMM, DEFAULT_PSI, Automorphism, GroupElem, mul, word_pow
+
+#: alpha_f on a coinvariant chain as a linear form in the values of f:
+#: (weights {x: w}, span) with alpha_f = sum of w * f(x) for every f, and
+#: span the least and greatest t-exponents that its fillings touch
+LinearForm = tuple[dict[int, Fraction], tuple[int, ...]]
 
 
 class QuasiCocycle:
@@ -25,7 +30,7 @@ class QuasiCocycle:
         self.eps = eps or OrientationCocycle()
         self._eps_cache: dict[tuple[str, str, str], int] = {}
         self._anchor_cache: dict[tuple[Vertex, Vertex, Vertex], tuple] = {}
-        self._am_cache: dict[int, CoinvariantChain] = {}
+        self._am_cache: dict[int, tuple[CoinvariantChain, LinearForm]] = {}
         self.theta_lo: int | None = None  # theta window touched since reset
         self.theta_hi: int | None = None
 
@@ -71,8 +76,31 @@ class QuasiCocycle:
             (coeff * self.F(f, sx, shift) for sx, coeff in chain.terms.items()),
             Fraction(0))
 
-    def alpha_functional(self, f: LipFn):
-        return lambda x0, x1, x2: self.alpha(f, x0, x1, x2)
+    def linear_form(self, chain: CoinvariantChain) -> LinearForm:
+        """alpha_f on a coinvariant 2-chain, for every f at once.  Each key
+        (k, s) is filled in anchored coordinates (s is its own anchored
+        form, so it hits the fill cache as it stands) and read at shift k:
+        alpha_f(t^k . s) = alpha_{f(. + k)}(s)."""
+        weights: dict[int, Fraction] = {}
+        touched: set[int] = set()
+        for (k, sx), coeff in chain.terms.items():
+            fill, sign, g, _ = self.engine.fill_anchored(*sx)
+            shift = k + g.texp
+            for face, c in fill.terms.items():
+                xs = [v.texp + shift for v in face]
+                touched.update(xs)
+                e = self._eps(face)
+                if e:
+                    for x in xs:
+                        weights[x] = weights.get(x, 0) + sign * coeff * c * e
+        span = (min(touched), max(touched)) if touched else ()
+        return {x: w / 3 for x, w in sorted(weights.items()) if w}, span
+
+    def evaluate(self, f: LipFn, form: LinearForm) -> Fraction:
+        weights, span = form
+        for x in span:
+            self._touch(x)
+        return sum((w * f(x) for x, w in weights.items()), Fraction(0))
 
     def delta_alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex,
                     x3: Vertex) -> Fraction:
@@ -92,15 +120,15 @@ def _v(base: str, texp: int = 0, depth: int = 0) -> Vertex:
     return Vertex(base, texp, depth)
 
 
-def boundary_class() -> CoinvariantChain:
+def boundary_class(psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
     """The 1-class of ((e,0), ([a,b],0)); this is the boundary of c."""
-    out = CoinvariantChain(1)
+    out = CoinvariantChain(1, psi=psi)
     out.add((_v(""), _v(COMM)), 1)
     return out
 
 
-def build_c() -> CoinvariantChain:
-    out = CoinvariantChain(2)
+def build_c(psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+    out = CoinvariantChain(2, psi=psi)
     out.add((_v(""), _v("b"), _v("ba")), 1)
     out.add((_v(""), _v("ba"), _v("ab")), 1)
     out.add((_v(""), _v("ab"), _v("a")), 1)
@@ -114,15 +142,15 @@ def k_of(m: int) -> int:
     return m.bit_length()
 
 
-def build_aK(K: int) -> CoinvariantChain:
-    out = CoinvariantChain(1)
+def build_aK(K: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+    out = CoinvariantChain(1, psi=psi)
     out.add((_v("", 0, K), _v(word_pow(COMM, 2 ** K), 0, K)),
             Fraction(1, 2 ** K))
     return out
 
 
-def build_d(m: int) -> CoinvariantChain:
-    out = CoinvariantChain(2)
+def build_d(m: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+    out = CoinvariantChain(2, psi=psi)
     for i in range(k_of(m)):
         w_i = word_pow(COMM, 2 ** i)
         w_i1 = word_pow(COMM, 2 ** (i + 1))
@@ -133,39 +161,36 @@ def build_d(m: int) -> CoinvariantChain:
     return out
 
 
-def build_e(m: int) -> CoinvariantChain:
+def build_e(m: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
     K = k_of(m)
     w = word_pow(COMM, 2 ** K)
     # t^m [a,b]^{2^K} = [a,b]^{2^K} t^m since psi fixes the commutator
-    out = CoinvariantChain(2)
+    out = CoinvariantChain(2, psi=psi)
     coeff = Fraction(1, 2 ** K)
     out.add((_v("", 0, K), _v(w, m, K), _v("", m, K)), coeff)
     out.add((_v("", 0, K), _v(w, 0, K), _v(w, m, K)), coeff)
     return out
 
 
-def translate_chain(chain: CoinvariantChain, graph: CuspedGraph,
-                    g: GroupElem) -> CoinvariantChain:
-    out = CoinvariantChain(chain.dim)
-    for verts, coeff in chain.terms.items():
-        out.add(tuple(graph.left_mul(g, v) for v in verts), coeff)
-    return out
-
-
 def build_A(graph: CuspedGraph, m: int) -> CoinvariantChain:
-    cd = build_c() + build_d(m)
-    t_m = GroupElem("", m)
-    return translate_chain(cd, graph, t_m) - cd + build_e(m)
+    """A_m = t^m (c + d_m) - (c + d_m) + e_m; the t^m-translate only shifts
+    the keys, and e_m holds psi-fixed commutator words only."""
+    psi = graph.psi
+    cd = build_c(psi) + build_d(m, psi)
+    return cd.translate(graph, GroupElem("", m)) - cd + build_e(m, psi)
 
 
-def evaluate_on_Am(qc: QuasiCocycle, f: LipFn, m: int,
-                   validate: bool = False) -> Fraction:
-    chain = qc._am_cache.get(m)
-    if chain is None:
+def _am(qc: QuasiCocycle, m: int) -> tuple[CoinvariantChain, LinearForm]:
+    hit = qc._am_cache.get(m)
+    if hit is None:
         chain = build_A(qc.graph, m)
-        qc._am_cache[m] = chain
-    return pair(qc.alpha_functional(f), chain, graph=qc.graph,
-                validate=validate)
+        hit = (chain, qc.linear_form(chain))
+        qc._am_cache[m] = hit
+    return hit
+
+
+def evaluate_on_Am(qc: QuasiCocycle, f: LipFn, m: int) -> Fraction:
+    return qc.evaluate(f, _am(qc, m)[1])
 
 
 # -- sampling ----------------------------------------------------------------
@@ -342,12 +367,8 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
     of delta alpha_f has sup norm at least the ratio."""
     rows = []
     for m in ms:
-        chain = qc._am_cache.get(m)
-        if chain is None:
-            chain = build_A(qc.graph, m)
-            qc._am_cache[m] = chain
-        value = pair(qc.alpha_functional(f), chain, graph=qc.graph,
-                     validate=False)
+        chain, form = _am(qc, m)
+        value = qc.evaluate(f, form)
         norm = chain.l1_norm()
         rows.append({"m": m, "value": value, "am_norm": norm,
                      "ratio": abs(value) / norm})

@@ -20,10 +20,6 @@ LETTERS = "aAbB"
 COMM = "ABab"
 
 
-def invert_letter(x: str) -> str:
-    return x.swapcase()
-
-
 def reduce_word(letters: Iterable[str]) -> str:
     """Freely reduce a letter sequence (stack-based, single pass)."""
     out: list[str] = []
@@ -193,34 +189,11 @@ def parse_elem(text: str) -> GroupElem:
     return GroupElem(parse_word(word), int(k) if k else 0)
 
 
-def coset_rep(g: GroupElem | str) -> str:
-    """Canonical representative of the coset g0<[a,b]> in F(a,b).
-
-    Minimal length among g0*[a,b]^alpha over a finite window of alpha, ties
-    broken lexicographically.  The window suffices because appending [a,b]
-    powers eventually only lengthens a reduced word.
-    """
-    w = g.base if isinstance(g, GroupElem) else g
-    window = len(w) + 1
-    best = None
-    for alpha in range(-window, window + 1):
-        cand = mul(w, word_pow(COMM, alpha))
-        key = (len(cand), cand)
-        if best is None or key < best:
-            best = key
-    return best[1]
-
-
 class HCoord(NamedTuple):
     """Coordinates on the peripheral Z^2: h = [a,b]^alpha * t^beta."""
 
     alpha: int
     beta: int
-
-
-def h_distance(u: HCoord, v: HCoord) -> int:
-    """Word metric on Z^2 with the standard generators (the l1 metric)."""
-    return abs(u.alpha - v.alpha) + abs(u.beta - v.beta)
 
 
 def h_coord(g: GroupElem) -> HCoord:

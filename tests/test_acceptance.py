@@ -72,7 +72,7 @@ def test_criterion_04_cycle_identities(graph):
         d, e = Q.build_d(m), Q.build_e(m)
         assert d.boundary() == -Q.boundary_class() + aK
         assert e.boundary() == \
-            aK - Q.translate_chain(aK, graph, GroupElem("", m))
+            aK - aK.translate(graph, GroupElem("", m))
         A = Q.build_A(graph, m)
         assert not A.boundary()
         assert A.l1_norm() == 12 - Fraction(4, 2 ** K) <= 12

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspedforms.chains import (Chain, CoinvariantChain, chain_from_json,
                                 chain_to_json, coinvariant_reduce,
                                 orbit_canonical, pair)
 from cuspedforms.errors import NotInvariant
-from cuspedforms.graph import Vertex, random_gamma0_word
-from cuspedforms.words import GroupElem
+from cuspedforms.graph import Vertex, random_gamma0_word, vertex_key
+from cuspedforms.words import (DEFAULT_PSI, GroupElem, gamma_mul, inv, mul,
+                               reduce_word)
 
 
 def v(base, texp=0, depth=0):
@@ -85,14 +88,12 @@ def test_orbit_canonical_is_orbit_invariant():
     rng = random.Random(18)
     for _ in range(60):
         sx = random_simplex(rng, 2)
-        canon, _ = orbit_canonical(sx)
+        k, canon, sign = orbit_canonical(sx)
         # translate on the left by a free-group element and re-canonicalize
         g = random_gamma0_word(rng, 3)
-        from cuspedforms.words import mul
         moved = tuple(Vertex(mul(g, w.base), w.texp, w.depth) for w in sx)
-        canon2, _ = orbit_canonical(moved)
-        assert canon2 == canon
-        assert canon[0].base == ""
+        assert orbit_canonical(moved) == (k, canon, sign)
+        assert canon[0].base == "" and canon[0].texp == 0
 
 
 def test_coinvariant_chain_identifies_translates():
@@ -118,18 +119,18 @@ def test_pair_counts_terms():
     assert val == Fraction(3, 2)
 
 
-def test_pair_rejects_non_alternating(graph):
+def test_pair_rejects_non_alternating():
     c = CoinvariantChain(1)
     c.add((v(""), v("a")), 1)
     with pytest.raises(NotInvariant):
-        pair(lambda a, b: Fraction(1), c, graph=graph)
+        pair(lambda a, b: Fraction(1), c)
 
 
-def test_pair_rejects_non_invariant(graph):
+def test_pair_rejects_non_invariant():
     c = CoinvariantChain(1)
     c.add((v(""), v("a")), 1)
     with pytest.raises(NotInvariant):
-        pair(lambda a, b: Fraction(len(b.base) - len(a.base)), c, graph=graph)
+        pair(lambda a, b: Fraction(len(b.base) - len(a.base)), c)
 
 
 def test_chain_json_round_trip():
@@ -138,3 +139,72 @@ def test_chain_json_round_trip():
     for _ in range(5):
         c.add(random_simplex(rng, 2), Fraction(rng.randrange(-4, 5) or 1, 3))
     assert chain_from_json(chain_to_json(c), dim=2) == c
+
+
+# -- the (k, s) orbit key against the brute-force F-orbit form ---------------
+
+
+def brute_force_orbit_form(verts):
+    """The F-orbit of an ordered simplex by brute force: over every vertex
+    order, left-multiply by a free-group element so the first base is
+    trivial, and keep the lex-least tuple.  Returns (tuple, sign of the
+    chosen order)."""
+    best = None
+    for perm in permutations(range(len(verts))):
+        sign = 1
+        for i in range(len(perm)):
+            for j in range(i + 1, len(perm)):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        shift = inv(verts[perm[0]].base)
+        cand = tuple(Vertex(mul(shift, verts[i].base), verts[i].texp,
+                            verts[i].depth) for i in perm)
+        key = tuple(vertex_key(w) for w in cand)
+        if best is None or key < best[0]:
+            best = (key, cand, sign)
+    return best[1], best[2]
+
+
+words = st.lists(st.sampled_from("aAbB"), max_size=4).map(reduce_word)
+elements = st.builds(GroupElem, words, st.integers(-3, 3))
+vertices = st.builds(Vertex, words, st.integers(-2, 2), st.integers(0, 2))
+simplices = st.integers(2, 3).flatmap(
+    lambda n: st.lists(vertices, min_size=n, max_size=n, unique=True)
+).map(tuple)
+
+
+def act(g, verts):
+    return tuple(Vertex(*gamma_mul(g, w.elem, DEFAULT_PSI), w.depth)
+                 for w in verts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplices, elements)
+def test_orbit_key_shifts_by_theta(sx, g):
+    k, canon, sign = orbit_canonical(sx)
+    assert orbit_canonical(act(g, sx)) == (k + g.texp, canon, sign)
+    # the key names the orbit of t^k . canon, listed in the order of sign
+    rep = act(GroupElem("", k), canon)
+    form, form_sign = brute_force_orbit_form(rep)
+    assert brute_force_orbit_form(sx) == (form, form_sign * sign)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplices, st.data())
+def test_orbit_key_agrees_with_brute_force_oracle(sx, data):
+    kind = data.draw(st.sampled_from(("fiber", "gamma", "fresh")))
+    if kind == "fresh":
+        other = data.draw(simplices)
+    else:
+        g = data.draw(elements)
+        if kind == "fiber":
+            g = GroupElem(g.base, 0)
+        order = data.draw(st.permutations(range(len(sx))))
+        other = act(g, tuple(sx[i] for i in order))
+    k1, c1, s1 = orbit_canonical(sx)
+    k2, c2, s2 = orbit_canonical(other)
+    f1, t1 = brute_force_orbit_form(sx)
+    f2, t2 = brute_force_orbit_form(other)
+    assert ((k1, c1) == (k2, c2)) == (f1 == f2)
+    if f1 == f2:
+        assert s1 * s2 == t1 * t2

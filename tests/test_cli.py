@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from cuspedforms.cli import main
+from cuspedforms.config import RunConfig
+from cuspedforms.graph import parse_vertex
+from cuspedforms.quasicocycle import build_A
 
 
 def run(capsys, *argv):
@@ -89,3 +93,26 @@ def test_config_override(capsys, tmp_path):
 def test_bad_vertex_encoding(capsys):
     with pytest.raises(ValueError):
         main(["graph", "dist", "zz@0:0", "e@0:0"])
+
+
+def test_filler_is_an_unknown_config_key(tmp_path):
+    # the LP filler is reached through FillEngine.fill_cycle_lp only; a
+    # config that asks for it fails instead of silently filling by cones
+    with pytest.raises(ValueError, match="unknown config key 'filler'"):
+        RunConfig.from_dict({"filler": "lp"})
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("filler = lp\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        main(["--config", str(cfgfile), "selfcheck"])
+
+
+def test_cycles_terms_are_shift_keyed(capsys, graph):
+    code, lines = run(capsys, "cycles", "--m", "3")
+    assert code == 0
+    terms = {ln["chain"]: ln["terms"] for ln in lines[1:]}
+    assert all(set(t) == {"shift", "simplex", "coeff"}
+               for chain in terms.values() for t in chain)
+    keys = {(t["shift"], tuple(parse_vertex(v) for v in t["simplex"])):
+            Fraction(t["coeff"]) for t in terms["A_m"]}
+    assert keys == build_A(graph, 3).terms
+    assert {t["shift"] for t in terms["c"]} == {0}

@@ -99,3 +99,22 @@ def test_parse_spec():
     assert g(1) == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_spec("nope:1")
+
+
+@pytest.mark.parametrize("x", [7 ** 54, 7 ** 60, 10 ** 400])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nth_root_floor_of_large_integers(x, n):
+    # exact integer roots, far beyond float range
+    from cuspedforms.lipschitz import _nth_root_floor
+    r = _nth_root_floor(x, n)
+    assert r ** n <= x < (r + 1) ** n
+
+
+def test_nth_root_floor_small_values():
+    from cuspedforms.lipschitz import _nth_root_floor
+    for n in range(1, 6):
+        for x in range(200):
+            r = _nth_root_floor(x, n)
+            assert r ** n <= x < (r + 1) ** n
+    with pytest.raises(ValueError):
+        _nth_root_floor(-1, 2)

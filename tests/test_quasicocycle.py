@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
 
+import pytest
+from test_chains import brute_force_orbit_form
+
 from cuspedforms import lipschitz as lf
 from cuspedforms.chains import CoinvariantChain
+from cuspedforms.errors import PsiPowerCap
 from cuspedforms.graph import Vertex
 from cuspedforms.quasicocycle import (boundary_class, build_A, build_aK,
                                       build_c, build_d, build_e, defect_scan,
                                       evaluate_on_Am, free_ball,
                                       independence_rank, k_of, sample_tuple,
-                                      translate_chain, vanishing_certificate)
-from cuspedforms.words import COMM, GroupElem
+                                      vanishing_certificate)
+from cuspedforms.words import COMM, GroupElem, word_pow
 
 
 def test_k_of():
@@ -31,7 +35,7 @@ def test_boundary_of_e(graph):
         K = k_of(m)
         aK = build_aK(K)
         t_m = GroupElem("", m)
-        assert build_e(m).boundary() == aK - translate_chain(aK, graph, t_m)
+        assert build_e(m).boundary() == aK - aK.translate(graph, t_m)
 
 
 def test_A_is_a_cycle(graph):
@@ -120,6 +124,60 @@ def test_independence_rank_full_and_defective():
 def test_build_A_uses_coinvariants(graph):
     # translating the whole cycle by a free-group element must not change it
     A = build_A(graph, 2)
-    moved = translate_chain(A, graph, GroupElem("ab", 0))
+    moved = A.translate(graph, GroupElem("ab", 0))
     assert isinstance(A, CoinvariantChain)
     assert moved == A
+
+
+def materialised_A(graph, m):
+    """A_m written out simplex by simplex, with the t^m-translate applied to
+    every vertex (psi^m-long words), reduced by the brute-force F-orbit
+    form: {orbit form: coefficient}."""
+    K = k_of(m)
+    cd = [((Vertex("", 0, 0), Vertex("b", 0, 0), Vertex("ba", 0, 0)), 1),
+          ((Vertex("", 0, 0), Vertex("ba", 0, 0), Vertex("ab", 0, 0)), 1),
+          ((Vertex("", 0, 0), Vertex("ab", 0, 0), Vertex("a", 0, 0)), 1)]
+    for i in range(K):
+        w0, w1 = word_pow(COMM, 2 ** i), word_pow(COMM, 2 ** (i + 1))
+        c = Fraction(1, 2 ** (i + 1))
+        cd += [((Vertex("", 0, i), Vertex("", 0, i + 1), Vertex(w0, 0, i)), c),
+               ((Vertex(w0, 0, i), Vertex("", 0, i + 1), Vertex(w1, 0, i + 1)),
+                c),
+               ((Vertex(w0, 0, i), Vertex(w1, 0, i + 1), Vertex(w1, 0, i)),
+                c)]
+    t_m = GroupElem("", m)
+    w = word_pow(COMM, 2 ** K)
+    c = Fraction(1, 2 ** K)
+    terms = ([(tuple(graph.left_mul(t_m, v) for v in sx), c)
+              for sx, c in cd]
+             + [(sx, -c) for sx, c in cd]
+             + [((Vertex("", 0, K), Vertex(w, m, K), Vertex("", m, K)), c),
+                ((Vertex("", 0, K), Vertex(w, 0, K), Vertex(w, m, K)), c)])
+    out = {}
+    for sx, c in terms:
+        form, sign = brute_force_orbit_form(sx)
+        out[form] = out.get(form, 0) + sign * c
+    return {form: c for form, c in out.items() if c}
+
+
+def test_build_A_matches_materialised_construction(graph):
+    for m in range(1, 7):
+        A = build_A(graph, m)
+        reduced = {}
+        for key, c in A.terms.items():
+            form, sign = brute_force_orbit_form(A.representative(key))
+            assert form not in reduced
+            reduced[form] = sign * c
+        assert reduced == materialised_A(graph, m)
+
+
+def test_growth_on_A_32(qc, graph):
+    # far past what a written-out t^32-translate could hold (|psi^32(ba)|
+    # is the Fibonacci number F_67), but inside the default psi power cap
+    A = build_A(graph, 32)
+    assert not A.boundary()
+    assert A.l1_norm() == Fraction(191, 16)
+    for f in (lf.linear(1), lf.power_floor(1, 2)):
+        assert evaluate_on_Am(qc, f, 32) == 2 * (f(32) - f(0))
+    with pytest.raises(PsiPowerCap):
+        build_A(graph, graph.psi.power_cap + 1)
