@@ -38,5 +38,8 @@ for k in range(1, 5):
 print("ball sizes around e@0:0:",
       [len(graph.ball(parse_vertex("e@0:0"), r)) for r in range(4)])
 
-print("4-point hyperbolicity estimate (200 samples, radius 6):",
-      graph.estimate_delta(200, 6, seed=0))
+# Quadruples with a pair farther apart than the distance cap are left out
+# of the estimate and counted.
+delta, skipped = graph.estimate_delta(200, 6, seed=0)
+print("4-point hyperbolicity estimate (200 samples, radius 6):", delta,
+      f"({skipped} quadruples skipped at the distance cap)")

@@ -108,9 +108,11 @@ def main(argv: list[str] | None = None) -> int:
             emit({"size": len(ball),
                   "vertices": sorted(str(v) for v in ball)})
         else:
-            delta = graph.estimate_delta(args.samples, args.radius, args.seed)
+            delta, skipped = graph.estimate_delta(args.samples, args.radius,
+                                                  args.seed)
             emit({"delta_hat": str(delta), "samples": args.samples,
-                  "radius": args.radius, "seed": args.seed})
+                  "skipped": skipped, "radius": args.radius,
+                  "seed": args.seed})
 
     elif args.command == "eps":
         value = qc.eps.on_words(*(parse_word(w) for w in args.words))

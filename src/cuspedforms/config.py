@@ -20,7 +20,6 @@ class RunConfig:
     fill_recursion_cap: int = 64
     lp_window_radius: int = 2
     lp_simplex_cap: int = 2000
-    rng_seed: int = 0
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
     psi_inverse_images: dict = field(default_factory=dict)
     rho_a: tuple = (1, 1, 1, 2)

@@ -30,7 +30,10 @@ class NotInvariant(CuspedFormsError):
 
 
 class Infeasible(CuspedFormsError):
-    """The windowed filling LP admits no solution; grow the window."""
+    """The windowed filling LP has no solution that could be certified: the
+    float solve failed (grow the window), or its answer failed exact
+    reconstruction or the exact optimality certificate (the message names
+    the failed check)."""
 
 
 class WindowTooLarge(CuspedFormsError):

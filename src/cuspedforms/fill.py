@@ -37,7 +37,7 @@ _SIDE_PERMS = {(0, 1): ((0, 1, 2), 1), (0, 2): ((0, 2, 1), -1),
 class FillEngine:
     def __init__(self, graph: CuspedGraph, kappa: int = 8,
                  fill_recursion_cap: int = 64, lp_window_radius: int = 2,
-                 lp_simplex_cap: int = 2000, lp_exact_columns: int = 120):
+                 lp_simplex_cap: int = 2000):
         if kappa < 2:
             raise ValueError("kappa must be at least 2")
         self.graph = graph
@@ -45,7 +45,6 @@ class FillEngine:
         self.fill_recursion_cap = fill_recursion_cap
         self.lp_window_radius = lp_window_radius
         self.lp_simplex_cap = lp_simplex_cap
-        self.lp_exact_columns = lp_exact_columns
         self._path_cache: dict[tuple[Vertex, Vertex], Chain] = {}
         self._fill_cache: dict[tuple, tuple[Chain, str]] = {}
 
@@ -149,7 +148,9 @@ class FillEngine:
                       extra_vertices: set[Vertex] | None = None) -> FillResult:
         """l1-minimal (dim+1)-chain b with boundary exactly z, over Rips
         simplices spanned by a window around supp(z) (plus any explicitly
-        seeded vertices, e.g. the support of a known filling)."""
+        seeded vertices, e.g. the support of a known filling).  The LP
+        answer has passed lp's exact dual certificate, so the norm is
+        minimal over the window's simplices."""
         if not z:
             return FillResult(Chain(z.dim + 1), "lp", Fraction(0))
         radius = self.lp_window_radius if window_radius is None else window_radius
@@ -161,23 +162,16 @@ class FillEngine:
             raise Infeasible("window contains no candidate simplices")
 
         rows: dict[tuple, int] = {}
-        for face in z.terms:
-            rows.setdefault(face, len(rows))
-        columns = []
-        for sx in simplices:
-            col: dict[int, Fraction] = {}
-            bd = Chain(z.dim + 1)
-            bd.add(sx, 1)
-            for face, coeff in bd.boundary().terms.items():
-                idx = rows.setdefault(face, len(rows))
-                col[idx] = coeff
-            columns.append(col)
-        target = {rows[f]: c for f, c in z.terms.items()}
 
-        if len(columns) <= self.lp_exact_columns:
-            coeffs = lp.solve_exact(columns, target, len(rows))
-        else:
-            coeffs = lp.solve_float_then_verify(columns, target, len(rows))
+        def row(face: tuple) -> int:
+            return rows.setdefault(face, len(rows))
+
+        target = {row(f): c for f, c in z.terms.items()}
+        # simplices come in vertex order, so each face is already a sorted
+        # Chain key and the boundary signs are (-1)^j
+        columns = [{row(sx[:j] + sx[j + 1:]): (-1) ** j
+                    for j in range(len(sx))} for sx in simplices]
+        coeffs = lp.solve_float_then_verify(columns, target, len(rows))
         out = Chain(z.dim + 1)
         for sx, c in zip(simplices, coeffs):
             if c:

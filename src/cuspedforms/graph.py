@@ -252,19 +252,27 @@ class CuspedGraph:
         """A deterministic geodesic vertex path from u to v.  Equivariant
         (computed on the anchored pair) and antisymmetric (the reverse pair
         yields the reversed path)."""
+        src, path, flipped = self._oriented_geodesic(u, v)
+        out = [self.left_mul(src.elem, w) for w in path]
+        return out[::-1] if flipped else out
+
+    def _oriented_geodesic(self, u: Vertex, v: Vertex
+                           ) -> tuple[Vertex, list[Vertex], bool]:
+        """(src, path, flipped): the unordered pair's canonical geodesic,
+        read from the endpoint src whose (depth, anchored other endpoint) is
+        least, in the coordinates anchored at src; flipped says src is v."""
         if u == v:
-            return [u]
-        ta = (u.depth, vertex_key(self.anchor(u, v)))
-        tb = (v.depth, vertex_key(self.anchor(v, u)))
-        if tb < ta:
-            return list(reversed(self.canonical_geodesic(v, u)))
-        anchored = self.anchor(u, v)
-        key = (u.depth, anchored)
+            return u, [Vertex("", 0, u.depth)], False
+        va, ua = self.anchor(u, v), self.anchor(v, u)
+        flipped = (v.depth, vertex_key(ua)) < (u.depth, vertex_key(va))
+        if flipped:
+            u, va = v, ua
+        key = (u.depth, va)
         path = self._geo_cache.get(key)
         if path is None:
-            path = self._geodesic_anchored(Vertex("", 0, u.depth), anchored)
+            path = self._geodesic_anchored(Vertex("", 0, u.depth), va)
             self._geo_cache[key] = path
-        return [self.left_mul(u.elem, w) for w in path]
+        return u, path, flipped
 
     def _geodesic_anchored(self, src: Vertex, dst: Vertex) -> list[Vertex]:
         d = self.distance(src, dst)
@@ -289,31 +297,33 @@ class CuspedGraph:
     def geodesic_midpoint(self, u: Vertex, v: Vertex) -> Vertex:
         """Midpoint of the canonical geodesic; a function of the unordered
         pair (the path is read in its canonical orientation)."""
-        ta = (u.depth, vertex_key(self.anchor(u, v)))
-        tb = (v.depth, vertex_key(self.anchor(v, u)))
-        path = self.canonical_geodesic(u, v) if ta <= tb \
-            else self.canonical_geodesic(v, u)
-        return path[len(path) // 2]
+        src, path, _ = self._oriented_geodesic(u, v)
+        return self.left_mul(src.elem, path[len(path) // 2])
 
     # -- hyperbolicity probe --------------------------------------------
 
-    def estimate_delta(self, sample_size: int, radius: int, seed: int) -> Fraction:
-        """Empirical max of the four-point hyperbolicity defect over seeded
-        random quadruples within the radius of the basepoint."""
+    def estimate_delta(self, sample_size: int, radius: int,
+                       seed: int) -> tuple[Fraction, int]:
+        """(delta, skipped): the empirical max of the four-point
+        hyperbolicity defect over seeded random quadruples within the radius
+        of the basepoint, and the number of quadruples left out because one
+        of their distances exceeds the distance cap."""
         rng = random.Random(seed)
         best = Fraction(0)
+        skipped = 0
         for _ in range(sample_size):
             quad = [self._random_vertex(rng, radius) for _ in range(4)]
             try:
                 d = {(i, j): self.distance(quad[i], quad[j])
                      for i in range(4) for j in range(i + 1, 4)}
             except CapExceeded:
+                skipped += 1
                 continue
             sums = sorted((d[(0, 1)] + d[(2, 3)],
                            d[(0, 2)] + d[(1, 3)],
                            d[(0, 3)] + d[(1, 2)]))
             best = max(best, Fraction(sums[2] - sums[1], 2))
-        return best
+        return best, skipped
 
     def _random_vertex(self, rng: random.Random, steps: int) -> Vertex:
         v = BASEPOINT

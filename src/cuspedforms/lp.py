@@ -1,16 +1,24 @@
-"""l1-minimal chain fillings by linear programming.
+"""l1-minimal chain fillings by linear programming, certified exactly.
 
-Small instances run an exact rational simplex method (Bland's rule), so the
-optimum is a certified Fraction.  Larger instances fall back to scipy's HiGHS
-solver and then reconstruct an exact rational solution on the float support,
-re-verifying the boundary constraint before anything is returned.
+Every LP takes one path, `solve_float_then_verify`: scipy's HiGHS solves it
+in floats, the primal x is rebuilt exactly by rational row reduction on the
+columns the float answer uses, and HiGHS's row duals, rationalised, give a
+dual vector y.  x is returned only when the certificate holds exactly:
+A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, which by weak duality makes x an
+l1-minimal solution.  `solve_exact`, a dense Fraction simplex, is the
+reference oracle that the tests compare against; the package never calls it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import Infeasible
+
+#: largest denominator a rationalised dual may have; the duals of filling
+#: LPs are integers, and those of small random LPs have small denominators
+DUAL_DENOMINATOR = 10 ** 6
 
 
 def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
@@ -92,67 +100,81 @@ def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
 def solve_float_then_verify(columns: list[dict[int, Fraction]],
                             target: dict[int, Fraction],
                             n_rows: int) -> list[Fraction]:
-    """HiGHS float solve, then exact reconstruction on the float support."""
+    """min sum |x_j| s.t. sum_j x_j * col_j = target: HiGHS float solve,
+    exact primal on the float support, exact dual certificate."""
     import numpy as np
     from scipy.optimize import linprog
-    from scipy.sparse import lil_matrix
+    from scipy.sparse import csr_matrix
 
-    ncols = 2 * len(columns)
-    A = lil_matrix((n_rows, ncols))
+    data, ri, ci = [], [], []
     for j, col in enumerate(columns):
         for i, v in col.items():
-            A[i, 2 * j] = float(v)
-            A[i, 2 * j + 1] = -float(v)
+            data += (float(v), -float(v))
+            ri += (i, i)
+            ci += (2 * j, 2 * j + 1)
+    A = csr_matrix((data, (ri, ci)), shape=(n_rows, 2 * len(columns)))
     b = np.array([float(target.get(i, 0)) for i in range(n_rows)])
-    res = linprog(np.ones(ncols), A_eq=A.tocsr(), b_eq=b,
+    res = linprog(np.ones(2 * len(columns)), A_eq=A, b_eq=b,
                   bounds=(0, None), method="highs")
     if not res.success:
         raise Infeasible(f"float LP failed: {res.message}")
     signed = res.x[0::2] - res.x[1::2]
     support = [j for j in range(len(columns)) if abs(signed[j]) > 1e-9]
-    coeffs = _exact_on_support(columns, target, n_rows, support)
-    if coeffs is None:
-        raise Infeasible("exact reconstruction on the float support failed; "
-                         "shrink the window or lower the exact-mode cap")
-    out = [Fraction(0)] * len(columns)
-    for j, c in zip(support, coeffs):
-        out[j] = c
-    return out
+    mat = [[Fraction(columns[j].get(i, 0)) for j in support]
+           + [Fraction(target.get(i, 0))] for i in range(n_rows)]
+    pivots = row_reduce(mat, len(support))
+    if any(row[-1] for row in mat[len(pivots):]):
+        raise Infeasible("exact reconstruction on the float support "
+                         "failed: its columns do not span b")
+    x = [Fraction(0)] * len(columns)
+    for row, k in zip(mat, pivots):
+        x[support[k]] = row[-1]
+    y = [Fraction(v).limit_denominator(DUAL_DENOMINATOR)
+         for v in res.eqlin.marginals]
+    certify(columns, target, x, y)
+    return x
 
 
-def _exact_on_support(columns, target, n_rows, support):
-    """Solve the restricted system exactly by Gaussian elimination; returns
-    None when inconsistent."""
-    mat = [[columns[j].get(i, Fraction(0)) for j in support] +
-           [target.get(i, Fraction(0))] for i in range(n_rows)]
-    ncols = len(support)
-    pivots = []
-    row = 0
+def certify(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
+            x: list[Fraction], y: list[Fraction]) -> None:
+    """Raise Infeasible unless y proves x l1-minimal: A x = b,
+    |A^T y|_inf <= 1 and b.y = |x|_1.  The dual checks run in integers,
+    on y scaled by its common denominator."""
+    got: dict[int, Fraction] = {}
+    for col, c in zip(columns, x):
+        if c:
+            for i, v in col.items():
+                got[i] = got.get(i, 0) + c * v
+    if {i: v for i, v in got.items() if v} != \
+            {i: v for i, v in target.items() if v}:
+        raise Infeasible("certificate: A x != b")
+    scale = lcm(*(v.denominator for v in y))
+    ys = [v.numerator * (scale // v.denominator) for v in y]
+    for j, col in enumerate(columns):
+        if abs(sum(v * ys[i] for i, v in col.items())) > scale:
+            raise Infeasible(f"certificate: |A^T y| > 1 on column {j}")
+    norm = sum((abs(c) for c in x), Fraction(0))
+    if sum(v * ys[i] for i, v in target.items()) != scale * norm:
+        raise Infeasible(f"certificate: b.y != |x|_1 = {norm}")
+
+
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring `rows` to reduced row echelon form over Q in place, pivoting in
+    the first `ncols` columns only (later columns ride along, e.g. a right
+    hand side).  Returns the pivot column of each leading row; its length is
+    the rank."""
+    pivots: list[int] = []
     for col in range(ncols):
-        sel = next((r for r in range(row, n_rows) if mat[r][col]), None)
+        top = len(pivots)
+        sel = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if sel is None:
             continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        piv = mat[row][col]
-        mat[row] = [v / piv for v in mat[row]]
-        for r in range(n_rows):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
+        rows[top], rows[sel] = rows[sel], rows[top]
+        piv = rows[top][col]
+        rows[top] = [v / piv for v in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[col]:
+                f = row[col]
+                rows[r] = [v - f * w for v, w in zip(row, rows[top])]
         pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    for r in range(row, n_rows):
-        if mat[r][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = mat[r][ncols]
-    # verify (free columns were set to zero)
-    for i in range(n_rows):
-        total = sum((columns[support[j]].get(i, Fraction(0)) * x[j]
-                     for j in range(ncols)), Fraction(0))
-        if total != target.get(i, Fraction(0)):
-            return None
-    return x
+    return pivots

@@ -12,7 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import NotParabolic
-from .words import COMM, GroupElem, proj_p
+from .words import COMM
 
 Matrix = tuple[int, int, int, int]  # row-major (p, q; r, s)
 
@@ -57,11 +57,6 @@ def boundary_point(x: int, y: int) -> BoundaryPoint:
     if y < 0 or (y == 0 and x < 0):
         x, y = -x, -y
     return BoundaryPoint(x, y)
-
-
-def boundary_act(m: Matrix, pt: BoundaryPoint) -> BoundaryPoint:
-    p, q, r, s = m
-    return boundary_point(p * pt.x + q * pt.y, r * pt.x + s * pt.y)
 
 
 def parabolic_fixed_point(m: Matrix) -> BoundaryPoint:
@@ -150,9 +145,6 @@ class OrientationCocycle:
         return cyclic_orientation(self.hyp.orbit_point(w0),
                                   self.hyp.orbit_point(w1),
                                   self.hyp.orbit_point(w2))
-
-    def on_elems(self, g0: GroupElem, g1: GroupElem, g2: GroupElem) -> int:
-        return self.on_words(proj_p(g0), proj_p(g1), proj_p(g2))
 
     def __call__(self, x0, x1, x2) -> int:
         """Vertices, group elements, or bare words all work."""

@@ -12,6 +12,7 @@ from .chains import CoinvariantChain, Simplex
 from .fill import FillEngine
 from .graph import CuspedGraph, Vertex, random_gamma0_word
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
+from .lp import row_reduce
 from .moebius import OrientationCocycle
 from .words import COMM, DEFAULT_PSI, Automorphism, GroupElem, mul, word_pow
 
@@ -377,23 +378,4 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
 
 def independence_rank(fs: list[LipFn], ms: list[int]) -> int:
     """Rank over Q of the matrix [f_j(m_i) - f_j(0)]."""
-    matrix = [[f(m) - f(0) for f in fs] for m in ms]
-    rank = 0
-    ncols = len(fs)
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, len(matrix)) if matrix[r][col]),
-                   None)
-        if sel is None:
-            continue
-        matrix[row], matrix[sel] = matrix[sel], matrix[row]
-        piv = matrix[row][col]
-        matrix[row] = [v / piv for v in matrix[row]]
-        for r in range(len(matrix)):
-            if r != row and matrix[r][col]:
-                fac = matrix[r][col]
-                matrix[r] = [v - fac * w
-                             for v, w in zip(matrix[r], matrix[row])]
-        rank += 1
-        row += 1
-    return rank
+    return len(row_reduce([[f(m) - f(0) for f in fs] for m in ms], len(fs)))

@@ -162,9 +162,6 @@ class GroupElem(NamedTuple):
         return f"{format_word(self.base)}@{self.texp}"
 
 
-IDENTITY = GroupElem("", 0)
-
-
 def gamma_mul(g: GroupElem, h: GroupElem, psi: Automorphism = DEFAULT_PSI) -> GroupElem:
     return GroupElem(mul(g.base, psi.apply(h.base, g.texp)), g.texp + h.texp)
 
@@ -177,16 +174,6 @@ def gamma_inv(g: GroupElem, psi: Automorphism = DEFAULT_PSI) -> GroupElem:
 def theta(g: GroupElem) -> int:
     """The t-exponent homomorphism G -> Z."""
     return g.texp
-
-
-def proj_p(g: GroupElem) -> str:
-    """Projection onto the free-group part of the normal form."""
-    return g.base
-
-
-def parse_elem(text: str) -> GroupElem:
-    word, _, k = text.partition("@")
-    return GroupElem(parse_word(word), int(k) if k else 0)
 
 
 class HCoord(NamedTuple):

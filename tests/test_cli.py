@@ -35,6 +35,13 @@ def test_graph_ball(capsys):
     assert lines[0]["size"] == 10  # center plus its 9 neighbors
 
 
+def test_graph_delta_reports_skipped(capsys):
+    code, lines = run(capsys, "--set", "distance_cap=2", "graph", "delta",
+                      "--samples", "50", "--radius", "4", "--seed", "3")
+    assert code == 0
+    assert lines[0]["delta_hat"] == "1/2" and lines[0]["skipped"] == 46
+
+
 def test_eps_eval(capsys):
     code, lines = run(capsys, "eps", "eval", "e", "ab", "a")
     assert code == 0 and lines[0]["eps"] == 1
@@ -85,7 +92,7 @@ def test_cycles(capsys):
 
 def test_config_override(capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("kappa = 8\nrng_seed = 3\n# comment\n")
+    cfgfile.write_text("kappa = 8\ndepth_cap = 12\n# comment\n")
     code, lines = run(capsys, "--config", str(cfgfile), "selfcheck")
     assert code == 0 and lines[0]["ok"] is True
 
@@ -95,13 +102,16 @@ def test_bad_vertex_encoding(capsys):
         main(["graph", "dist", "zz@0:0", "e@0:0"])
 
 
-def test_filler_is_an_unknown_config_key(tmp_path):
-    # the LP filler is reached through FillEngine.fill_cycle_lp only; a
-    # config that asks for it fails instead of silently filling by cones
-    with pytest.raises(ValueError, match="unknown config key 'filler'"):
-        RunConfig.from_dict({"filler": "lp"})
+@pytest.mark.parametrize("key, value", [("filler", "lp"), ("rng_seed", "3")],
+                         ids=["filler", "rng_seed"])
+def test_dead_keys_are_unknown_config_keys(tmp_path, key, value):
+    # `filler` never reached FillEngine (the LP filler is reached through
+    # FillEngine.fill_cycle_lp only) and no module read `rng_seed`; a config
+    # that sets either fails instead of silently changing nothing
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        RunConfig.from_dict({key: value})
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("filler = lp\n")
+    cfgfile.write_text(f"{key} = {value}\n")
     with pytest.raises(ValueError, match="unknown config key"):
         main(["--config", str(cfgfile), "selfcheck"])
 

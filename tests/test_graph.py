@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cuspedforms.errors import CapExceeded
-from cuspedforms.graph import (Vertex, parse_vertex, random_gamma0_word,
-                               vertex)
+from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
+                               random_gamma0_word, vertex)
 from cuspedforms.words import COMM, GroupElem, word_pow
 
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
@@ -168,9 +169,17 @@ def test_geodesic_equivariance(graph):
 
 def test_delta_estimate_pin(graph):
     est = graph.estimate_delta(DELTA_SAMPLES, DELTA_RADIUS, DELTA_SEED)
-    assert est == DELTAHAT
+    assert est == (DELTAHAT, 0)
     assert graph.estimate_delta(DELTA_SAMPLES, DELTA_RADIUS,
                                 DELTA_SEED) == est
+
+
+def test_delta_estimate_reports_capped_quadruples():
+    # at distance cap 2, 46 of the 50 seed-3 quadruples have a pair farther
+    # apart than the cap; the estimate over the other 4 must say so
+    capped = CuspedGraph(distance_cap=2)
+    assert capped.estimate_delta(50, DELTA_RADIUS, DELTA_SEED) == \
+        (Fraction(1, 2), 46)
 
 
 def test_vertex_helpers():

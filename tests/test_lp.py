@@ -1,10 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cuspedforms import lp
 from cuspedforms.errors import Infeasible
-from cuspedforms.lp import solve_exact, solve_float_then_verify
+from cuspedforms.lp import certify, solve_exact, solve_float_then_verify
+
+# min |x0| + |x1| + |x2| s.t. x0 (1, 1) + x1 (1, 0) + x2 (0, 1) = (1, 1):
+# the optimum is x = (1, 0, 0), proved by the dual y = (1/2, 1/2);
+# x = (0, 1, 1) is feasible at twice the cost
+CHEAP_COLS = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1)},
+              {1: Fraction(1)}]
+CHEAP_TARGET = {0: Fraction(1), 1: Fraction(1)}
+HALF = Fraction(1, 2)
 
 
 def check_solution(columns, target, n_rows, coeffs):
@@ -88,3 +101,97 @@ def test_float_path_infeasible():
     with pytest.raises(Infeasible):
         solve_float_then_verify([{0: Fraction(1)}],
                                 {0: Fraction(0), 1: Fraction(1)}, 2)
+
+
+def random_lp(rng):
+    """A feasible LP with at most 8 columns and 5 rows; half of them repeat
+    a row, which makes the row duals non-unique."""
+    n_rows = rng.randrange(1, 6)
+    cols = []
+    for _ in range(rng.randrange(1, 9)):
+        col = {r: Fraction(rng.randrange(-2, 3)) for r in range(n_rows)
+               if rng.random() < 0.7}
+        cols.append({r: v for r, v in col.items() if v})
+    if n_rows >= 2 and rng.random() < 0.5:
+        src, dst = rng.sample(range(n_rows), 2)
+        for col in cols:
+            col.pop(dst, None)
+            if src in col:
+                col[dst] = col[src]
+    mix = [Fraction(rng.randrange(-2, 3), rng.choice((1, 1, 2, 3)))
+           for _ in cols]
+    target = {}
+    for col, c in zip(cols, mix):
+        for r, val in col.items():
+            target[r] = target.get(r, Fraction(0)) + c * val
+    return cols, {r: v for r, v in target.items() if v}, n_rows
+
+
+def l1(x):
+    return sum((abs(c) for c in x), Fraction(0))
+
+
+def test_float_path_is_certified_and_matches_exact_oracle(monkeypatch):
+    certified = []
+
+    def spy(columns, target, x, y):
+        certify(columns, target, x, y)
+        certified.append(list(x))
+
+    monkeypatch.setattr(lp, "certify", spy)
+    rng = random.Random(31)
+    for k in range(300):
+        cols, target, n_rows = random_lp(rng)
+        x = solve_float_then_verify(cols, target, n_rows)
+        assert len(certified) == k + 1 and certified[-1] == x
+        check_solution(cols, target, n_rows, x)
+        assert l1(x) == l1(solve_exact(cols, target, n_rows))
+
+
+def test_certificate_accepts_the_optimum():
+    certify(CHEAP_COLS, CHEAP_TARGET, [Fraction(1), 0, 0], [HALF, HALF])
+
+
+@pytest.mark.parametrize("x, y, failed", [
+    # feasible but not optimal: the optimal dual shows a duality gap
+    ((0, 1, 1), (HALF, HALF), r"b\.y != \|x\|_1"),
+    # b.y = |x|_1, but y is no dual solution: |A^T y| = 2 on column 0
+    ((0, 1, 1), (1, 1), r"\|A\^T y\| > 1 on column 0"),
+    # not a solution at all
+    ((1, 1, 0), (HALF, HALF), r"A x != b"),
+], ids=["duality-gap", "dual-infeasible", "primal-infeasible"])
+def test_certificate_rejects(x, y, failed):
+    with pytest.raises(Infeasible, match=failed):
+        certify(CHEAP_COLS, CHEAP_TARGET, [Fraction(c) for c in x],
+                [Fraction(c) for c in y])
+
+
+def test_float_path_rejects_a_non_optimal_float_answer(monkeypatch):
+    import numpy as np
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    def feasible_not_optimal(*args, **kwargs):
+        # x = (0, 1, 1) split into positive and negative parts
+        return OptimizeResult(
+            success=True, x=np.array([0., 0., 1., 0., 1., 0.]),
+            eqlin=OptimizeResult(marginals=np.array([0.5, 0.5])))
+
+    monkeypatch.setattr(scipy.optimize, "linprog", feasible_not_optimal)
+    with pytest.raises(Infeasible, match=r"b\.y != \|x\|_1"):
+        solve_float_then_verify(CHEAP_COLS, CHEAP_TARGET, 2)
+
+
+def test_build_imports_neither_numpy_nor_scipy():
+    # only an LP solve imports them: importing scipy.optimize alone costs
+    # about ten times the set-up of an engine that never fills by LP
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, cuspedforms; cuspedforms.RunConfig().build(); "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
