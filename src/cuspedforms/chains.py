@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 from .errors import NotInvariant
 from .graph import Vertex, vertex_key
 from .words import (DEFAULT_PSI, Automorphism, GroupElem, gamma_inv,
-                    gamma_mul, mul)
+                    gamma_mul, gamma_rel, mul)
 
 Simplex = tuple[Vertex, ...]
 #: (t-exponent of the front vertex, anchored simplex): one F-orbit
@@ -158,16 +158,16 @@ def anchor_simplex(verts: Simplex, psi: Automorphism = DEFAULT_PSI
     and keep the lex-least tuple s; g is the group element of the vertex
     moved to the front.  The vertices must be distinct.
 
-    Only one inversion touches the input words; the other anchorings are
-    derived from the pairwise relative elements, which stay short even
-    when the inputs are long.
+    Only the relative elements of vertex 0 and vertex j touch the input
+    words, and each cancels their common prefix before applying the
+    psi-power (`words.gamma_rel`); the other anchorings are derived from
+    these, which stay short even when the inputs are long.
     """
     n = len(verts)
     # rel[i * n + j]: vertex j anchored at vertex i
     rel: list = [None] * (n * n)
-    inv0 = gamma_inv(verts[0].elem, psi)
     for j in range(1, n):
-        r = gamma_mul(inv0, verts[j].elem, psi)
+        r = gamma_rel(verts[0].elem, verts[j].elem, psi)
         rel[j] = r
         rel[j * n] = gamma_inv(r, psi)
     for i in range(1, n):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import words
 from .errors import CapExceeded, DegreeOverflow
 from .words import (Automorphism, DEFAULT_PSI, GroupElem, format_word,
-                    gamma_inv, gamma_mul, mul, parse_word, word_pow)
+                    gamma_mul, gamma_rel, mul, parse_word, word_pow)
 
 
 class Vertex(NamedTuple):
@@ -71,7 +71,14 @@ class CuspedGraph:
 
     Queries are anchored: a pair (u, v) is translated so the first vertex's
     group element becomes the identity before searching, which keeps words
-    short and makes every answer equivariant by construction.
+    short and makes every answer equivariant by construction.  Anchoring
+    cancels the common prefix of the two base words before applying the
+    psi-power (`words.gamma_rel`), so only the short relative word is
+    twisted.
+
+    `_dist_cache` maps an anchored pair (depth(u), anchored v) to
+    (d, True) once the distance d is known, or to (c, False) once a search
+    at cap c has failed, i.e. d > c.
     """
 
     GENERATOR_WORDS = ("a", "A", "b", "B", words.COMM, words.inv(words.COMM))
@@ -81,7 +88,7 @@ class CuspedGraph:
         self.psi = psi
         self.depth_cap = depth_cap
         self.distance_cap = distance_cap
-        self._dist_cache: dict[tuple, int] = {}
+        self._dist_cache: dict[tuple, tuple[int, bool]] = {}
         self._geo_cache: dict[tuple, list[Vertex]] = {}
         self._twisted_gen_cache: dict[int, tuple[str, ...]] = {}
 
@@ -93,7 +100,8 @@ class CuspedGraph:
 
     def anchor(self, u: Vertex, v: Vertex) -> Vertex:
         """v in the coordinates that move u to (e, depth(u))."""
-        return self.left_mul(gamma_inv(u.elem, self.psi), v)
+        rel = gamma_rel(u.elem, v.elem, self.psi)
+        return Vertex(rel.base, rel.texp, v.depth)
 
     # -- adjacency -----------------------------------------------------
 
@@ -128,22 +136,23 @@ class CuspedGraph:
         return sorted(out, key=vertex_key)
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        if u == v:
+        return self._adjacent_anchored(u.depth, self.anchor(u, v))
+
+    def _adjacent_anchored(self, depth: int, va: Vertex) -> bool:
+        """Adjacency of (e, 0, depth) and the anchored vertex va."""
+        if not va.base and not va.texp:
+            return abs(depth - va.depth) == 1
+        if depth != va.depth:
             return False
-        if u.base == v.base and u.texp == v.texp:
-            return abs(u.depth - v.depth) == 1
-        if u.depth != v.depth:
-            return False
-        rel = gamma_mul(gamma_inv(u.elem, self.psi), v.elem, self.psi)
         try:
-            hc = words.h_coord(rel)
+            hc = words.h_coord(va.elem)
         except ValueError:
             hc = None
         if hc is not None:
             dist = abs(hc.alpha) + abs(hc.beta)
-            return 0 < dist <= 2 ** u.depth
-        if u.depth == 0:
-            return rel.texp == 0 and rel.base in self.GENERATOR_WORDS
+            return 0 < dist <= 2 ** depth
+        if depth == 0:
+            return va.texp == 0 and va.base in self.GENERATOR_WORDS
         return False
 
     # -- distances -----------------------------------------------------
@@ -154,24 +163,29 @@ class CuspedGraph:
             cap = self.distance_cap
         if u == v:
             return 0
-        if self.adjacent(u, v):
+        va = self.anchor(u, v)
+        if self._adjacent_anchored(u.depth, va):
             return 1
         if cap < 2:
             raise CapExceeded(f"d({u},{v}) > {cap}")
-        va = self.anchor(u, v)
         key = (u.depth, va)
         hit = self._dist_cache.get(key)
         if hit is not None:
-            if hit <= cap:
-                return hit
-            raise CapExceeded(f"d({u},{v}) = {hit} > {cap}")
+            bound, exact = hit
+            if exact:
+                if bound <= cap:
+                    return bound
+                raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
+            if cap <= bound:
+                raise CapExceeded(f"d({u},{v}) > {bound} >= {cap}")
         ub = self._peripheral_upper_bound(u.depth, va)
         search_cap = cap if ub is None else min(cap, ub)
         d = self._bidirectional(Vertex("", 0, u.depth), va, search_cap)
-        if d is not None:
-            self._dist_cache[key] = d
-            return d
-        raise CapExceeded(f"d({u},{v}) > {cap}")
+        if d is None:
+            self._dist_cache[key] = (search_cap, False)
+            raise CapExceeded(f"d({u},{v}) > {cap}")
+        self._dist_cache[key] = (d, True)
+        return d
 
     def _peripheral_upper_bound(self, n1: int, va: Vertex) -> int | None:
         """Length of an explicit path inside one horoball to an anchored

@@ -90,7 +90,6 @@ class Automorphism:
         self.inverse_images["A"] = inv(self.inverse_images["a"])
         self.inverse_images["B"] = inv(self.inverse_images["b"])
         self.power_cap = power_cap
-        self._apply_cache: dict[tuple[str, int], str] = {}
 
     def apply_once(self, w: str, forward: bool = True) -> str:
         table = self.images if forward else self.inverse_images
@@ -107,19 +106,10 @@ class Automorphism:
         if abs(power) > self.power_cap:
             raise PsiPowerCap(
                 f"automorphism power {power} exceeds cap {self.power_cap}")
-        # deep powers of long words recur constantly when anchoring
-        # translated chains; memoize those only (short words are cheap)
-        cache = len(w) >= 256 and abs(power) > 1
-        if cache:
-            hit = self._apply_cache.get((w, power))
-            if hit is not None:
-                return hit
         out = w
         forward = power >= 0
         for _ in range(abs(power)):
             out = self.apply_once(out, forward)
-        if cache:
-            self._apply_cache[(w, power)] = out
         return out
 
     def check(self) -> None:
@@ -169,6 +159,15 @@ def gamma_mul(g: GroupElem, h: GroupElem, psi: Automorphism = DEFAULT_PSI) -> Gr
 def gamma_inv(g: GroupElem, psi: Automorphism = DEFAULT_PSI) -> GroupElem:
     # (g0 t^k)^-1 = psi^-k(g0^-1) t^-k
     return GroupElem(psi.apply(inv(g.base), -g.texp), -g.texp)
+
+
+def gamma_rel(g: GroupElem, h: GroupElem,
+              psi: Automorphism = DEFAULT_PSI) -> GroupElem:
+    """g^-1 h.  For g = g0 t^k and h = h0 t^l this is psi^-k(g0^-1 h0)
+    t^(l-k): the common prefix of g0 and h0 cancels before psi^-k is
+    applied, so a short relative word of two long translates stays cheap."""
+    return GroupElem(psi.apply(mul(inv(g.base), h.base), -g.texp),
+                     h.texp - g.texp)
 
 
 def theta(g: GroupElem) -> int:

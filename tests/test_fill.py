@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from cuspedforms.chains import Chain
-from cuspedforms.graph import Vertex
+from cuspedforms.fill import FillEngine
+from cuspedforms.graph import CuspedGraph, Vertex
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, word_pow
+
+from _oracles import bfs_oracle
 
 
 def sample_triple(graph, rng, idx):
@@ -121,6 +125,34 @@ def test_lp_fill_matches_boundary_and_norm(engine, graph):
                                extra_vertices=cone.chain.support())
     assert res.chain.boundary() == z
     assert res.norm <= cone.norm
+
+
+def oracle_rips_triangles(window, kappa):
+    """Triangles of the Rips graph on the window, adjacency read off the
+    plain BFS on a fresh graph."""
+    fresh = CuspedGraph()
+    near = {(i, j) for i, j in combinations(range(len(window)), 2)
+            if bfs_oracle(fresh, window[i], window[j], kappa) is not None}
+    return [tuple(window[i] for i in tri)
+            for tri in combinations(range(len(window)), 3)
+            if all(side in near for side in combinations(tri, 2))]
+
+
+def test_rips_simplices_match_bfs_oracle():
+    # the distance cache remembers "farther than kappa" for window pairs; a
+    # stale entry would silently drop LP columns, cold, warm, or at a larger
+    # kappa on the same graph
+    graph = CuspedGraph()
+    pts = sample_tuple(graph, random.Random(1), "cayley", 3)
+    near, wider = FillEngine(graph, kappa=2), FillEngine(graph, kappa=3)
+    window = near.rips_window(set(pts), 1)
+    expect = oracle_rips_triangles(window, 2)
+    assert len(expect) > 100
+    assert near._rips_simplices(window, 3, 10 ** 6) == expect
+    assert near._rips_simplices(window, 3, 10 ** 6) == expect
+    wide = wider._rips_simplices(window, 3, 10 ** 6)
+    assert wide == oracle_rips_triangles(window, 3)
+    assert len(wide) > len(expect)
 
 
 def test_relative_fill_unit_simplex(engine):

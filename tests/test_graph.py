@@ -8,27 +8,8 @@ from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
                                random_gamma0_word, vertex)
 from cuspedforms.words import COMM, GroupElem, word_pow
 
+from _oracles import bfs_oracle
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
-
-
-def bfs_oracle(graph, src, dst, cap):
-    """Plain one-directional BFS, no pruning: the independent distance
-    oracle for small instances."""
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    frontier = [src]
-    for r in range(cap):
-        nxt = []
-        for v in frontier:
-            for w in graph.neighbors(v):
-                if w == dst:
-                    return r + 1
-                if w not in dist:
-                    dist[w] = r + 1
-                    nxt.append(w)
-        frontier = nxt
-    return None
 
 
 def test_parse_vertex_round_trip():
@@ -111,6 +92,36 @@ def test_distance_cap(graph):
     with pytest.raises(CapExceeded):
         graph.distance(Vertex("", 0, 0), far, cap=3)
     assert not graph.distance_at_most(Vertex("", 0, 0), far, 3)
+
+
+def test_capped_miss_is_remembered(monkeypatch):
+    # a failed search at cap c answers later queries of the same anchored
+    # pair at caps <= c; a larger cap searches again
+    graph = CuspedGraph()
+    searches = []
+    search = graph._bidirectional
+
+    def spy(src, dst, cap):
+        searches.append(cap)
+        return search(src, dst, cap)
+
+    monkeypatch.setattr(graph, "_bidirectional", spy)
+    u, v = Vertex("", 0, 0), Vertex("abab", 0, 0)
+    g = GroupElem("bA", 2)
+    with pytest.raises(CapExceeded):
+        graph.distance(u, v, cap=3)
+    assert searches == [3]
+    for x, y, cap in ((u, v, 3), (u, v, 2),
+                      (graph.left_mul(g, u), graph.left_mul(g, v), 3)):
+        with pytest.raises(CapExceeded):
+            graph.distance(x, y, cap=cap)
+        assert not graph.distance_at_most(x, y, cap)
+    assert searches == [3]
+    assert graph.distance(u, v, cap=6) == bfs_oracle(graph, u, v, 6) == 4
+    assert searches == [3, 6]
+    assert graph.distance_at_most(u, v, 4)
+    assert not graph.distance_at_most(u, v, 3)
+    assert searches == [3, 6]
 
 
 def test_peripheral_shortcut_agrees_with_search(graph):

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspedforms.errors import PsiPowerCap
 from cuspedforms.words import (COMM, DEFAULT_PSI, GroupElem, gamma_inv,
-                               gamma_mul, h_coord, inv, mul, parse_word,
-                               reduce_word, theta, word_pow)
+                               gamma_mul, gamma_rel, h_coord, inv, mul,
+                               parse_word, reduce_word, theta, word_pow)
 
 
 def naive_reduce(letters):
@@ -104,6 +105,21 @@ def test_gamma_normal_form():
         assert gamma_mul(g, gamma_inv(g)) == GroupElem("", 0)
         assert gamma_mul(gamma_inv(g), g) == GroupElem("", 0)
         assert theta(gamma_mul(g, h)) == theta(g) + theta(h)
+
+
+reduced = st.lists(st.sampled_from("aAbB"), max_size=12).map(reduce_word)
+elements = st.builds(GroupElem, reduced, st.integers(-6, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(elements, elements, st.booleans())
+def test_gamma_rel_matches_inverse_times_product(g, h, translate):
+    # translate: h shares g as a prefix, the case anchoring is built for
+    if translate:
+        h = gamma_mul(g, h)
+    rel = gamma_rel(g, h)
+    assert rel == gamma_mul(gamma_inv(g), h)
+    assert naive_reduce(rel.base) == rel.base
 
 
 def test_t_conjugation_acts_by_psi():
