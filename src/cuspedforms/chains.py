@@ -20,12 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import NotInvariant
 from .graph import Vertex, vertex_key
 from .words import (DEFAULT_PSI, Automorphism, GroupElem, gamma_inv,
-                    gamma_mul, gamma_rel, mul)
+                    gamma_mul, gamma_rel)
 
 Simplex = tuple[Vertex, ...]
 #: (t-exponent of the front vertex, anchored simplex): one F-orbit
@@ -251,31 +250,6 @@ def coinvariant_reduce(chain: Chain) -> CoinvariantChain:
     for verts, coeff in chain.terms.items():
         out.add(verts, coeff)
     return out
-
-
-def pair(functional: Callable[..., Fraction | int], chain: CoinvariantChain,
-         validate: bool = True,
-         sample_words: tuple[str, ...] = ("a", "b", "ab")) -> Fraction:
-    """Evaluate an invariant alternating vertex-tuple functional on a
-    coinvariant chain, at the representative t^k . s of each key.  A sample
-    simplex of the chain is checked for alternation and for invariance under
-    free-group translation first."""
-    terms = [(chain.representative(key), coeff)
-             for key, coeff in chain.terms.items()]
-    if validate and terms:
-        probe = terms[0][0]
-        val = Fraction(functional(*probe))
-        swapped = (probe[1], probe[0]) + probe[2:]
-        if len(probe) >= 2 and Fraction(functional(*swapped)) != -val:
-            raise NotInvariant("functional is not alternating on a sample")
-        for w in sample_words:
-            moved = tuple(v._replace(base=mul(w, v.base)) for v in probe)
-            if Fraction(functional(*moved)) != val:
-                raise NotInvariant("functional is not invariant on a sample")
-    total = Fraction(0)
-    for verts, coeff in terms:
-        total += coeff * Fraction(functional(*verts))
-    return total
 
 
 def _simplex_order(verts: Simplex) -> tuple:

@@ -25,10 +25,6 @@ class FillDepthExceeded(CuspedFormsError):
     """Triangle filling recursed too deep; kappa is too small for the geometry."""
 
 
-class NotInvariant(CuspedFormsError):
-    """A cochain failed its sampled invariance/alternation validation."""
-
-
 class Infeasible(CuspedFormsError):
     """The windowed filling LP has no solution that could be certified: the
     float solve failed (grow the window), or its answer failed exact

@@ -16,21 +16,27 @@ from .lp import row_reduce
 from .moebius import OrientationCocycle
 from .words import COMM, DEFAULT_PSI, Automorphism, GroupElem, mul, word_pow
 
-#: alpha_f on a coinvariant chain as a linear form in the values of f:
-#: (weights {x: w}, span) with alpha_f = sum of w * f(x) for every f, and
-#: span the least and greatest t-exponents that its fillings touch
-LinearForm = tuple[dict[int, Fraction], tuple[int, ...]]
+Triple = tuple[Vertex, Vertex, Vertex]
+#: (t-exponent x, weight w) pairs, x increasing
+Weights = tuple[tuple[int, Fraction], ...]
+#: alpha_f as a linear form in the values of f: (weights, span) with
+#: alpha_f = sum of w * f(x) over the weights, for every f, and span the
+#: least and greatest t-exponents that its fillings touch
+LinearForm = tuple[Weights, tuple[int, ...]]
 
 
 class QuasiCocycle:
-    """Evaluation engine for F_f and alpha_f over a fill engine."""
+    """alpha_f over a fill engine.  alpha_f(x0, x1, x2) is the sum over the
+    filling's faces of coeff * eps(face) * (f at the face's t-exponents) / 3,
+    which is linear in the values of f: `form` reads it once per triple as
+    a `LinearForm`, and every value of alpha is that form evaluated."""
 
     def __init__(self, engine: FillEngine, eps: OrientationCocycle | None = None):
         self.engine = engine
         self.graph = engine.graph
         self.eps = eps or OrientationCocycle()
         self._eps_cache: dict[tuple[str, str, str], int] = {}
-        self._anchor_cache: dict[tuple[Vertex, Vertex, Vertex], tuple] = {}
+        self._anchor_cache: dict[Triple, tuple[LinearForm, int, int]] = {}
         self._am_cache: dict[int, tuple[CoinvariantChain, LinearForm]] = {}
         self.theta_lo: int | None = None  # theta window touched since reset
         self.theta_hi: int | None = None
@@ -52,56 +58,55 @@ class QuasiCocycle:
             self._eps_cache[key] = hit
         return hit
 
-    def F(self, f: LipFn, sx: Simplex, shift: int = 0) -> Fraction:
-        """F_f on a simplex given in coordinates translated by t^-shift; the
-        orientation cocycle is invariant under the whole group action, so it
-        reads the translated bases while f reads the true t-exponents."""
-        for v in sx:
-            self._touch(v.texp + shift)
-        e = self._eps(sx)
-        if e == 0:
-            return Fraction(0)
-        return e * sum((f(v.texp + shift) for v in sx), Fraction(0)) / 3
-
-    def alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex) -> Fraction:
-        # evaluate on the anchored filling: equivariance of F makes the
-        # answer identical while the words stay short
+    def form(self, x0: Vertex, x1: Vertex,
+             x2: Vertex) -> tuple[LinearForm, int, int]:
+        """(form, sign, shift) with alpha_f(x0, x1, x2) = sign *
+        evaluate(f, form, shift) for every f.  The form is read off the
+        anchored filling, whose translate by an element of t-exponent
+        `shift` is the filling; eps is invariant under the whole group
+        action.  The span covers every face, eps = 0 faces included."""
         key = (x0, x1, x2)
         hit = self._anchor_cache.get(key)
         if hit is None:
             chain, sign, g, _ = self.engine.fill_anchored(x0, x1, x2)
-            hit = (chain, sign, g.texp)
-            self._anchor_cache[key] = hit
-        chain, sign, shift = hit
-        return sign * sum(
-            (coeff * self.F(f, sx, shift) for sx, coeff in chain.terms.items()),
-            Fraction(0))
-
-    def linear_form(self, chain: CoinvariantChain) -> LinearForm:
-        """alpha_f on a coinvariant 2-chain, for every f at once.  Each key
-        (k, s) is filled in anchored coordinates (s is its own anchored
-        form, so it hits the fill cache as it stands) and read at shift k:
-        alpha_f(t^k . s) = alpha_{f(. + k)}(s)."""
-        weights: dict[int, Fraction] = {}
-        touched: set[int] = set()
-        for (k, sx), coeff in chain.terms.items():
-            fill, sign, g, _ = self.engine.fill_anchored(*sx)
-            shift = k + g.texp
-            for face, c in fill.terms.items():
-                xs = [v.texp + shift for v in face]
-                touched.update(xs)
+            weights: dict[int, Fraction] = {}
+            for face, c in chain.terms.items():
                 e = self._eps(face)
                 if e:
-                    for x in xs:
-                        weights[x] = weights.get(x, 0) + sign * coeff * c * e
-        span = (min(touched), max(touched)) if touched else ()
-        return {x: w / 3 for x, w in sorted(weights.items()) if w}, span
+                    for v in face:
+                        weights[v.texp] = weights.get(v.texp, 0) + c * e
+            xs = [v.texp for face in chain.terms for v in face]
+            form = (tuple((x, w / 3) for x, w in sorted(weights.items()) if w),
+                    (min(xs), max(xs)) if xs else ())
+            hit = (form, sign, g.texp)
+            self._anchor_cache[key] = hit
+        return hit
 
-    def evaluate(self, f: LipFn, form: LinearForm) -> Fraction:
+    def alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex) -> Fraction:
+        form, sign, shift = self.form(x0, x1, x2)
+        return sign * self.evaluate(f, form, shift)
+
+    def linear_form(self, chain: CoinvariantChain) -> LinearForm:
+        """alpha_f on a coinvariant 2-chain, for every f at once: the sum of
+        the forms of its keys.  A key (k, s) is read at shift k, since
+        alpha_f(t^k . s) = alpha_{f(. + k)}(s)."""
+        weights: dict[int, Fraction] = {}
+        touched: list[int] = []
+        for (k, sx), coeff in chain.terms.items():
+            (terms, span), sign, shift = self.form(*sx)
+            shift += k
+            touched += [x + shift for x in span]
+            for x, w in terms:
+                weights[x + shift] = weights.get(x + shift, 0) + sign * coeff * w
+        span = (min(touched), max(touched)) if touched else ()
+        return tuple((x, w) for x, w in sorted(weights.items()) if w), span
+
+    def evaluate(self, f: LipFn, form: LinearForm, shift: int = 0) -> Fraction:
+        """The form read at shift `shift`: sum of w * f(x + shift)."""
         weights, span = form
         for x in span:
-            self._touch(x)
-        return sum((w * f(x) for x, w in weights.items()), Fraction(0))
+            self._touch(x + shift)
+        return sum((w * f(x + shift) for x, w in weights), Fraction(0))
 
     def delta_alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex,
                     x3: Vertex) -> Fraction:
@@ -308,22 +313,44 @@ def free_ball(radius: int) -> list[str]:
     return sorted(out, key=lambda w: (len(w), w))
 
 
+def _ball_forms(qc: QuasiCocycle, radius: int
+                ) -> tuple[dict[tuple[Weights, int], Triple], int]:
+    """alpha on every distinct triple of the radius-`radius` Cayley ball of
+    the free group at depth 0, in `combinations` order, as ({(signed
+    weights, shift): first triple with them}, theta span of the fillings);
+    forms that vanish for every f are left out.  Neither part depends on f."""
+    ball = [Vertex(w, 0, 0) for w in free_ball(radius)]
+    forms: dict[tuple[Weights, int], Triple] = {}
+    theta: set[int] = set()
+    for tri in combinations(ball, 3):
+        (weights, span), sign, shift = qc.form(*tri)
+        theta.update(x + shift for x in span)
+        if weights:
+            signed = tuple((x, sign * w) for x, w in weights)
+            forms.setdefault((signed, shift), tri)
+    return forms, max(map(abs, theta), default=0)
+
+
+def _witness(qc: QuasiCocycle, f: LipFn,
+             forms: dict[tuple[Weights, int], Triple]
+             ) -> tuple[tuple[str, ...], Fraction] | None:
+    """(triple, alpha_f) for the first triple of `forms` on which alpha_f is
+    not zero, or None."""
+    for (weights, shift), tri in forms.items():
+        val = qc.evaluate(f, (weights, ()), shift)
+        if val:
+            return tuple(str(v) for v in tri), val
+    return None
+
+
 def vanishing_certificate(qc: QuasiCocycle, f: LipFn, n: int,
                           radius: int) -> dict:
     """Evaluate alpha_{f_n} on every distinct triple over the radius-`radius`
     Cayley ball of the free group at depth 0; exact vanishing check."""
-    fn = truncate(f, n)
-    ball = [Vertex(w, 0, 0) for w in free_ball(radius)]
-    qc.reset_window()
-    witness = None
-    for tri in combinations(ball, 3):
-        val = qc.alpha(fn, *tri)
-        if val and witness is None:
-            witness = (tuple(str(v) for v in tri), val)
-    lo = qc.theta_lo if qc.theta_lo is not None else 0
-    hi = qc.theta_hi if qc.theta_hi is not None else 0
+    forms, theta_span = _ball_forms(qc, radius)
+    witness = _witness(qc, truncate(f, n), forms)
     return {"n": n, "radius": radius, "vanishes": witness is None,
-            "witness": witness, "theta_span": max(abs(lo), abs(hi))}
+            "witness": witness, "theta_span": theta_span}
 
 
 def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
@@ -333,15 +360,16 @@ def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
     """For each radius i, the least truncation level n_i that certifies exact
     vanishing on S_i^3 and (when possible) strictly improves the defect bound
     khat * lip_tail(f, n_i); the bound column witnesses the vanishing of the
-    seminorm for sublinear f."""
+    seminorm for sublinear f.  Each level n is checked on the distinct
+    forms of the ball, read once per radius."""
     rows = []
     prev_bound: Fraction | None = None
     for radius in radii:
+        forms, theta_span = _ball_forms(qc, radius)
         fallback = None
         chosen = None
-        for n in range(n_max + 1):
-            cert = vanishing_certificate(qc, f, n, radius)
-            if not cert["vanishes"] or cert["theta_span"] > n:
+        for n in range(theta_span, n_max + 1):
+            if _witness(qc, truncate(f, n), forms) is not None:
                 continue
             bound = khat * lip_tail(f, n, probe_span)
             if fallback is None:

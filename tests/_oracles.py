@@ -1,5 +1,7 @@
 """Independent oracles shared by the test modules."""
 
+from fractions import Fraction
+
 
 def bfs_oracle(graph, src, dst, cap):
     """Plain one-directional BFS, no pruning: the independent distance
@@ -19,3 +21,24 @@ def bfs_oracle(graph, src, dst, cap):
                     nxt.append(w)
         frontier = nxt
     return None
+
+
+def alpha_oracle(qc, f, tri):
+    """alpha_f face by face on the filling in its true position: each face
+    adds coeff * eps(face) * (f at its three t-exponents) / 3, with eps
+    computed afresh from the face's bases."""
+    total = Fraction(0)
+    for face, coeff in qc.engine.fill_triangle(*tri).chain.terms.items():
+        e = qc.eps.on_words(*(v.base for v in face))
+        if e:
+            total += coeff * e * sum(f(v.texp) for v in face) / 3
+    return total
+
+
+def theta_window_oracle(qc, triples):
+    """(least, greatest) t-exponent of a vertex of the fillings of the
+    triples in their true position, or None if they touch none."""
+    xs = [v.texp for tri in triples
+          for face in qc.engine.fill_triangle(*tri).chain.terms
+          for v in face]
+    return (min(xs), max(xs)) if xs else None

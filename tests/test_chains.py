@@ -2,13 +2,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspedforms.chains import (Chain, CoinvariantChain, chain_from_json,
                                 chain_to_json, coinvariant_reduce,
-                                orbit_canonical, pair)
-from cuspedforms.errors import NotInvariant
+                                orbit_canonical)
 from cuspedforms.graph import Vertex, random_gamma0_word, vertex_key
 from cuspedforms.words import (DEFAULT_PSI, GroupElem, gamma_mul, inv, mul,
                                reduce_word)
@@ -110,27 +108,6 @@ def test_coinvariant_boundary_commutes_with_reduce():
         for _ in range(3):
             c.add(random_simplex(rng, 2), rng.randrange(1, 3))
         assert coinvariant_reduce(c.boundary()) == coinvariant_reduce(c).boundary()
-
-
-def test_pair_counts_terms():
-    c = CoinvariantChain(1)
-    c.add((v("", 0), v("", 3)), Fraction(1, 2))
-    val = pair(lambda a, b: Fraction(b.texp - a.texp), c)
-    assert val == Fraction(3, 2)
-
-
-def test_pair_rejects_non_alternating():
-    c = CoinvariantChain(1)
-    c.add((v(""), v("a")), 1)
-    with pytest.raises(NotInvariant):
-        pair(lambda a, b: Fraction(1), c)
-
-
-def test_pair_rejects_non_invariant():
-    c = CoinvariantChain(1)
-    c.add((v(""), v("a")), 1)
-    with pytest.raises(NotInvariant):
-        pair(lambda a, b: Fraction(len(b.base) - len(a.base)), c)
 
 
 def test_chain_json_round_trip():

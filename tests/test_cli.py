@@ -126,3 +126,18 @@ def test_cycles_terms_are_shift_keyed(capsys, graph):
             Fraction(t["coeff"]) for t in terms["A_m"]}
     assert keys == build_A(graph, 3).terms
     assert {t["shift"] for t in terms["c"]} == {0}
+
+
+def test_alpha_certify(capsys):
+    code, lines = run(capsys, "alpha", "certify", "--f", "powfloor:1/2",
+                      "--radii", "1,2", "--ms", "2,4")
+    assert code == 0
+    bah = [ln for ln in lines if ln["table"] == "bah_upper_bound"]
+    assert [ln["radius"] for ln in bah] == [1, 2]
+    assert [ln["n"] for ln in bah] == [0, 1]
+    assert [ln["bound"] for ln in bah] == ["1", "1/3"]
+    assert all(ln["vanishes"] for ln in bah)
+    rows = [ln for ln in lines if ln["table"] == "nontriviality"]
+    assert [(ln["m"], ln["value"], ln["am_norm"], ln["ratio"])
+            for ln in rows] == [(2, "2", "11", "2/11"),
+                                (4, "4", "23/2", "8/23")]

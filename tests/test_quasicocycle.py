@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from _oracles import alpha_oracle, theta_window_oracle
 from test_chains import brute_force_orbit_form
 
 from cuspedforms import lipschitz as lf
 from cuspedforms.chains import CoinvariantChain
-from cuspedforms.errors import PsiPowerCap
+from cuspedforms.config import RunConfig
+from cuspedforms.errors import FillDepthExceeded, PsiPowerCap
 from cuspedforms.graph import Vertex
-from cuspedforms.quasicocycle import (boundary_class, build_A, build_aK,
+from cuspedforms.quasicocycle import (STRATA, _ball_forms, _witness,
+                                      boundary_class, build_A, build_aK,
                                       build_c, build_d, build_e, defect_scan,
                                       evaluate_on_Am, free_ball,
                                       independence_rank, k_of, sample_tuple,
@@ -51,9 +55,9 @@ def test_A_norm_formula(graph):
 
 def test_alpha_vanishes_on_horoball_simplices(qc):
     # all three bases in one commutator coset: the orbit points coincide
-    w = Vertex(COMM, 0, 1)
-    val = qc.F(lf.linear(1), (Vertex("", 0, 1), w, Vertex(COMM, 1, 1)))
-    assert val == 0
+    sx = (Vertex("", 0, 1), Vertex(COMM, 0, 1), Vertex(COMM, 1, 1))
+    assert qc.eps.on_words(*(v.base for v in sx)) == 0
+    assert qc.alpha(lf.linear(1), *sx) == 0
 
 
 def test_alpha_alternates_and_is_invariant(qc, graph):
@@ -65,6 +69,86 @@ def test_alpha_alternates_and_is_invariant(qc, graph):
     g = GroupElem("ab", 0)
     moved = tuple(graph.left_mul(g, v) for v in tri)
     assert qc.alpha(f, *moved) == base
+
+
+ORACLE_FS = {
+    "linear": lf.linear(1),
+    "sqrt": lf.power_floor(1, 2),
+    "table": lf.table({-4: Fraction(1), 0: Fraction(1, 2), 5: Fraction(3)}),
+    "truncated": lf.truncate(lf.power_floor(1, 2), 2),
+}
+
+
+@pytest.fixture(scope="module")
+def qc_kappa2():
+    # at kappa 2 most sampled triangles are cone-split into several faces
+    return RunConfig(kappa=2).build()
+
+
+@pytest.mark.parametrize("kappa", [8, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_FS))
+def test_alpha_matches_face_by_face_oracle(request, kappa, name):
+    # the same seeded triples for every f, from all three strata
+    qc = request.getfixturevalue("qc" if kappa == 8 else "qc_kappa2")
+    f = ORACLE_FS[name]
+    rng = random.Random(61)
+    for i in range(300):
+        tri = sample_tuple(qc.graph, rng, STRATA[i % 3], 3)
+        try:
+            expected = alpha_oracle(qc, f, tri)
+        except FillDepthExceeded:
+            continue  # kappa 2 is too small for one of these triangles
+        qc.reset_window()
+        assert qc.alpha(f, *tri) == expected
+        window = theta_window_oracle(qc, [tri])
+        assert (qc.theta_lo, qc.theta_hi) == (window or (None, None))
+
+
+def brute_force_certificate(qc, f, n, radius):
+    """vanishing_certificate triple by triple through the oracles."""
+    fn = lf.truncate(f, n)
+    triples = list(combinations([Vertex(w, 0, 0) for w in free_ball(radius)],
+                                3))
+    witness = None
+    for tri in triples:
+        val = alpha_oracle(qc, fn, tri)
+        if val:
+            witness = (tuple(str(v) for v in tri), val)
+            break
+    lo, hi = theta_window_oracle(qc, triples) or (0, 0)
+    return {"n": n, "radius": radius, "vanishes": witness is None,
+            "witness": witness, "theta_span": max(abs(lo), abs(hi))}
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_vanishing_certificate_matches_brute_force(qc, radius):
+    f = lf.power_floor(1, 2)
+    for n in range(5):
+        assert vanishing_certificate(qc, f, n, radius) == \
+            brute_force_certificate(qc, f, n, radius)
+
+
+@pytest.mark.parametrize("f", [lf.constant(Fraction(3, 2)),
+                               lf.linear(1).shift(1),
+                               lf.table({0: Fraction(-1), 3: Fraction(2)})],
+                         ids=["constant", "shifted-linear", "table"])
+def test_certificate_witness_is_the_first_nonvanishing_triple(qc, f):
+    # f(0) != 0, so alpha_f is not zero on the depth-0 ball: the witness
+    # read from the distinct forms must be the first triple in
+    # combinations order, with its value, and each distinct form must give
+    # alpha_f on the triple it keeps
+    for radius in (1, 2):
+        triples = combinations([Vertex(w, 0, 0) for w in free_ball(radius)],
+                               3)
+        expected = next(((tuple(str(v) for v in tri), val)
+                         for tri in triples
+                         if (val := alpha_oracle(qc, f, tri))), None)
+        assert expected is not None
+        forms = _ball_forms(qc, radius)[0]
+        assert _witness(qc, f, forms) == expected
+        for (weights, shift), tri in forms.items():
+            assert qc.evaluate(f, (weights, ()), shift) == \
+                alpha_oracle(qc, f, tri)
 
 
 def test_evaluate_on_Am_small(qc):
@@ -181,3 +265,25 @@ def test_growth_on_A_32(qc, graph):
         assert evaluate_on_Am(qc, f, 32) == 2 * (f(32) - f(0))
     with pytest.raises(PsiPowerCap):
         build_A(graph, graph.psi.power_cap + 1)
+
+
+def test_second_monodromy_contracts():
+    # psi^2 (a -> babba, b -> babbabab) set through the config knobs: the
+    # growth identity, the fill contract and the defect ratio all hold
+    cfg = RunConfig(psi_images={"a": "babba", "b": "babbabab"},
+                    psi_inverse_images={"a": "BaBaaBaa", "b": "AAbAb"})
+    qc2 = cfg.build()
+    graph2, engine2 = qc2.graph, qc2.engine
+    assert graph2.psi.apply("b", 1) == "babbabab"
+    for m in range(1, 9):
+        for f in (lf.linear(1), lf.power_floor(1, 2)):
+            assert evaluate_on_Am(qc2, f, m) == 2 * (f(m) - f(0))
+    rng = random.Random(10)
+    for i in range(200):
+        pts = sample_tuple(graph2, rng, STRATA[i % 3], 3)
+        fill = engine2.fill_triangle(*pts)
+        assert fill.chain.boundary() == engine2.triangle_cycle(*pts)
+        assert engine2.fill_triangle(pts[1], pts[0], pts[2]).chain == \
+            -fill.chain
+    report = defect_scan(qc2, lf.linear(1), 300, 7)
+    assert report.ratio_to_lip == Fraction(2, 3)
