@@ -18,27 +18,13 @@ coinvariant chain never writes out a psi-power of a word.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import permutations
 from typing import Iterable
 
-from .graph import Vertex, vertex_key
-from .words import (DEFAULT_PSI, Automorphism, GroupElem, gamma_inv,
-                    gamma_mul, gamma_rel)
+from .graph import Simplex, Vertex, _parity, anchor_simplex, vertex_key
+from .words import DEFAULT_PSI, Automorphism, GroupElem
 
-Simplex = tuple[Vertex, ...]
 #: (t-exponent of the front vertex, anchored simplex): one F-orbit
 OrbitKey = tuple[int, Simplex]
-
-
-def _parity(seq) -> int:
-    """Sign of the permutation that sorts distinct items, by inversions."""
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 def _sort_with_sign(verts: Simplex) -> tuple[Simplex | None, int]:
@@ -142,53 +128,6 @@ class Chain:
 # -- coinvariants -----------------------------------------------------------
 
 
-@cache
-def _orders(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Every vertex order of an n-simplex as (front vertex i, indices
-    i * n + j of the other vertices j in order, sign of the order)."""
-    return tuple((p[0], tuple(p[0] * n + j for j in p[1:]), _parity(p))
-                 for p in permutations(range(n)))
-
-
-def anchor_simplex(verts: Simplex, psi: Automorphism = DEFAULT_PSI
-                   ) -> tuple[Simplex, int, GroupElem]:
-    """(s, sign, g) with verts = g . s up to a reordering of sign `sign`:
-    over every vertex order, translate the front vertex to (e, 0, depth)
-    and keep the lex-least tuple s; g is the group element of the vertex
-    moved to the front.  The vertices must be distinct.
-
-    Only the relative elements of vertex 0 and vertex j touch the input
-    words, and each cancels their common prefix before applying the
-    psi-power (`words.gamma_rel`); the other anchorings are derived from
-    these, which stay short even when the inputs are long.
-    """
-    n = len(verts)
-    # rel[i * n + j]: vertex j anchored at vertex i
-    rel: list = [None] * (n * n)
-    for j in range(1, n):
-        r = gamma_rel(verts[0].elem, verts[j].elem, psi)
-        rel[j] = r
-        rel[j * n] = gamma_inv(r, psi)
-    for i in range(1, n):
-        for j in range(1, n):
-            if i != j:
-                rel[i * n + j] = gamma_mul(rel[i * n], rel[j], psi)
-    keys = rel[:]
-    for ij, e in enumerate(rel):
-        if e is not None:
-            v = rel[ij] = Vertex(e.base, e.texp, verts[ij % n].depth)
-            keys[ij] = vertex_key(v)
-    best_key = best = None
-    for i, others, sign in _orders(n):
-        # the front vertex is (e, 0, depth): its depth is its whole key
-        key = (verts[i].depth, *[keys[x] for x in others])
-        if best_key is None or key < best_key:
-            best_key, best = key, (i, others, sign)
-    i, others, sign = best
-    canon = (Vertex("", 0, verts[i].depth), *[rel[x] for x in others])
-    return canon, sign, verts[i].elem
-
-
 def orbit_canonical(verts: Simplex, psi: Automorphism = DEFAULT_PSI
                     ) -> tuple[int, Simplex, int]:
     """(k, s, sign): the key (k, s) of the simplex's F-orbit, and the sign
@@ -240,9 +179,6 @@ class CoinvariantChain(Chain):
         k, verts = key
         return tuple(Vertex(self.psi.apply(v.base, k), v.texp + k, v.depth)
                      for v in verts)
-
-    def support(self) -> set[Vertex]:
-        return {v for key in self.terms for v in self.representative(key)}
 
 
 def coinvariant_reduce(chain: Chain) -> CoinvariantChain:

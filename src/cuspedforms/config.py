@@ -22,8 +22,6 @@ class RunConfig:
     lp_simplex_cap: int = 2000
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
     psi_inverse_images: dict = field(default_factory=dict)
-    rho_a: tuple = (1, 1, 1, 2)
-    rho_b: tuple = (1, -1, -1, 2)
 
     def __post_init__(self):
         for name in ("kappa", "depth_cap", "distance_cap", "psi_power_cap",
@@ -40,7 +38,7 @@ class RunConfig:
         return Automorphism(images, inverse, power_cap=self.psi_power_cap)
 
     def hyperbolization(self) -> Hyperbolization:
-        return Hyperbolization(tuple(self.rho_a), tuple(self.rho_b))
+        return Hyperbolization()
 
     def selfcheck(self) -> dict:
         """Startup invariants; every command runs these first."""
@@ -86,9 +84,6 @@ class RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             if key in ("psi_images", "psi_inverse_images"):
                 kwargs[key] = val if isinstance(val, dict) else _parse_words(val)
-            elif key in ("rho_a", "rho_b"):
-                kwargs[key] = tuple(val) if isinstance(val, (list, tuple)) \
-                    else tuple(int(x) for x in val.split(","))
             else:
                 kwargs[key] = int(val)
         return cls(**kwargs)

@@ -1,13 +1,15 @@
 """Bicombing surrogate and equivariant triangle fillings.
 
 The combing path Q(u, v) is a single Rips edge when d(u, v) <= kappa and
-otherwise splits at the canonical geodesic midpoint.  fill_triangle splits its
-longest side at the same midpoint, so the boundary of a filling equals the
-combing triangle cycle identically, not just up to horoball terms.
+otherwise splits at the geodesic midpoint.  fill_triangle splits its longest
+side at the same midpoint, so the boundary of a filling equals the combing
+triangle cycle identically, not just up to horoball terms.
 
-Equivariance and alternation are exact by construction: every triple is
-reduced to a canonical anchored representative before filling, and the result
-is translated back with the permutation sign.
+Equivariance and alternation are exact by construction: every pair and every
+triple is reduced to its canonical anchored form (`graph.anchor_simplex`)
+before combing or filling, and the result is translated back with the
+permutation sign.  So `_path_cache` is keyed by the canonical pair, and
+`_fill_cache` by the canonical triple.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .chains import Chain, anchor_simplex
+from .chains import Chain
 from .errors import FillDepthExceeded, Infeasible, WindowTooLarge
-from .graph import CuspedGraph, Vertex, vertex_key
+from .graph import CuspedGraph, Simplex, Vertex, anchor_simplex, vertex_key
 from .words import GroupElem
 
 
@@ -45,35 +47,34 @@ class FillEngine:
         self.fill_recursion_cap = fill_recursion_cap
         self.lp_window_radius = lp_window_radius
         self.lp_simplex_cap = lp_simplex_cap
-        self._path_cache: dict[tuple[Vertex, Vertex], Chain] = {}
-        self._fill_cache: dict[tuple, tuple[Chain, str]] = {}
+        self._path_cache: dict[Simplex, Chain] = {}
+        self._fill_cache: dict[Simplex, tuple[Chain, str]] = {}
+        self._filling: set[Simplex] = set()  # canonical triples in progress
 
     # -- combing --------------------------------------------------------
 
     def combing_path(self, u: Vertex, v: Vertex) -> Chain:
-        """Q(u, v): a 1-chain from u to v; antisymmetric and equivariant."""
+        """Q(u, v): a 1-chain from u to v; antisymmetric and equivariant,
+        since it is built once on the canonical pair and translated back
+        with the sign of the order."""
         if u == v:
             return Chain(1)
-        anchored = self.graph.anchor(u, v)
-        key = (Vertex("", 0, u.depth), anchored)
-        hit = self._path_cache.get(key)
+        canon, sign, g = anchor_simplex((u, v), self.graph.psi)
+        hit = self._path_cache.get(canon)
         if hit is None:
-            hit = self._path_anchored(key[0], anchored, 0)
-            self._path_cache[key] = hit
-        return hit.translate(self.graph, u.elem)
+            hit = self._path_anchored(*canon)
+            self._path_cache[canon] = hit
+        out = hit.translate(self.graph, g)
+        return out if sign > 0 else -out
 
-    def _path_anchored(self, u: Vertex, v: Vertex, rec: int) -> Chain:
-        if rec > self.fill_recursion_cap:
-            raise FillDepthExceeded(
-                f"combing recursion exceeded {self.fill_recursion_cap}; "
-                "kappa is likely too small")
+    def _path_anchored(self, u: Vertex, v: Vertex) -> Chain:
+        # each split at least halves the distance, so this terminates
         if self.graph.distance(u, v) <= self.kappa:
             out = Chain(1)
             out.add((u, v), 1)
             return out
         m = self.graph.geodesic_midpoint(u, v)
-        return (self._path_anchored(u, m, rec + 1)
-                + self._path_anchored(m, v, rec + 1))
+        return self._path_anchored(u, m) + self._path_anchored(m, v)
 
     def triangle_cycle(self, x0: Vertex, x1: Vertex, x2: Vertex) -> Chain:
         return (self.combing_path(x0, x1) + self.combing_path(x1, x2)
@@ -99,10 +100,22 @@ class FillEngine:
         chain, method = self._cached_fill(canon, 0)
         return chain, sign, shift, method
 
-    def _cached_fill(self, canon: tuple[Vertex, ...], rec: int):
+    def _cached_fill(self, canon: Simplex, rec: int):
+        """The fill of a canonical triple.  The fill is deterministic, so a
+        triple whose cone splits reach it again never terminates: that
+        raises at once, naming the triple."""
         hit = self._fill_cache.get(canon)
         if hit is None:
-            hit = self._fill_canonical(canon, rec)
+            if canon in self._filling:
+                raise FillDepthExceeded(
+                    "cone splits return to the triple "
+                    f"({', '.join(map(str, canon))}); "
+                    "kappa is likely too small")
+            self._filling.add(canon)
+            try:
+                hit = self._fill_canonical(canon, rec)
+            finally:
+                self._filling.discard(canon)
             self._fill_cache[canon] = hit
         return hit
 
@@ -144,7 +157,6 @@ class FillEngine:
         return sorted(verts, key=vertex_key)
 
     def fill_cycle_lp(self, z: Chain, window_radius: int | None = None,
-                      simplex_cap: int | None = None,
                       extra_vertices: set[Vertex] | None = None) -> FillResult:
         """l1-minimal (dim+1)-chain b with boundary exactly z, over Rips
         simplices spanned by a window around supp(z) (plus any explicitly
@@ -154,10 +166,10 @@ class FillEngine:
         if not z:
             return FillResult(Chain(z.dim + 1), "lp", Fraction(0))
         radius = self.lp_window_radius if window_radius is None else window_radius
-        cap = self.lp_simplex_cap if simplex_cap is None else simplex_cap
         seeds = z.support() | (extra_vertices or set())
         window = self.rips_window(seeds, radius)
-        simplices = self._rips_simplices(window, z.dim + 2, cap)
+        simplices = self._rips_simplices(window, z.dim + 2,
+                                         self.lp_simplex_cap)
         if not simplices:
             raise Infeasible("window contains no candidate simplices")
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 from typing import NamedTuple
 
 from . import words
 from .errors import CapExceeded, DegreeOverflow
-from .words import (Automorphism, DEFAULT_PSI, GroupElem, format_word,
-                    gamma_mul, gamma_rel, mul, parse_word, word_pow)
+from .words import (COMM, COMM_INV, Automorphism, DEFAULT_PSI, GroupElem,
+                    format_word, gamma_inv, gamma_mul, gamma_rel, mul,
+                    parse_word)
 
 
 class Vertex(NamedTuple):
@@ -55,19 +58,70 @@ def vertex_key(v: Vertex):
     return (v.depth, len(v.base), v.base, v.texp)
 
 
-_COMM_POWERS: dict[int, str] = {}
+Simplex = tuple[Vertex, ...]
 
 
-def _comm_pow(alpha: int) -> str:
-    w = _COMM_POWERS.get(alpha)
-    if w is None:
-        w = word_pow(words.COMM, alpha)
-        _COMM_POWERS[alpha] = w
-    return w
+def _parity(seq) -> int:
+    """Sign of the permutation that sorts distinct items, by inversions."""
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+@cache
+def _orders(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Every vertex order of an n-simplex as (front vertex i, indices
+    i * n + j of the other vertices j in order, sign of the order)."""
+    return tuple((p[0], tuple(p[0] * n + j for j in p[1:]), _parity(p))
+                 for p in permutations(range(n)))
+
+
+def anchor_simplex(verts: Simplex, psi: Automorphism = DEFAULT_PSI
+                   ) -> tuple[Simplex, int, GroupElem]:
+    """(s, sign, g) with verts = g . s up to a reordering of sign `sign`:
+    over every vertex order, translate the front vertex to (e, 0, depth)
+    and keep the lex-least tuple s; g is the group element of the vertex
+    moved to the front.  The vertices must be distinct.  This is the one
+    canonical form of a pair (geodesic midpoints, combing paths) and of a
+    triple (fillings, coinvariant keys).
+
+    Only the relative elements of vertex 0 and vertex j touch the input
+    words, and each cancels their common prefix before applying the
+    psi-power (`words.gamma_rel`); the other anchorings are derived from
+    these, which stay short even when the inputs are long.
+    """
+    n = len(verts)
+    # rel[i * n + j]: vertex j anchored at vertex i
+    rel: list = [None] * (n * n)
+    for j in range(1, n):
+        r = gamma_rel(verts[0].elem, verts[j].elem, psi)
+        rel[j] = r
+        rel[j * n] = gamma_inv(r, psi)
+    for i in range(1, n):
+        for j in range(1, n):
+            if i != j:
+                rel[i * n + j] = gamma_mul(rel[i * n], rel[j], psi)
+    keys = rel[:]
+    for ij, e in enumerate(rel):
+        if e is not None:
+            v = rel[ij] = Vertex(e.base, e.texp, verts[ij % n].depth)
+            keys[ij] = vertex_key(v)
+    best_key = best = None
+    for i, others, sign in _orders(n):
+        # the front vertex is (e, 0, depth): its depth is its whole key
+        key = (verts[i].depth, *[keys[x] for x in others])
+        if best_key is None or key < best_key:
+            best_key, best = key, (i, others, sign)
+    i, others, sign = best
+    canon = (Vertex("", 0, verts[i].depth), *[rel[x] for x in others])
+    return canon, sign, verts[i].elem
 
 
 class CuspedGraph:
-    """Adjacency, capped exact distances and canonical geodesics.
+    """Adjacency, capped exact distances and geodesic midpoints.
 
     Queries are anchored: a pair (u, v) is translated so the first vertex's
     group element becomes the identity before searching, which keeps words
@@ -76,12 +130,17 @@ class CuspedGraph:
     psi-power (`words.gamma_rel`), so only the short relative word is
     twisted.
 
-    `_dist_cache` maps an anchored pair (depth(u), anchored v) to
-    (d, True) once the distance d is known, or to (c, False) once a search
-    at cap c has failed, i.e. d > c.
+    `_dist_cache` is keyed by the ordered pair (depth(u), v anchored at u),
+    which costs one relative word per query.  It maps the key to (d, True)
+    once the distance d is known, or to (c, False) once a search at cap c
+    has failed, i.e. d > c; a search writes its answer under both
+    orientations, so d(v, u) after d(u, v) never searches.
+
+    `_geo_cache` is keyed by the canonical pair `anchor_simplex((u, v))`
+    and holds the midpoint of that pair only, never a whole path.
     """
 
-    GENERATOR_WORDS = ("a", "A", "b", "B", words.COMM, words.inv(words.COMM))
+    GENERATOR_WORDS = ("a", "A", "b", "B", COMM, COMM_INV)
 
     def __init__(self, psi: Automorphism = DEFAULT_PSI, depth_cap: int = 12,
                  distance_cap: int = 24):
@@ -89,7 +148,7 @@ class CuspedGraph:
         self.depth_cap = depth_cap
         self.distance_cap = distance_cap
         self._dist_cache: dict[tuple, tuple[int, bool]] = {}
-        self._geo_cache: dict[tuple, list[Vertex]] = {}
+        self._geo_cache: dict[Simplex, Vertex] = {}
         self._twisted_gen_cache: dict[int, tuple[str, ...]] = {}
 
     # -- group action -------------------------------------------------
@@ -126,7 +185,9 @@ class CuspedGraph:
             out.add(Vertex(v.base, v.texp, v.depth - 1))
             reach = 2 ** v.depth
             for alpha in range(-reach, reach + 1):
-                word = mul(v.base, _comm_pow(alpha))
+                # [a,b] is cyclically reduced, so its powers are repeats
+                word = mul(v.base, (COMM if alpha > 0 else COMM_INV)
+                           * abs(alpha))
                 bmax = reach - abs(alpha)
                 for beta in range(-bmax, bmax + 1):
                     if alpha == 0 and beta == 0:
@@ -181,10 +242,12 @@ class CuspedGraph:
         ub = self._peripheral_upper_bound(u.depth, va)
         search_cap = cap if ub is None else min(cap, ub)
         d = self._bidirectional(Vertex("", 0, u.depth), va, search_cap)
+        ua = gamma_inv(va.elem, self.psi)
+        fact = (search_cap, False) if d is None else (d, True)
+        self._dist_cache[key] = fact
+        self._dist_cache[(v.depth, Vertex(ua.base, ua.texp, u.depth))] = fact
         if d is None:
-            self._dist_cache[key] = (search_cap, False)
             raise CapExceeded(f"d({u},{v}) > {cap}")
-        self._dist_cache[key] = (d, True)
         return d
 
     def _peripheral_upper_bound(self, n1: int, va: Vertex) -> int | None:
@@ -260,42 +323,7 @@ class CuspedGraph:
             frontier, _ = self._expand(frontier, dist, r, max_depth)
         return dist
 
-    # -- canonical geodesics --------------------------------------------
-
-    def canonical_geodesic(self, u: Vertex, v: Vertex) -> list[Vertex]:
-        """A deterministic geodesic vertex path from u to v.  Equivariant
-        (computed on the anchored pair) and antisymmetric (the reverse pair
-        yields the reversed path)."""
-        src, path, flipped = self._oriented_geodesic(u, v)
-        out = [self.left_mul(src.elem, w) for w in path]
-        return out[::-1] if flipped else out
-
-    def _oriented_geodesic(self, u: Vertex, v: Vertex
-                           ) -> tuple[Vertex, list[Vertex], bool]:
-        """(src, path, flipped): the unordered pair's canonical geodesic,
-        read from the endpoint src whose (depth, anchored other endpoint) is
-        least, in the coordinates anchored at src; flipped says src is v."""
-        if u == v:
-            return u, [Vertex("", 0, u.depth)], False
-        va, ua = self.anchor(u, v), self.anchor(v, u)
-        flipped = (v.depth, vertex_key(ua)) < (u.depth, vertex_key(va))
-        if flipped:
-            u, va = v, ua
-        key = (u.depth, va)
-        path = self._geo_cache.get(key)
-        if path is None:
-            path = self._geodesic_anchored(Vertex("", 0, u.depth), va)
-            self._geo_cache[key] = path
-        return u, path, flipped
-
-    def _geodesic_anchored(self, src: Vertex, dst: Vertex) -> list[Vertex]:
-        d = self.distance(src, dst)
-        if d == 1:
-            return [src, dst]
-        mid = self._meet_point(src, dst, d)
-        left = self._geodesic_anchored(src, mid) if mid != src else [src]
-        right = self._geodesic_anchored(mid, dst) if mid != dst else [dst]
-        return left[:-1] + [mid] + right[1:]
+    # -- geodesic midpoints ---------------------------------------------
 
     def _meet_point(self, src: Vertex, dst: Vertex, d: int) -> Vertex:
         half = (d + 1) // 2
@@ -309,10 +337,21 @@ class CuspedGraph:
         return min(meets, key=vertex_key)
 
     def geodesic_midpoint(self, u: Vertex, v: Vertex) -> Vertex:
-        """Midpoint of the canonical geodesic; a function of the unordered
-        pair (the path is read in its canonical orientation)."""
-        src, path, _ = self._oriented_geodesic(u, v)
-        return self.left_mul(src.elem, path[len(path) // 2])
+        """A vertex m on a geodesic between u and v, at distance ceil(d/2)
+        from the front vertex of the canonical pair `anchor_simplex((u,
+        v))` (its far endpoint when d = 1; u itself when u = v).  A function
+        of the unordered pair, and equivariant: it is computed on the
+        canonical pair and translated back."""
+        if u == v:
+            return u
+        canon, _, g = anchor_simplex((u, v), self.psi)
+        mid = self._geo_cache.get(canon)
+        if mid is None:
+            src, dst = canon
+            d = self.distance(src, dst)
+            mid = dst if d == 1 else self._meet_point(src, dst, d)
+            self._geo_cache[canon] = mid
+        return self.left_mul(g, mid)
 
     # -- hyperbolicity probe --------------------------------------------
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .chains import CoinvariantChain, Simplex
+from .chains import CoinvariantChain
 from .fill import FillEngine
 from .graph import CuspedGraph, Vertex, random_gamma0_word
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
@@ -35,7 +35,6 @@ class QuasiCocycle:
         self.engine = engine
         self.graph = engine.graph
         self.eps = eps or OrientationCocycle()
-        self._eps_cache: dict[tuple[str, str, str], int] = {}
         self._anchor_cache: dict[Triple, tuple[LinearForm, int, int]] = {}
         self._am_cache: dict[int, tuple[CoinvariantChain, LinearForm]] = {}
         self.theta_lo: int | None = None  # theta window touched since reset
@@ -50,14 +49,6 @@ class QuasiCocycle:
         if self.theta_hi is None or k > self.theta_hi:
             self.theta_hi = k
 
-    def _eps(self, sx: Simplex) -> int:
-        key = tuple(v.base for v in sx)
-        hit = self._eps_cache.get(key)
-        if hit is None:
-            hit = self.eps.on_words(*key)
-            self._eps_cache[key] = hit
-        return hit
-
     def form(self, x0: Vertex, x1: Vertex,
              x2: Vertex) -> tuple[LinearForm, int, int]:
         """(form, sign, shift) with alpha_f(x0, x1, x2) = sign *
@@ -71,7 +62,7 @@ class QuasiCocycle:
             chain, sign, g, _ = self.engine.fill_anchored(x0, x1, x2)
             weights: dict[int, Fraction] = {}
             for face, c in chain.terms.items():
-                e = self._eps(face)
+                e = self.eps.on_words(*(v.base for v in face))
                 if e:
                     for v in face:
                         weights[v.texp] = weights.get(v.texp, 0) + c * e

@@ -16,8 +16,10 @@ from .errors import PsiPowerCap
 GENERATORS = "ab"
 LETTERS = "aAbB"
 
-#: the commutator [a,b] = a^-1 b^-1 a b
+#: the commutator [a,b] = a^-1 b^-1 a b, and its inverse; both are
+#: cyclically reduced, so [a,b]^n is COMM * n and [a,b]^-n is COMM_INV * n
 COMM = "ABab"
+COMM_INV = "BAba"
 
 
 def reduce_word(letters: Iterable[str]) -> str:
@@ -187,8 +189,8 @@ def h_coord(g: GroupElem) -> HCoord:
     n, r = divmod(len(g.base), 4)
     if r != 0:
         raise ValueError(f"{g} is not peripheral")
-    if g.base == word_pow(COMM, n):
+    if g.base == COMM * n:
         return HCoord(n, g.texp)
-    if g.base == word_pow(COMM, -n):
+    if g.base == COMM_INV * n:
         return HCoord(-n, g.texp)
     raise ValueError(f"{g} is not peripheral")

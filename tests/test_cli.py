@@ -102,12 +102,16 @@ def test_bad_vertex_encoding(capsys):
         main(["graph", "dist", "zz@0:0", "e@0:0"])
 
 
-@pytest.mark.parametrize("key, value", [("filler", "lp"), ("rng_seed", "3")],
-                         ids=["filler", "rng_seed"])
+@pytest.mark.parametrize("key, value", [("filler", "lp"), ("rng_seed", "3"),
+                                        ("rho_a", "1,1,1,2"),
+                                        ("rho_b", "1,-1,-1,2")],
+                         ids=["filler", "rng_seed", "rho_a", "rho_b"])
 def test_dead_keys_are_unknown_config_keys(tmp_path, key, value):
     # `filler` never reached FillEngine (the LP filler is reached through
-    # FillEngine.fill_cycle_lp only) and no module read `rng_seed`; a config
-    # that sets either fails instead of silently changing nothing
+    # FillEngine.fill_cycle_lp only), no module read `rng_seed`, and no
+    # run ever set the generator matrices `rho_a`/`rho_b` (Hyperbolization
+    # still takes them); a config that sets any of them fails instead of
+    # silently changing nothing
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         RunConfig.from_dict({key: value})
     cfgfile = tmp_path / "run.cfg"

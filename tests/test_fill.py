@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from cuspedforms.chains import Chain
+from cuspedforms.errors import FillDepthExceeded
 from cuspedforms.fill import FillEngine
-from cuspedforms.graph import CuspedGraph, Vertex
+from cuspedforms.graph import CuspedGraph, Vertex, parse_vertex
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, word_pow
 
@@ -32,6 +35,17 @@ def test_combing_path_antisymmetric(engine, graph):
     for i in range(40):
         u, v, _ = sample_triple(graph, rng, i)
         assert engine.combing_path(v, u) == -engine.combing_path(u, v)
+
+
+def test_reverse_combing_path_adds_no_cache_entry(graph):
+    # Q(u, v) and Q(v, u) share the entry of their canonical pair
+    engine = FillEngine(graph, kappa=2)
+    u, v = Vertex("ab", 1, 0), Vertex("Bab", 0, 1)
+    forward = engine.combing_path(u, v)
+    assert len(forward) > 1
+    entries = len(engine._path_cache)
+    assert engine.combing_path(v, u) == -forward
+    assert len(engine._path_cache) == entries
 
 
 def test_combing_path_equivariant(engine, graph):
@@ -96,6 +110,40 @@ def test_fill_anchored_consistent_with_fill(engine, graph):
         if sign < 0:
             rebuilt = -rebuilt
         assert rebuilt == engine.fill_triangle(*pts).chain
+
+
+def test_cone_split_cycle_fails_fast(graph, monkeypatch):
+    # at kappa = 2 the cone splits of (Ab, ab, ba) reach a canonical triple
+    # that is still being filled; that can never terminate, so it raises
+    # at once instead of at the recursion cap, and clears its marks
+    engine = FillEngine(graph, kappa=2)
+    calls = []
+    fill = engine._fill_canonical
+
+    def spy(tri, rec):
+        calls.append(rec)
+        return fill(tri, rec)
+
+    monkeypatch.setattr(engine, "_fill_canonical", spy)
+    with pytest.raises(FillDepthExceeded, match="return to the triple"):
+        engine.fill_triangle(Vertex("Ab", 0, 0), Vertex("ab", 0, 0),
+                             Vertex("ba", 0, 0))
+    assert len(calls) <= 6
+    assert not engine._filling
+
+
+def test_successful_fill_unchanged_by_a_failed_cycle(graph):
+    tri = tuple(parse_vertex(s) for s in ("AAB@0:0", "AAB@-1:0",
+                                          "AABAAb@0:0"))
+    fresh = FillEngine(graph, kappa=2).fill_triangle(*tri)
+    engine = FillEngine(graph, kappa=2)
+    with pytest.raises(FillDepthExceeded):
+        engine.fill_triangle(Vertex("Ab", 0, 0), Vertex("ab", 0, 0),
+                             Vertex("ba", 0, 0))
+    res = engine.fill_triangle(*tri)
+    assert (res.method, res.norm, len(res.chain)) == ("cone-split", 4, 4)
+    assert res.chain == fresh.chain
+    assert res.chain.boundary() == engine.triangle_cycle(*tri)
 
 
 def test_nearby_triangle_is_unit_simplex(engine):

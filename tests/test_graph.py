@@ -124,6 +124,29 @@ def test_capped_miss_is_remembered(monkeypatch):
     assert searches == [3, 6]
 
 
+@pytest.mark.parametrize("cap, known", [(6, True), (3, False)])
+def test_reverse_distance_needs_no_search(monkeypatch, cap, known):
+    # a search stores its answer under both orientations: d(v, u) after
+    # d(u, v) is a cache hit, for a known distance and for a capped miss
+    graph = CuspedGraph()
+    searches = []
+    search = graph._bidirectional
+
+    def spy(src, dst, cap):
+        searches.append(cap)
+        return search(src, dst, cap)
+
+    monkeypatch.setattr(graph, "_bidirectional", spy)
+    u, v = Vertex("bA", 1, 0), Vertex("bAbababab", 0, 1)
+    for x, y in ((u, v), (v, u)):
+        if known:
+            assert graph.distance(x, y, cap=cap) == 5
+        else:
+            with pytest.raises(CapExceeded):
+                graph.distance(x, y, cap=cap)
+    assert searches == [cap]
+
+
 def test_peripheral_shortcut_agrees_with_search(graph):
     # deep same-horoball queries go through the explicit-path cap; check the
     # answers against the plain BFS oracle on small instances
@@ -145,37 +168,51 @@ def test_ball_contains_sphere_counts(graph):
         assert any(w in by_r[1] for w in graph.neighbors(v))
 
 
-def test_geodesic_is_a_geodesic(graph):
+def test_midpoint_splits_the_distance(graph):
     rng = random.Random(12)
     for _ in range(20):
         u = Vertex(random_gamma0_word(rng, 4), 0, 0)
         v = Vertex(random_gamma0_word(rng, 4), rng.randrange(-1, 2), 0)
-        path = graph.canonical_geodesic(u, v)
-        assert path[0] == u and path[-1] == v
-        assert len(path) == graph.distance(u, v) + 1
-        for a, b in zip(path, path[1:]):
-            assert graph.adjacent(a, b)
+        d = graph.distance(u, v)
+        m = graph.geodesic_midpoint(u, v)
+        assert sorted((graph.distance(u, m), graph.distance(m, v))) == \
+            sorted(((d + 1) // 2, d // 2))
 
 
-def test_geodesic_antisymmetric_and_midpoint_unordered(graph):
+def test_midpoint_unordered(graph):
     rng = random.Random(13)
     for _ in range(20):
         u = Vertex(random_gamma0_word(rng, 4), 0, 0)
         v = Vertex(random_gamma0_word(rng, 4), 0, rng.randrange(0, 2))
-        if u == v:
-            continue
-        assert graph.canonical_geodesic(v, u) == list(
-            reversed(graph.canonical_geodesic(u, v)))
         assert graph.geodesic_midpoint(u, v) == graph.geodesic_midpoint(v, u)
+    # the cache holds one midpoint per canonical pair, not a path
+    assert all(isinstance(m, Vertex) for m in graph._geo_cache.values())
 
 
-def test_geodesic_equivariance(graph):
+def test_midpoint_equivariance(graph):
     u = Vertex("ab", 0, 0)
     v = Vertex("bbA", -1, 0)
-    g = GroupElem("ba", 2)
-    moved = [graph.left_mul(g, w) for w in graph.canonical_geodesic(u, v)]
-    assert moved == graph.canonical_geodesic(graph.left_mul(g, u),
-                                             graph.left_mul(g, v))
+    for g in (GroupElem("ba", 2), GroupElem("", -1), GroupElem("Ba", 1)):
+        assert graph.left_mul(g, graph.geodesic_midpoint(u, v)) == \
+            graph.geodesic_midpoint(graph.left_mul(g, u), graph.left_mul(g, v))
+
+
+@pytest.mark.parametrize("u, v, mid", [
+    # u = v: u itself
+    ("ab@1:0", "ab@1:0", "ab@1:0"),
+    # d = 1: the far endpoint of the canonical pair
+    ("e@0:0", "a@0:0", "e@0:0"),
+    ("e@0:0", "e@0:1", "e@0:1"),
+    ("e@0:0", "ABab@0:0", "ABab@0:0"),
+    ("ab@1:0", "ab@2:0", "ab@1:0"),
+    ("bA@-1:2", "bA@-1:1", "bA@-1:2"),
+    # d = 2
+    ("ab@1:0", "abb@1:0", "abAB@1:0"),
+])
+def test_midpoint_values(graph, u, v, mid):
+    u, v = parse_vertex(u), parse_vertex(v)
+    assert graph.geodesic_midpoint(u, v) == parse_vertex(mid)
+    assert graph.geodesic_midpoint(v, u) == parse_vertex(mid)
 
 
 def test_delta_estimate_pin(graph):

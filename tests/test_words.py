@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspedforms.errors import PsiPowerCap
-from cuspedforms.words import (COMM, DEFAULT_PSI, GroupElem, gamma_inv,
+from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, GroupElem, gamma_inv,
                                gamma_mul, gamma_rel, h_coord, inv, mul,
                                parse_word, reduce_word, theta, word_pow)
 
@@ -131,6 +131,14 @@ def test_t_conjugation_acts_by_psi():
 
 def test_h_coord():
     assert h_coord(GroupElem(word_pow(COMM, 3), -2)) == (3, -2)
+    assert h_coord(GroupElem(word_pow(COMM, -2), 1)) == (-2, 1)
     assert h_coord(GroupElem("", 5)) == (0, 5)
+    # [a,b] is cyclically reduced: its powers are plain repeats
+    assert COMM_INV == inv(COMM)
+    for n in range(1, 6):
+        assert word_pow(COMM, n) == COMM * n
+        assert word_pow(COMM, -n) == COMM_INV * n
+    with pytest.raises(ValueError):
+        h_coord(GroupElem("ABababab", 0))
     with pytest.raises(ValueError):
         h_coord(GroupElem("ab", 0))
