@@ -170,6 +170,10 @@ class CoinvariantChain(Chain):
                         coeff if j % 2 == 0 else -coeff, shift=k)
         return out
 
+    def support(self) -> set[Vertex]:
+        raise TypeError("a coinvariant term (k, s) names an F-orbit, not "
+                        "vertices; take the vertices of representative(key)")
+
     def translate(self, graph, g: GroupElem) -> "CoinvariantChain":
         return self._new(self.dim, {(k + g.texp, s): c
                                     for (k, s), c in self.terms.items()})

@@ -17,16 +17,11 @@ class RunConfig:
     depth_cap: int = 12
     distance_cap: int = 24
     psi_power_cap: int = 32
-    fill_recursion_cap: int = 64
-    lp_window_radius: int = 2
-    lp_simplex_cap: int = 2000
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
     psi_inverse_images: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("kappa", "depth_cap", "distance_cap", "psi_power_cap",
-                     "fill_recursion_cap", "lp_window_radius",
-                     "lp_simplex_cap"):
+        for name in ("kappa", "depth_cap", "distance_cap", "psi_power_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -53,10 +48,7 @@ class RunConfig:
         self.selfcheck()
         graph = CuspedGraph(self.psi(), depth_cap=self.depth_cap,
                             distance_cap=self.distance_cap)
-        engine = FillEngine(graph, kappa=self.kappa,
-                            fill_recursion_cap=self.fill_recursion_cap,
-                            lp_window_radius=self.lp_window_radius,
-                            lp_simplex_cap=self.lp_simplex_cap)
+        engine = FillEngine(graph, kappa=self.kappa)
         return QuasiCocycle(engine, OrientationCocycle(self.hyperbolization()))
 
     # -- parsing ---------------------------------------------------------

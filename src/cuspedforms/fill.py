@@ -5,11 +5,12 @@ otherwise splits at the geodesic midpoint.  fill_triangle splits its longest
 side at the same midpoint, so the boundary of a filling equals the combing
 triangle cycle identically, not just up to horoball terms.
 
-Equivariance and alternation are exact by construction: every pair and every
-triple is reduced to its canonical anchored form (`graph.anchor_simplex`)
-before combing or filling, and the result is translated back with the
-permutation sign.  So `_path_cache` is keyed by the canonical pair, and
-`_fill_cache` by the canonical triple.
+Equivariance and alternation are exact by construction.  Q(u, v) is not
+cached: the distance and the midpoint it splits at are equivariant functions
+of the unordered pair (both cached in `CuspedGraph`), so Q is equivariant and
+antisymmetric by induction on the distance.  A fill is cached once per
+canonical anchored triple (`graph.anchor_simplex`) in `_fill_cache` and
+translated back with the permutation sign.
 """
 
 from __future__ import annotations
@@ -36,45 +37,34 @@ _SIDE_PERMS = {(0, 1): ((0, 1, 2), 1), (0, 2): ((0, 2, 1), -1),
                (1, 2): ((1, 2, 0), 1)}
 
 
+#: nested cone-split fills allowed before FillDepthExceeded
+FILL_DEPTH_CAP = 64
+#: Rips simplices allowed in one LP window before WindowTooLarge
+LP_SIMPLEX_CAP = 2000
+
+
 class FillEngine:
-    def __init__(self, graph: CuspedGraph, kappa: int = 8,
-                 fill_recursion_cap: int = 64, lp_window_radius: int = 2,
-                 lp_simplex_cap: int = 2000):
+    def __init__(self, graph: CuspedGraph, kappa: int = 8):
         if kappa < 2:
             raise ValueError("kappa must be at least 2")
         self.graph = graph
         self.kappa = kappa
-        self.fill_recursion_cap = fill_recursion_cap
-        self.lp_window_radius = lp_window_radius
-        self.lp_simplex_cap = lp_simplex_cap
-        self._path_cache: dict[Simplex, Chain] = {}
         self._fill_cache: dict[Simplex, tuple[Chain, str]] = {}
         self._filling: set[Simplex] = set()  # canonical triples in progress
 
     # -- combing --------------------------------------------------------
 
     def combing_path(self, u: Vertex, v: Vertex) -> Chain:
-        """Q(u, v): a 1-chain from u to v; antisymmetric and equivariant,
-        since it is built once on the canonical pair and translated back
-        with the sign of the order."""
+        """Q(u, v): a 1-chain from u to v.  Each split at least halves the
+        distance, so the recursion terminates."""
+        out = Chain(1)
         if u == v:
-            return Chain(1)
-        canon, sign, g = anchor_simplex((u, v), self.graph.psi)
-        hit = self._path_cache.get(canon)
-        if hit is None:
-            hit = self._path_anchored(*canon)
-            self._path_cache[canon] = hit
-        out = hit.translate(self.graph, g)
-        return out if sign > 0 else -out
-
-    def _path_anchored(self, u: Vertex, v: Vertex) -> Chain:
-        # each split at least halves the distance, so this terminates
+            return out
         if self.graph.distance(u, v) <= self.kappa:
-            out = Chain(1)
             out.add((u, v), 1)
             return out
         m = self.graph.geodesic_midpoint(u, v)
-        return self._path_anchored(u, m) + self._path_anchored(m, v)
+        return self.combing_path(u, m) + self.combing_path(m, v)
 
     def triangle_cycle(self, x0: Vertex, x1: Vertex, x2: Vertex) -> Chain:
         return (self.combing_path(x0, x1) + self.combing_path(x1, x2)
@@ -93,17 +83,12 @@ class FillEngine:
                       x2: Vertex) -> tuple[Chain, int, GroupElem, str]:
         """Filling as (canonical chain, sign, shift, method) with the actual
         chain equal to sign * shift . canonical; callers that only need an
-        invariant evaluation can skip the translation entirely."""
+        invariant evaluation can skip the translation entirely.  The fill is
+        deterministic, so cone splits that reach a triple still being filled
+        never terminate: that raises at once, naming the triple."""
         if len({x0, x1, x2}) < 3:
             return Chain(2), 1, GroupElem("", 0), "degenerate"
         canon, sign, shift = anchor_simplex((x0, x1, x2), self.graph.psi)
-        chain, method = self._cached_fill(canon, 0)
-        return chain, sign, shift, method
-
-    def _cached_fill(self, canon: Simplex, rec: int):
-        """The fill of a canonical triple.  The fill is deterministic, so a
-        triple whose cone splits reach it again never terminates: that
-        raises at once, naming the triple."""
         hit = self._fill_cache.get(canon)
         if hit is None:
             if canon in self._filling:
@@ -111,19 +96,19 @@ class FillEngine:
                     "cone splits return to the triple "
                     f"({', '.join(map(str, canon))}); "
                     "kappa is likely too small")
+            if len(self._filling) > FILL_DEPTH_CAP:
+                raise FillDepthExceeded(
+                    f"fill recursion exceeded {FILL_DEPTH_CAP}; "
+                    "kappa is likely too small")
             self._filling.add(canon)
             try:
-                hit = self._fill_canonical(canon, rec)
+                hit = self._fill_canonical(canon)
             finally:
                 self._filling.discard(canon)
             self._fill_cache[canon] = hit
-        return hit
+        return hit[0], sign, shift, hit[1]
 
-    def _fill_canonical(self, tri: tuple[Vertex, ...], rec: int):
-        if rec > self.fill_recursion_cap:
-            raise FillDepthExceeded(
-                f"fill recursion exceeded {self.fill_recursion_cap}; "
-                "kappa is likely too small")
+    def _fill_canonical(self, tri: Simplex) -> tuple[Chain, str]:
         dists = {side: self.graph.distance(tri[side[0]], tri[side[1]])
                  for side in ((0, 1), (0, 2), (1, 2))}
         longest = max(dists, key=lambda side: (dists[side], side))
@@ -134,19 +119,9 @@ class FillEngine:
         perm, sign = _SIDE_PERMS[longest]
         y0, y1, y2 = (tri[i] for i in perm)
         m = self.graph.geodesic_midpoint(y0, y1)
-        part = (self._fill_sub(y0, m, y2, rec + 1)
-                + self._fill_sub(m, y1, y2, rec + 1))
+        part = (self.fill_triangle(y0, m, y2).chain
+                + self.fill_triangle(m, y1, y2).chain)
         return (part if sign > 0 else -part), "cone-split"
-
-    def _fill_sub(self, x0: Vertex, x1: Vertex, x2: Vertex, rec: int) -> Chain:
-        """Recursive step through the canonical cache, keeping the depth
-        counter alive across cache misses."""
-        if len({x0, x1, x2}) < 3:
-            return Chain(2)
-        canon, sign, shift = anchor_simplex((x0, x1, x2), self.graph.psi)
-        chain, _ = self._cached_fill(canon, rec)
-        out = chain.translate(self.graph, shift)
-        return -out if sign < 0 else out
 
     # -- LP fillings -----------------------------------------------------
 
@@ -156,7 +131,7 @@ class FillEngine:
             verts.update(self.graph.ball(v, radius))
         return sorted(verts, key=vertex_key)
 
-    def fill_cycle_lp(self, z: Chain, window_radius: int | None = None,
+    def fill_cycle_lp(self, z: Chain, window_radius: int = 2,
                       extra_vertices: set[Vertex] | None = None) -> FillResult:
         """l1-minimal (dim+1)-chain b with boundary exactly z, over Rips
         simplices spanned by a window around supp(z) (plus any explicitly
@@ -165,11 +140,9 @@ class FillEngine:
         minimal over the window's simplices."""
         if not z:
             return FillResult(Chain(z.dim + 1), "lp", Fraction(0))
-        radius = self.lp_window_radius if window_radius is None else window_radius
         seeds = z.support() | (extra_vertices or set())
-        window = self.rips_window(seeds, radius)
-        simplices = self._rips_simplices(window, z.dim + 2,
-                                         self.lp_simplex_cap)
+        window = self.rips_window(seeds, window_radius)
+        simplices = self._rips_simplices(window, z.dim + 2, LP_SIMPLEX_CAP)
         if not simplices:
             raise Infeasible("window contains no candidate simplices")
 
@@ -221,7 +194,7 @@ class FillEngine:
     # -- relative filling diagnostics -------------------------------------
 
     def relative_fill_check(self, x0: Vertex, x1: Vertex, x2: Vertex,
-                            x3: Vertex, window_radius: int | None = None) -> dict:
+                            x3: Vertex, window_radius: int = 2) -> dict:
         """Fill the 2-cycle phi(boundary of [x0..x3]) and report its norm."""
         pts = (x0, x1, x2, x3)
         if len(set(pts)) < 4:

@@ -9,6 +9,9 @@ from fractions import Fraction
 
 from .errors import LipschitzViolation
 
+#: how far past n `lip_tail` probes the slope of f_n
+TAIL_PROBE_SPAN = 256
+
 
 def _nth_root_floor(x: int, n: int) -> int:
     """floor(x ** (1/n)) for x >= 0 by integer Newton iteration."""
@@ -167,13 +170,13 @@ def lip_on_window(f: LipFn, lo: int, hi: int) -> Fraction:
     return max(abs(f(x + 1) - f(x)) for x in range(lo, hi))
 
 
-def lip_tail(f: LipFn, n: int, probe_span: int = 256) -> Fraction:
+def lip_tail(f: LipFn, n: int) -> Fraction:
     """Worst slope of the truncation f_n measured from the edge of its
-    vanishing plateau: max over n < x <= n+probe_span of
+    vanishing plateau: max over n < x <= n + TAIL_PROBE_SPAN of
     max(|f_n(x)|, |f_n(-x)|) / (x - n)."""
     fn = truncate(f, n)
     best = Fraction(0)
-    for x in range(n + 1, n + probe_span + 1):
+    for x in range(n + 1, n + TAIL_PROBE_SPAN + 1):
         best = max(best, abs(fn(x)) / (x - n), abs(fn(-x)) / (x - n))
     return best
 

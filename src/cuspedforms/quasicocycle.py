@@ -23,6 +23,8 @@ Weights = tuple[tuple[int, Fraction], ...]
 #: alpha_f = sum of w * f(x) over the weights, for every f, and span the
 #: least and greatest t-exponents that its fillings touch
 LinearForm = tuple[Weights, tuple[int, ...]]
+#: the largest truncation level `bah_upper_bound_certificate` tries
+CERTIFICATE_N_MAX = 16
 
 
 class QuasiCocycle:
@@ -345,9 +347,8 @@ def vanishing_certificate(qc: QuasiCocycle, f: LipFn, n: int,
 
 
 def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
-                                radii: list[int], khat: Fraction,
-                                n_max: int = 16,
-                                probe_span: int = 256) -> list[dict]:
+                                radii: list[int], khat: Fraction
+                                ) -> list[dict]:
     """For each radius i, the least truncation level n_i that certifies exact
     vanishing on S_i^3 and (when possible) strictly improves the defect bound
     khat * lip_tail(f, n_i); the bound column witnesses the vanishing of the
@@ -359,10 +360,10 @@ def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
         forms, theta_span = _ball_forms(qc, radius)
         fallback = None
         chosen = None
-        for n in range(theta_span, n_max + 1):
+        for n in range(theta_span, CERTIFICATE_N_MAX + 1):
             if _witness(qc, truncate(f, n), forms) is not None:
                 continue
-            bound = khat * lip_tail(f, n, probe_span)
+            bound = khat * lip_tail(f, n)
             if fallback is None:
                 fallback = (n, bound)
             if prev_bound is None or bound < prev_bound:

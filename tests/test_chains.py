@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspedforms.chains import (Chain, CoinvariantChain, chain_from_json,
                                 chain_to_json, coinvariant_reduce,
                                 orbit_canonical)
 from cuspedforms.graph import Vertex, random_gamma0_word, vertex_key
+from cuspedforms.quasicocycle import build_c
 from cuspedforms.words import (DEFAULT_PSI, GroupElem, gamma_mul, inv, mul,
                                reduce_word)
 
@@ -99,6 +101,17 @@ def test_coinvariant_chain_identifies_translates():
     c.add((v(""), v("a")), 1)
     c.add((v("b"), v("ba")), -1)  # b . (e, a)
     assert not c
+
+
+def test_coinvariant_support_is_refused():
+    # a key (k, s) names an F-orbit, not vertices; Chain.support would walk
+    # it as if it were a simplex and return s and k
+    c = build_c()
+    assert c
+    with pytest.raises(TypeError, match="names an F-orbit"):
+        c.support()
+    key = next(iter(c.terms))
+    assert all(isinstance(x, Vertex) for x in c.representative(key))
 
 
 def test_coinvariant_boundary_commutes_with_reduce():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -102,15 +103,19 @@ def test_bad_vertex_encoding(capsys):
         main(["graph", "dist", "zz@0:0", "e@0:0"])
 
 
-@pytest.mark.parametrize("key, value", [("filler", "lp"), ("rng_seed", "3"),
-                                        ("rho_a", "1,1,1,2"),
-                                        ("rho_b", "1,-1,-1,2")],
-                         ids=["filler", "rng_seed", "rho_a", "rho_b"])
+DEAD_KEYS = {"filler": "lp", "rng_seed": "3", "rho_a": "1,1,1,2",
+             "rho_b": "1,-1,-1,2", "fill_recursion_cap": "32",
+             "lp_window_radius": "1", "lp_simplex_cap": "500"}
+
+
+@pytest.mark.parametrize("key, value", DEAD_KEYS.items(), ids=list(DEAD_KEYS))
 def test_dead_keys_are_unknown_config_keys(tmp_path, key, value):
     # `filler` never reached FillEngine (the LP filler is reached through
-    # FillEngine.fill_cycle_lp only), no module read `rng_seed`, and no
-    # run ever set the generator matrices `rho_a`/`rho_b` (Hyperbolization
-    # still takes them); a config that sets any of them fails instead of
+    # FillEngine.fill_cycle_lp only), no module read `rng_seed`, no run
+    # ever set the generator matrices `rho_a`/`rho_b` (Hyperbolization
+    # still takes them), and no run set the fill depth cap, the LP window
+    # radius or the LP simplex cap (now constants or per-call defaults of
+    # cuspedforms.fill); a config that sets any of them fails instead of
     # silently changing nothing
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         RunConfig.from_dict({key: value})
@@ -118,6 +123,37 @@ def test_dead_keys_are_unknown_config_keys(tmp_path, key, value):
     cfgfile.write_text(f"{key} = {value}\n")
     with pytest.raises(ValueError, match="unknown config key"):
         main(["--config", str(cfgfile), "selfcheck"])
+
+
+PSI_SQUARED = {"psi_images": "a:babba,b:babbabab",
+               "psi_inverse_images": "a:BaBaaBaa,b:AAbAb"}
+
+#: for each RunConfig field: the values set, where the built quasi-cocycle
+#: carries the field, and the value expected there
+REACHES = {
+    "kappa": ({"kappa": "3"}, lambda qc: qc.engine.kappa, 3),
+    "depth_cap": ({"depth_cap": "9"}, lambda qc: qc.engine.graph.depth_cap,
+                  9),
+    "distance_cap": ({"distance_cap": "17"},
+                     lambda qc: qc.engine.graph.distance_cap, 17),
+    "psi_power_cap": ({"psi_power_cap": "40"},
+                      lambda qc: qc.engine.graph.psi.power_cap, 40),
+    "psi_images": (PSI_SQUARED, lambda qc: qc.engine.graph.psi.images["a"],
+                   "babba"),
+    "psi_inverse_images": (
+        PSI_SQUARED, lambda qc: qc.engine.graph.psi.inverse_images["b"],
+        "AAbAb"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_every_config_key_reaches_the_engine(name):
+    # a key that reaches nothing (like the deleted `filler` and `rng_seed`)
+    # has no entry here and fails
+    assert name in REACHES, f"config key {name!r} reaches nothing"
+    values, read, expected = REACHES[name]
+    assert read(RunConfig().build()) != expected
+    assert read(RunConfig.from_dict(values).build()) == expected
 
 
 def test_cycles_terms_are_shift_keyed(capsys, graph):

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from cuspedforms import fill
 from cuspedforms.chains import Chain
 from cuspedforms.errors import FillDepthExceeded
 from cuspedforms.fill import FillEngine
-from cuspedforms.graph import CuspedGraph, Vertex, parse_vertex
+from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
+                               random_gamma0_word)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, word_pow
 
@@ -37,17 +39,6 @@ def test_combing_path_antisymmetric(engine, graph):
         assert engine.combing_path(v, u) == -engine.combing_path(u, v)
 
 
-def test_reverse_combing_path_adds_no_cache_entry(graph):
-    # Q(u, v) and Q(v, u) share the entry of their canonical pair
-    engine = FillEngine(graph, kappa=2)
-    u, v = Vertex("ab", 1, 0), Vertex("Bab", 0, 1)
-    forward = engine.combing_path(u, v)
-    assert len(forward) > 1
-    entries = len(engine._path_cache)
-    assert engine.combing_path(v, u) == -forward
-    assert len(engine._path_cache) == entries
-
-
 def test_combing_path_equivariant(engine, graph):
     rng = random.Random(25)
     g = GroupElem("ba", -1)
@@ -55,6 +46,27 @@ def test_combing_path_equivariant(engine, graph):
         u, v, _ = sample_triple(graph, rng, i)
         assert engine.combing_path(u, v).translate(graph, g) == \
             engine.combing_path(graph.left_mul(g, u), graph.left_mul(g, v))
+
+
+def test_split_combing_path_antisymmetric_and_equivariant(graph):
+    # at kappa = 2 these pairs are split at their midpoints; Q has no cache,
+    # so both properties come from the unordered, equivariant midpoint alone
+    engine = FillEngine(graph, kappa=2)
+    split = (parse_vertex("ab@1:0"), parse_vertex("Bab@0:1"))
+    assert len(engine.combing_path(*split)) > 1
+    rng = random.Random(31)
+    pairs = [split] + [
+        (Vertex(random_gamma0_word(rng, rng.randrange(2, 6)),
+                rng.randrange(-1, 2), 0),
+         Vertex(random_gamma0_word(rng, rng.randrange(2, 6)),
+                rng.randrange(-1, 2), rng.randrange(0, 2)))
+        for _ in range(30)]
+    for u, v in pairs:
+        forward = engine.combing_path(u, v)
+        assert engine.combing_path(v, u) == -forward
+        for g in (GroupElem("ba", -1), GroupElem("Ab", 2)):
+            assert forward.translate(graph, g) == engine.combing_path(
+                graph.left_mul(g, u), graph.left_mul(g, v))
 
 
 def test_fill_boundary_is_triangle_cycle(engine, graph):
@@ -118,11 +130,11 @@ def test_cone_split_cycle_fails_fast(graph, monkeypatch):
     # at once instead of at the recursion cap, and clears its marks
     engine = FillEngine(graph, kappa=2)
     calls = []
-    fill = engine._fill_canonical
+    original = engine._fill_canonical
 
-    def spy(tri, rec):
-        calls.append(rec)
-        return fill(tri, rec)
+    def spy(tri):
+        calls.append(tri)
+        return original(tri)
 
     monkeypatch.setattr(engine, "_fill_canonical", spy)
     with pytest.raises(FillDepthExceeded, match="return to the triple"):
@@ -130,6 +142,23 @@ def test_cone_split_cycle_fails_fast(graph, monkeypatch):
                              Vertex("ba", 0, 0))
     assert len(calls) <= 6
     assert not engine._filling
+
+
+def test_fill_depth_cap_raises_and_leaves_no_state(graph, monkeypatch):
+    # a kappa = 2 cone split nests one fill inside another; at cap 0 the
+    # nested fill is past the cap
+    monkeypatch.setattr(fill, "FILL_DEPTH_CAP", 0)
+    engine = FillEngine(graph, kappa=2)
+    tri = tuple(parse_vertex(s) for s in ("AAB@0:0", "AAB@-1:0",
+                                          "AABAAb@0:0"))
+    with pytest.raises(FillDepthExceeded, match="fill recursion exceeded 0"):
+        engine.fill_triangle(*tri)
+    assert not engine._filling
+    assert not engine._fill_cache
+    # an unsplit fill is at depth 0, within the cap
+    res = engine.fill_triangle(Vertex("", 0, 0), Vertex("a", 0, 0),
+                               Vertex("ab", 0, 0))
+    assert res.method == "unit-simplex"
 
 
 def test_successful_fill_unchanged_by_a_failed_cycle(graph):
