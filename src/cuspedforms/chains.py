@@ -18,7 +18,6 @@ coinvariant chain never writes out a psi-power of a word.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .graph import Simplex, Vertex, _parity, anchor_simplex, vertex_key
 from .words import DEFAULT_PSI, Automorphism, GroupElem
@@ -48,14 +47,6 @@ class Chain:
     def _new(self, dim: int, terms: dict | None = None) -> "Chain":
         """An empty or given chain of this chain's kind."""
         return Chain(dim, terms)
-
-    @classmethod
-    def build(cls, dim: int,
-              items: Iterable[tuple[Simplex, Fraction | int]]) -> "Chain":
-        out = cls(dim)
-        for verts, coeff in items:
-            out.add(verts, coeff)
-        return out
 
     def add(self, verts: Simplex, coeff: Fraction | int) -> None:
         canon, sign = _sort_with_sign(tuple(verts))
@@ -196,26 +187,11 @@ def _simplex_order(verts: Simplex) -> tuple:
     return tuple(vertex_key(v) for v in verts)
 
 
-def chain_to_json(chain: Chain) -> list[dict]:
-    """Terms sorted by the vertex order; a coinvariant term (k, s) is
+def chain_to_json(chain: CoinvariantChain) -> list[dict]:
+    """Terms sorted by shift, then by the vertex order; a term (k, s) is
     written as {"shift": k, "simplex": s, "coeff": c}."""
-    if isinstance(chain, CoinvariantChain):
-        return [{"shift": k, "simplex": [str(v) for v in verts],
-                 "coeff": str(coeff)}
-                for (k, verts), coeff in sorted(
-                    chain.terms.items(),
-                    key=lambda kv: (kv[0][0], _simplex_order(kv[0][1])))]
-    return [{"simplex": [str(v) for v in verts], "coeff": str(coeff)}
-            for verts, coeff in sorted(
-                chain.terms.items(), key=lambda kv: _simplex_order(kv[0]))]
-
-
-def chain_from_json(data: list[dict], dim: int | None = None) -> Chain:
-    from .graph import parse_vertex
-    items = []
-    for entry in data:
-        verts = tuple(parse_vertex(s) for s in entry["simplex"])
-        items.append((verts, Fraction(entry["coeff"])))
-    if dim is None:
-        dim = len(items[0][0]) - 1 if items else 0
-    return Chain.build(dim, items)
+    return [{"shift": k, "simplex": [str(v) for v in verts],
+             "coeff": str(coeff)}
+            for (k, verts), coeff in sorted(
+                chain.terms.items(),
+                key=lambda kv: (kv[0][0], _simplex_order(kv[0][1])))]

@@ -1,5 +1,7 @@
 """Command-line front end.  One JSON object per output line; the exit code is
-the conjunction of every check asserted by the invoked command."""
+0 when every check asserted by the invoked command holds and 1 when one
+fails.  A rejected input or a hit cap ends the command with exit code 2 and
+one line {"error": <exception type>, "message": ...}."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from fractions import Fraction
 from . import quasicocycle as qcm
 from .chains import chain_to_json
 from .config import RunConfig
+from .errors import CuspedFormsError
 from .graph import parse_vertex
 from .lipschitz import parse_spec
 from .words import GroupElem, parse_word
@@ -89,6 +92,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--m", type=int, required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except (CuspedFormsError, ValueError) as e:
+        # the package raises ValueError only to reject an input: a vertex,
+        # word, f spec, m or config value
+        emit({"error": type(e).__name__, "message": str(e)})
+        return 2
+
+
+def run(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     ok = True
 

@@ -16,12 +16,11 @@ class RunConfig:
     kappa: int = 8
     depth_cap: int = 12
     distance_cap: int = 24
-    psi_power_cap: int = 32
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
     psi_inverse_images: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("kappa", "depth_cap", "distance_cap", "psi_power_cap"):
+        for name in ("kappa", "depth_cap", "distance_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -30,7 +29,7 @@ class RunConfig:
     def psi(self) -> Automorphism:
         images = self.psi_images or DEFAULT_PSI.images
         inverse = self.psi_inverse_images or DEFAULT_PSI.inverse_images
-        return Automorphism(images, inverse, power_cap=self.psi_power_cap)
+        return Automorphism(images, inverse)
 
     def hyperbolization(self) -> Hyperbolization:
         return Hyperbolization()

@@ -6,7 +6,8 @@ class CuspedFormsError(Exception):
 
 
 class PsiPowerCap(CuspedFormsError):
-    """A twist-automorphism power exceeded the configured cap."""
+    """A twist-automorphism power built a word longer than
+    words.MAX_WORD_LETTERS."""
 
 
 class NotParabolic(CuspedFormsError):
@@ -33,7 +34,7 @@ class Infeasible(CuspedFormsError):
 
 
 class WindowTooLarge(CuspedFormsError):
-    """The LP window exceeds the configured simplex-count cap."""
+    """The LP window has more than fill.LP_SIMPLEX_CAP simplices."""
 
 
 class LipschitzViolation(CuspedFormsError):

@@ -50,7 +50,10 @@ def parse_vertex(text: str) -> Vertex:
     if not body:
         raise ValueError(f"bad vertex encoding {text!r} (want word@k:n)")
     word, _, k = body.partition("@")
-    return Vertex(parse_word(word), int(k) if k else 0, int(depth))
+    n = int(depth)
+    if n < 0:
+        raise ValueError(f"vertex {text!r} has a negative depth")
+    return Vertex(parse_word(word), int(k) if k else 0, n)
 
 
 def vertex_key(v: Vertex):
@@ -263,6 +266,8 @@ class CuspedGraph:
         if load == 0:
             return abs(n1 - n2)
         top = max(n1, n2)
+        if top > self.depth_cap:
+            raise DegreeOverflow(f"depth {top} exceeds cap {self.depth_cap}")
         deepest = min(max(top, load.bit_length()), self.depth_cap)
         return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
                    for lvl in range(top, deepest + 1))

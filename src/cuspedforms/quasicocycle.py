@@ -197,8 +197,7 @@ def evaluate_on_Am(qc: QuasiCocycle, f: LipFn, m: int) -> Fraction:
 STRATA = ("cayley", "mixed", "cross")
 
 
-def sample_vertex(graph: CuspedGraph, rng: random.Random,
-                  stratum: str) -> Vertex:
+def sample_vertex(rng: random.Random, stratum: str) -> Vertex:
     base = Vertex(random_gamma0_word(rng, 6), rng.randrange(-3, 4), 0)
     if stratum == "cayley":
         return base
@@ -212,7 +211,7 @@ def sample_vertex(graph: CuspedGraph, rng: random.Random,
 def sample_tuple(graph: CuspedGraph, rng: random.Random, stratum: str,
                  size: int) -> tuple[Vertex, ...]:
     """size vertices within a few steps of a common base, per stratum."""
-    base = sample_vertex(graph, rng, stratum)
+    base = sample_vertex(rng, stratum)
     out = [base]
     for _ in range(size - 1):
         v = out[rng.randrange(len(out))]

@@ -21,6 +21,10 @@ LETTERS = "aAbB"
 COMM = "ABab"
 COMM_INV = "BAba"
 
+#: longest word a psi-power may build; one step past it raises PsiPowerCap.
+#: |psi^k(a)| is the Fibonacci number F_(2k+1), so this stops psi^15(a).
+MAX_WORD_LETTERS = 2 ** 20
+
 
 def reduce_word(letters: Iterable[str]) -> str:
     """Freely reduce a letter sequence (stack-based, single pass)."""
@@ -49,12 +53,7 @@ def inv(w: str) -> str:
 
 
 def word_pow(w: str, n: int) -> str:
-    if n < 0:
-        w, n = inv(w), -n
-    out = ""
-    for _ in range(n):
-        out = mul(out, w)
-    return out
+    return reduce_word((w if n >= 0 else inv(w)) * abs(n))
 
 
 def parse_word(text: str) -> str:
@@ -77,8 +76,7 @@ class Automorphism:
     so intermediate words never outgrow the reduced images.
     """
 
-    def __init__(self, images: dict[str, str], inverse_images: dict[str, str],
-                 power_cap: int = 32):
+    def __init__(self, images: dict[str, str], inverse_images: dict[str, str]):
         self.images = {
             "a": reduce_word(images["a"]),
             "b": reduce_word(images["b"]),
@@ -91,7 +89,6 @@ class Automorphism:
         }
         self.inverse_images["A"] = inv(self.inverse_images["a"])
         self.inverse_images["B"] = inv(self.inverse_images["b"])
-        self.power_cap = power_cap
 
     def apply_once(self, w: str, forward: bool = True) -> str:
         table = self.images if forward else self.inverse_images
@@ -105,14 +102,19 @@ class Automorphism:
         return "".join(out)
 
     def apply(self, w: str, power: int) -> str:
-        if abs(power) > self.power_cap:
-            raise PsiPowerCap(
-                f"automorphism power {power} exceeds cap {self.power_cap}")
-        out = w
+        """psi^power(w).  A step that leaves the word unchanged ends the
+        loop, since every later step would too; a step that builds more
+        than MAX_WORD_LETTERS letters raises PsiPowerCap."""
         forward = power >= 0
         for _ in range(abs(power)):
-            out = self.apply_once(out, forward)
-        return out
+            out = self.apply_once(w, forward)
+            if out == w:
+                break
+            if len(out) > MAX_WORD_LETTERS:
+                raise PsiPowerCap(f"psi^{power} builds a word of more than "
+                                  f"{MAX_WORD_LETTERS} letters")
+            w = out
+        return w
 
     def check(self) -> None:
         """Startup self-checks: the commutator is fixed, and the given inverse

@@ -5,8 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspedforms.chains import (Chain, CoinvariantChain, chain_from_json,
-                                chain_to_json, coinvariant_reduce,
+from cuspedforms.chains import (Chain, CoinvariantChain, coinvariant_reduce,
                                 orbit_canonical)
 from cuspedforms.graph import Vertex, random_gamma0_word, vertex_key
 from cuspedforms.quasicocycle import build_c
@@ -121,14 +120,6 @@ def test_coinvariant_boundary_commutes_with_reduce():
         for _ in range(3):
             c.add(random_simplex(rng, 2), rng.randrange(1, 3))
         assert coinvariant_reduce(c.boundary()) == coinvariant_reduce(c).boundary()
-
-
-def test_chain_json_round_trip():
-    rng = random.Random(20)
-    c = Chain(2)
-    for _ in range(5):
-        c.add(random_simplex(rng, 2), Fraction(rng.randrange(-4, 5) or 1, 3))
-    assert chain_from_json(chain_to_json(c), dim=2) == c
 
 
 # -- the (k, s) orbit key against the brute-force F-orbit form ---------------

@@ -99,30 +99,54 @@ def test_config_override(capsys, tmp_path):
 
 
 def test_bad_vertex_encoding(capsys):
-    with pytest.raises(ValueError):
-        main(["graph", "dist", "zz@0:0", "e@0:0"])
+    # a rejected input is one JSON error line and exit code 2, not a
+    # traceback
+    code, lines = run(capsys, "graph", "dist", "zz@0:0", "e@0:0")
+    assert code == 2
+    assert lines == [{"error": "ValueError",
+                      "message": "bad letter 'z' in word 'zz'"}]
+    code, lines = run(capsys, "graph", "dist", "e@0:-1", "a@0:0")
+    assert code == 2
+    assert lines == [{"error": "ValueError",
+                      "message": "vertex 'e@0:-1' has a negative depth"}]
+
+
+def test_cap_errors_are_json_lines(capsys):
+    # exit code 1 means a check failed; a hit cap is 2, as a bad input is
+    code, lines = run(capsys, "--set", "distance_cap=2", "graph", "dist",
+                      "e@0:0", "abab@0:0")
+    assert code == 2
+    assert lines == [{"error": "CapExceeded",
+                      "message": "d(e@0:0,abab@0:0) > 2"}]
+    code, lines = run(capsys, "graph", "dist", "e@0:0", "a@30:0")
+    assert code == 2
+    assert lines[0]["error"] == "PsiPowerCap"
 
 
 DEAD_KEYS = {"filler": "lp", "rng_seed": "3", "rho_a": "1,1,1,2",
              "rho_b": "1,-1,-1,2", "fill_recursion_cap": "32",
-             "lp_window_radius": "1", "lp_simplex_cap": "500"}
+             "lp_window_radius": "1", "lp_simplex_cap": "500",
+             "psi_power_cap": "40"}
 
 
 @pytest.mark.parametrize("key, value", DEAD_KEYS.items(), ids=list(DEAD_KEYS))
-def test_dead_keys_are_unknown_config_keys(tmp_path, key, value):
+def test_dead_keys_are_unknown_config_keys(capsys, tmp_path, key, value):
     # `filler` never reached FillEngine (the LP filler is reached through
     # FillEngine.fill_cycle_lp only), no module read `rng_seed`, no run
     # ever set the generator matrices `rho_a`/`rho_b` (Hyperbolization
     # still takes them), and no run set the fill depth cap, the LP window
     # radius or the LP simplex cap (now constants or per-call defaults of
-    # cuspedforms.fill); a config that sets any of them fails instead of
-    # silently changing nothing
+    # cuspedforms.fill), and the psi power cap guarded no power that could
+    # run (words.MAX_WORD_LETTERS bounds the word built instead); a config
+    # that sets any of them fails instead of silently changing nothing
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         RunConfig.from_dict({key: value})
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = {value}\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        main(["--config", str(cfgfile), "selfcheck"])
+    code, lines = run(capsys, "--config", str(cfgfile), "selfcheck")
+    assert code == 2
+    assert lines == [{"error": "ValueError",
+                      "message": f"unknown config key '{key}'"}]
 
 
 PSI_SQUARED = {"psi_images": "a:babba,b:babbabab",
@@ -136,8 +160,6 @@ REACHES = {
                   9),
     "distance_cap": ({"distance_cap": "17"},
                      lambda qc: qc.engine.graph.distance_cap, 17),
-    "psi_power_cap": ({"psi_power_cap": "40"},
-                      lambda qc: qc.engine.graph.psi.power_cap, 40),
     "psi_images": (PSI_SQUARED, lambda qc: qc.engine.graph.psi.images["a"],
                    "babba"),
     "psi_inverse_images": (

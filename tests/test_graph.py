@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspedforms.errors import CapExceeded
+from cuspedforms.errors import CapExceeded, DegreeOverflow, PsiPowerCap
 from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
                                random_gamma0_word, vertex)
 from cuspedforms.words import COMM, GroupElem, word_pow
@@ -17,6 +17,11 @@ def test_parse_vertex_round_trip():
     assert v == Vertex("ABab", -2, 3)
     assert parse_vertex(str(v)) == v
     assert parse_vertex("e@0:0") == Vertex("", 0, 0)
+
+
+def test_parse_vertex_rejects_negative_depth():
+    with pytest.raises(ValueError, match="'e@0:-1' has a negative depth"):
+        parse_vertex("e@0:-1")
 
 
 def test_neighbors_symmetric(graph):
@@ -145,6 +150,20 @@ def test_reverse_distance_needs_no_search(monkeypatch, cap, known):
             with pytest.raises(CapExceeded):
                 graph.distance(x, y, cap=cap)
     assert searches == [cap]
+
+
+def test_deep_peripheral_query_past_depth_cap():
+    # the closed-form bound has no level to descend to past depth_cap
+    graph = CuspedGraph()
+    with pytest.raises(DegreeOverflow, match="depth 13 exceeds cap 12"):
+        graph.distance(Vertex("", 0, 13), Vertex(COMM * 9000, 0, 13))
+
+
+def test_neighbors_at_large_t_exponent_raise():
+    # the twisted generators at t^20 would be psi^20-words of about 10^8
+    # letters; the word-length guard stops their construction at psi^15
+    with pytest.raises(PsiPowerCap):
+        CuspedGraph().neighbors(Vertex("", 20, 0))
 
 
 def test_peripheral_shortcut_agrees_with_search(graph):

@@ -9,7 +9,7 @@ from test_chains import brute_force_orbit_form
 from cuspedforms import lipschitz as lf
 from cuspedforms.chains import CoinvariantChain
 from cuspedforms.config import RunConfig
-from cuspedforms.errors import FillDepthExceeded, PsiPowerCap
+from cuspedforms.errors import FillDepthExceeded
 from cuspedforms.graph import Vertex
 from cuspedforms.quasicocycle import (STRATA, _ball_forms, _witness,
                                       boundary_class, build_A, build_aK,
@@ -256,15 +256,15 @@ def test_build_A_matches_materialised_construction(graph):
 
 
 def test_growth_on_A_32(qc, graph):
-    # far past what a written-out t^32-translate could hold (|psi^32(ba)|
-    # is the Fibonacci number F_67), but inside the default psi power cap
-    A = build_A(graph, 32)
-    assert not A.boundary()
-    assert A.l1_norm() == Fraction(191, 16)
-    for f in (lf.linear(1), lf.power_floor(1, 2)):
-        assert evaluate_on_Am(qc, f, 32) == 2 * (f(32) - f(0))
-    with pytest.raises(PsiPowerCap):
-        build_A(graph, graph.psi.power_cap + 1)
+    # far past what a written-out t^m-translate could hold (|psi^32(ba)|
+    # is the Fibonacci number F_67); only psi-fixed commutator words are
+    # raised to the power m, so no word of A_m grows with m
+    for m in (32, 33, 64):
+        A = build_A(graph, m)
+        assert not A.boundary()
+        assert A.l1_norm() == 12 - Fraction(4, 2 ** k_of(m))
+        for f in (lf.linear(1), lf.power_floor(1, 2)):
+            assert evaluate_on_Am(qc, f, m) == 2 * (f(m) - f(0))
 
 
 def test_second_monodromy_contracts():

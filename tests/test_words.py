@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspedforms.errors import PsiPowerCap
-from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, GroupElem, gamma_inv,
-                               gamma_mul, gamma_rel, h_coord, inv, mul,
-                               parse_word, reduce_word, theta, word_pow)
+from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
+                               Automorphism, GroupElem, gamma_inv, gamma_mul,
+                               gamma_rel, h_coord, inv, mul, parse_word,
+                               reduce_word, theta, word_pow)
 
 
 def naive_reduce(letters):
@@ -50,6 +51,24 @@ def test_word_pow():
     assert word_pow(COMM, 0) == ""
 
 
+def mul_loop_pow(w, n):
+    """word_pow as a loop of products, the oracle for the reduced repeat."""
+    if n < 0:
+        w, n = inv(w), -n
+    out = ""
+    for _ in range(n):
+        out = mul(out, w)
+    return out
+
+
+def test_word_pow_matches_mul_loop():
+    rng = random.Random(5)
+    for _ in range(60):
+        w = reduce_word(random_letters(rng, rng.randrange(0, 10)))
+        for n in range(-6, 7):
+            assert word_pow(w, n) == mul_loop_pow(w, n)
+
+
 def test_parse_word():
     assert parse_word("e") == ""
     assert parse_word("aA") == ""
@@ -84,8 +103,31 @@ def test_psi_is_homomorphism():
 
 
 def test_psi_power_cap():
-    with pytest.raises(PsiPowerCap):
-        DEFAULT_PSI.apply("a", DEFAULT_PSI.power_cap + 1)
+    # |psi^k(a)| is the Fibonacci number F_(2k+1): psi^14(a) fits in
+    # MAX_WORD_LETTERS letters, psi^15(a) does not
+    assert len(DEFAULT_PSI.apply("a", 14)) == 514229 <= MAX_WORD_LETTERS
+    with pytest.raises(PsiPowerCap, match=r"psi\^15 builds"):
+        DEFAULT_PSI.apply("a", 15)
+
+
+def test_psi_fixed_word_costs_one_step(monkeypatch):
+    # psi fixes [a,b], so every power of it returns after one step
+    calls = []
+    apply_once = Automorphism.apply_once
+
+    def spy(self, w, forward=True):
+        calls.append(forward)
+        assert len(calls) <= 5, "more steps than the words need"
+        return apply_once(self, w, forward)
+
+    monkeypatch.setattr(Automorphism, "apply_once", spy)
+    assert DEFAULT_PSI.apply(COMM * 5, 10 ** 9) == COMM * 5
+    assert calls == [True]
+    assert DEFAULT_PSI.apply(COMM_INV * 3, -10 ** 9) == COMM_INV * 3
+    assert calls == [True, False]
+    # a word that psi moves takes one step per power
+    DEFAULT_PSI.apply("ab", 3)
+    assert len(calls) == 5
 
 
 def test_psi_abelianization_is_anosov():
