@@ -5,21 +5,28 @@ peripheral subgroup <[a,b], t>.
 Vertices are triples (base, texp, depth).  Horizontal horoball edges at depth
 n join vertices of the same coset at peripheral l1-distance at most 2^n;
 vertical edges change the depth by one.
+
+A coset g<[a,b], t> is named by its key, the (length, lex)-least word of
+base * <[a,b]>, and its vertices by lattice points (alpha, beta) with
+g = key [a,b]^alpha t^beta (`words.coset_key`).  Distances cross a horoball in
+closed form, `horoball_distance`, so the distance search lists no vertex of
+depth >= 1; `neighbors` and `ball` enumerate them, for walks and geodesic
+midpoints.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
 from . import words
 from .errors import CapExceeded, DegreeOverflow
 from .words import (COMM, COMM_INV, Automorphism, DEFAULT_PSI, GroupElem,
-                    format_word, gamma_inv, gamma_mul, gamma_rel, mul,
-                    parse_word)
+                    coset_key, format_word, gamma_inv, gamma_mul, gamma_rel,
+                    mul, parse_word)
 
 
 class Vertex(NamedTuple):
@@ -123,6 +130,77 @@ def anchor_simplex(verts: Simplex, psi: Automorphism = DEFAULT_PSI
     return canon, sign, verts[i].elem
 
 
+def horoball_distance(load: int, n1: int, n2: int, depth_cap: int) -> int:
+    """Distance inside one horoball between its vertices at depths n1 and
+    n2 whose lattice points are `load` apart in l1: a geodesic descends to
+    some level, takes ceil(load / 2^level) horizontal steps there and
+    ascends (Groves-Manning, Dehn filling in relatively hyperbolic groups,
+    section 3).  Levels run from max(n1, n2) to depth_cap; past
+    load.bit_length() one step suffices, so deeper levels only cost more."""
+    top = max(n1, n2)
+    deepest = min(max(top, load.bit_length()), depth_cap)
+    return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
+               for lvl in range(top, deepest + 1))
+
+
+def _reach(depth: int, k: int, depth_cap: int) -> int:
+    """The largest load with horoball_distance(load, depth, 0) <= k, or -1:
+    at level lvl, k - (lvl - depth) - lvl horizontal steps of 2^lvl."""
+    return max((2 ** lvl * (k + depth - 2 * lvl)
+                for lvl in range(depth, depth_cap + 1)
+                if k + depth - 2 * lvl >= 0), default=-1)
+
+
+@lru_cache(maxsize=256)
+def _ring(depth: int, k: int, depth_cap: int) -> tuple[tuple[int, int], ...]:
+    """Lattice offsets of the depth-0 points at horoball distance exactly
+    k from a vertex at the given depth: an l1 annulus."""
+    lo, hi = _reach(depth, k - 1, depth_cap) + 1, _reach(depth, k, depth_cap)
+    out = []
+    for da in range(-hi, hi + 1):
+        for b in range(max(lo - abs(da), 0), hi - abs(da) + 1):
+            out.append((da, b))
+            if b:
+                out.append((da, -b))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _ring_size(depth: int, k: int, depth_cap: int) -> int:
+    """len(_ring(depth, k, depth_cap)), without listing the ring: the l1
+    ball of radius R holds 2R(R + 1) + 1 lattice points."""
+    def ball(radius: int) -> int:
+        return 2 * radius * (radius + 1) + 1 if radius >= 0 else 0
+    return (ball(_reach(depth, k, depth_cap))
+            - ball(_reach(depth, k - 1, depth_cap)))
+
+
+class _Side:
+    """One side of `CuspedGraph._bidirectional`: its radius, the depth-0
+    vertices within it as lattice points (coset key, alpha, beta) with their
+    distances, the coset entries (alpha, beta, depth, r) by key, and the
+    lattice points of the last layer.  `shapes` counts the entries by
+    (depth, r), which fixes their rings in the next layer."""
+
+    def __init__(self, v: Vertex):
+        self.key, alpha = coset_key(v.base)
+        self.point = (alpha, v.texp)
+        p = (self.key, alpha, v.texp)
+        self.radius = 0
+        self.entries = {self.key: [(alpha, v.texp, v.depth, 0)]}
+        self.shapes = {(v.depth, 0): 1}
+        self.dist = {p: 0} if v.depth == 0 else {}
+        self.frontier = [p] if v.depth == 0 else []
+
+    def next_layer_cost(self, depth_cap: int) -> int:
+        """The points the next layer generates: four edges per vertex of
+        the last layer, and the ring of every entry."""
+        k = self.radius + 1
+        return 4 * len(self.frontier) + sum(
+            count * _ring_size(depth, k - r, depth_cap)
+            for (depth, r), count in self.shapes.items())
+
+
 class CuspedGraph:
     """Adjacency, capped exact distances and geodesic midpoints.
 
@@ -141,6 +219,11 @@ class CuspedGraph:
 
     `_geo_cache` is keyed by the canonical pair `anchor_simplex((u, v))`
     and holds the midpoint of that pair only, never a whole path.
+
+    The distance search (`_bidirectional`) holds depth-0 vertices only, as
+    coset keys and lattice points; a stretch through a horoball between two
+    points of one coset costs `horoball_distance` of their l1 distance and
+    depths, the Groves-Manning transit.
     """
 
     GENERATOR_WORDS = ("a", "A", "b", "B", COMM, COMM_INV)
@@ -173,12 +256,7 @@ class CuspedGraph:
                 f"depth {v.depth} exceeds cap {self.depth_cap}")
         out: set[Vertex] = set()
         if v.depth == 0:
-            twisted = self._twisted_gen_cache.get(v.texp)
-            if twisted is None:
-                twisted = tuple(self.psi.apply(w, v.texp)
-                                for w in self.GENERATOR_WORDS)
-                self._twisted_gen_cache[v.texp] = twisted
-            for w in twisted:
+            for w in self._twisted(v.texp):
                 out.add(Vertex(mul(v.base, w), v.texp, 0))
             out.add(Vertex(v.base, v.texp + 1, 0))
             out.add(Vertex(v.base, v.texp - 1, 0))
@@ -198,6 +276,16 @@ class CuspedGraph:
                     out.add(Vertex(word, v.texp + beta, v.depth))
         out.discard(v)
         return sorted(out, key=vertex_key)
+
+    def _twisted(self, texp: int) -> tuple[str, ...]:
+        """psi^texp of GENERATOR_WORDS: the base words of the generator
+        edges at t-exponent texp, the four letters first."""
+        twisted = self._twisted_gen_cache.get(texp)
+        if twisted is None:
+            twisted = tuple(self.psi.apply(w, texp)
+                            for w in self.GENERATOR_WORDS)
+            self._twisted_gen_cache[texp] = twisted
+        return twisted
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         return self._adjacent_anchored(u.depth, self.anchor(u, v))
@@ -242,35 +330,14 @@ class CuspedGraph:
                 raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
             if cap <= bound:
                 raise CapExceeded(f"d({u},{v}) > {bound} >= {cap}")
-        ub = self._peripheral_upper_bound(u.depth, va)
-        search_cap = cap if ub is None else min(cap, ub)
-        d = self._bidirectional(Vertex("", 0, u.depth), va, search_cap)
+        d = self._bidirectional(Vertex("", 0, u.depth), va, cap)
         ua = gamma_inv(va.elem, self.psi)
-        fact = (search_cap, False) if d is None else (d, True)
+        fact = (cap, False) if d is None else (d, True)
         self._dist_cache[key] = fact
         self._dist_cache[(v.depth, Vertex(ua.base, ua.texp, u.depth))] = fact
         if d is None:
             raise CapExceeded(f"d({u},{v}) > {cap}")
         return d
-
-    def _peripheral_upper_bound(self, n1: int, va: Vertex) -> int | None:
-        """Length of an explicit path inside one horoball to an anchored
-        peripheral vertex; a valid cap for the exact search (descend, take
-        ceil(load / 2^level) horizontal steps, ascend)."""
-        try:
-            hc = words.h_coord(va.elem)
-        except ValueError:
-            return None
-        load = abs(hc.alpha) + abs(hc.beta)
-        n2 = va.depth
-        if load == 0:
-            return abs(n1 - n2)
-        top = max(n1, n2)
-        if top > self.depth_cap:
-            raise DegreeOverflow(f"depth {top} exceeds cap {self.depth_cap}")
-        deepest = min(max(top, load.bit_length()), self.depth_cap)
-        return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
-                   for lvl in range(top, deepest + 1))
 
     def distance_at_most(self, u: Vertex, v: Vertex, bound: int) -> bool:
         try:
@@ -279,53 +346,97 @@ class CuspedGraph:
             return False
 
     def _bidirectional(self, src: Vertex, dst: Vertex, cap: int) -> int | None:
-        # a path of length <= cap between the endpoints never dips deeper
-        # than this; pruning avoids the exponential horoball fan-out
-        max_depth = (cap + src.depth + dst.depth) // 2
-        dist_s = {src: 0}
-        dist_t = {dst: 0}
-        frontier_s, frontier_t = [src], [dst]
-        rs = rt = 0
-        while frontier_s and frontier_t and rs + rt < cap:
-            # expand the smaller side
-            if len(frontier_s) <= len(frontier_t):
-                frontier_s, rs = self._expand(frontier_s, dist_s, rs,
-                                              max_depth)
-                near, far = dist_s, dist_t
+        """d(src, dst) if it is at most cap, else None, without listing a
+        vertex of depth >= 1.
+
+        Each side grows by layers and holds the depth-0 vertices within its
+        radius, as lattice points (coset key, alpha, beta) of `coset_key`, and
+        per coset the entries (alpha, beta, depth, r): the depth-0 vertices
+        first reached by an a/A/b/B edge, and the endpoint itself.  A path
+        leaves a coset only by such an edge, so every other vertex of the
+        coset is reached from an entry through the coset's horoball, at the
+        cost `horoball_distance`; one layer adds the four non-peripheral
+        edges of the last layer and, per entry, the ring of lattice points at
+        exactly the new cost.  Candidates are the depth-0 points both sides
+        hold and the entry pairs of a shared coset, r + r' + h.  If d <= rs
+        + rt, a geodesic has a depth-0 point within both radii or a deep
+        stretch between two entries, so the least candidate is exact once
+        it is at most rs + rt."""
+        for v in (src, dst):
+            if v.depth > self.depth_cap:
+                raise DegreeOverflow(
+                    f"depth {v.depth} exceeds cap {self.depth_cap}")
+        s, t = _Side(src), _Side(dst)
+        best = None
+        if s.key == t.key:
+            (a1, b1), (a2, b2) = s.point, t.point
+            best = horoball_distance(abs(a1 - a2) + abs(b1 - b2), src.depth,
+                                     dst.depth, self.depth_cap)
+        while s.radius + t.radius < cap:
+            # grow the cheaper side: a deep entry's first ring can hold
+            # millions of points while its side's last layer is one vertex
+            if (s.next_layer_cost(self.depth_cap)
+                    <= t.next_layer_cost(self.depth_cap)):
+                best = self._grow(s, t, best)
             else:
-                frontier_t, rt = self._expand(frontier_t, dist_t, rt,
-                                              max_depth)
-                near, far = dist_t, dist_s
-            best = None
-            for w in (frontier_s if near is dist_s else frontier_t):
-                if w in far:
-                    total = near[w] + far[w]
-                    if best is None or total < best:
-                        best = total
-            if best is not None:
-                return best if best <= cap else None
+                best = self._grow(t, s, best)
+            if best is not None and best <= s.radius + t.radius:
+                return best
         return None
 
-    def _expand(self, frontier: list[Vertex], dist: dict[Vertex, int],
-                radius: int,
-                max_depth: int | None = None) -> tuple[list[Vertex], int]:
-        nxt = []
-        for v in frontier:
-            for w in self.neighbors(v):
-                if max_depth is not None and w.depth > max_depth:
+    def _grow(self, near: _Side, far: _Side, best: int | None) -> int | None:
+        """Grow `near` by one layer; the least candidate seen so far."""
+        r = near.radius + 1
+        dist, entries, depth_cap = near.dist, near.entries, self.depth_cap
+        layer = []
+        for key, ents in entries.items():
+            for alpha, beta, depth, r0 in ents:
+                for da, db in _ring(depth, r - r0, depth_cap):
+                    p = (key, alpha + da, beta + db)
+                    if p not in dist:
+                        dist[p] = r
+                        layer.append(p)
+        rings_end = len(layer)
+        for key, alpha, beta in near.frontier:
+            base = mul(key, COMM * alpha if alpha >= 0
+                       else COMM_INV * -alpha)
+            for x in self._twisted(beta)[:4]:
+                key2, alpha2 = coset_key(mul(base, x))
+                p = (key2, alpha2, beta)
+                if p in dist:
                     continue
-                if w not in dist:
-                    dist[w] = radius + 1
-                    nxt.append(w)
-        return nxt, radius + 1
+                dist[p] = r
+                layer.append(p)
+                entries.setdefault(key2, []).append((alpha2, beta, 0, r))
+                for a2, b2, n2, r2 in far.entries.get(key2, ()):
+                    c = r + r2 + horoball_distance(
+                        abs(alpha2 - a2) + abs(beta - b2), 0, n2, depth_cap)
+                    if best is None or c < best:
+                        best = c
+        near.shapes[0, r] = len(layer) - rings_end
+        other = far.dist
+        for p in layer:
+            r2 = other.get(p)
+            if r2 is not None and (best is None or r + r2 < best):
+                best = r + r2
+        near.frontier, near.radius = layer, r
+        return best
 
     def ball(self, center: Vertex, radius: int,
              max_depth: int | None = None) -> dict[Vertex, int]:
         """All vertices within the radius, with their distances."""
         dist = {center: 0}
         frontier = [center]
-        for r in range(radius):
-            frontier, _ = self._expand(frontier, dist, r, max_depth)
+        for r in range(1, radius + 1):
+            nxt = []
+            for v in frontier:
+                for w in self.neighbors(v):
+                    if max_depth is not None and w.depth > max_depth:
+                        continue
+                    if w not in dist:
+                        dist[w] = r
+                        nxt.append(w)
+            frontier = nxt
         return dist
 
     # -- geodesic midpoints ---------------------------------------------

@@ -79,11 +79,6 @@ class LipFn:
         return LipFn(f"{self.kind}+{const}", lambda x: self(x) + const,
                      self.declared_lip, {"const": const, "inner": self.kind})
 
-    def __add__(self, other: "LipFn") -> "LipFn":
-        return LipFn(f"{self.kind}+{other.kind}",
-                     lambda x: self(x) + other(x),
-                     self.declared_lip + other.declared_lip)
-
 
 def linear(slope: Fraction | int) -> LipFn:
     slope = Fraction(slope)

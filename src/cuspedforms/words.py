@@ -9,6 +9,7 @@ twisted rule (g0 t^k)(h0 t^l) = (g0 * psi^k(h0)) t^(k+l).
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .errors import PsiPowerCap
@@ -196,3 +197,37 @@ def h_coord(g: GroupElem) -> HCoord:
     if g.base == COMM_INV * n:
         return HCoord(-n, g.texp)
     raise ValueError(f"{g} is not peripheral")
+
+
+def coset_key(w: str) -> tuple[str, int]:
+    """(key, alpha) with w = key * [a,b]^alpha and key the (length,
+    lex)-least word of the coset w * <[a,b]>.  So g = w t^beta lies in the
+    left coset of <[a,b], t> named by key, at lattice point (alpha, beta):
+    two elements share a coset exactly when their keys agree, and then
+    g^-1 h has the difference of their lattice points as h_coord.
+
+    Stripping the trailing [a,b]^(+-1) blocks leaves a word w0 that ends in
+    neither block, so w0 * [a,b]^j cancels at most 3 letters and is longer
+    than w0 for |j| >= 2; the key is the least of w0 [a,b]^-1, w0, w0 [a,b],
+    which differ from w0 in its last 4 letters only."""
+    end, alpha = len(w), 0
+    for block, sign in ((COMM, 1), (COMM_INV, -1)):
+        while w.endswith(block, 0, end):
+            end -= 4
+            alpha += sign
+    cut = max(end - 4, 0)
+    tail = w[cut:end]
+    key_tail, j = _least_shift(tail)
+    key = w if key_tail == tail and end == len(w) else w[:cut] + key_tail
+    return key, alpha - j
+
+
+@cache
+def _least_shift(tail: str) -> tuple[str, int]:
+    """The (length, lex)-least tail * [a,b]^j over j in {-1, 0, 1}, and j.
+    A memo of at most 161 tails (the reduced words of up to 4 letters); it
+    reduces the concatenations itself, so that which tails a process has
+    seen before never changes its count of `mul` calls."""
+    return min(((reduce_word(tail + COMM_INV), -1), (tail, 0),
+                (reduce_word(tail + COMM), 1)),
+               key=lambda c: (len(c[0]), c[0]))

@@ -6,7 +6,7 @@ import pytest
 from cuspedforms.errors import CapExceeded, DegreeOverflow, PsiPowerCap
 from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
                                random_gamma0_word, vertex)
-from cuspedforms.words import COMM, GroupElem, word_pow
+from cuspedforms.words import COMM, GroupElem, mul, word_pow
 
 from _oracles import bfs_oracle
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
@@ -167,13 +167,74 @@ def test_neighbors_at_large_t_exponent_raise():
 
 
 def test_peripheral_shortcut_agrees_with_search(graph):
-    # deep same-horoball queries go through the explicit-path cap; check the
-    # answers against the plain BFS oracle on small instances
+    # deep same-horoball queries are answered by the closed-form horoball
+    # transit; check the answers against the plain BFS oracle
     for alpha, beta, n1, n2 in ((2, 0, 0, 0), (2, 1, 1, 1), (4, 0, 1, 0),
                                 (3, 2, 2, 2), (0, 3, 1, 1)):
         u = Vertex("", 0, n1)
         v = Vertex(word_pow(COMM, alpha), beta, n2)
         assert graph.distance(u, v) == bfs_oracle(graph, u, v, 10)
+
+
+def _checked_distance(graph, u, v, cap):
+    """(the search's capped distance, the plain BFS oracle's), the oracle
+    starting at the shallower endpoint, whose ball is the cheaper one."""
+    try:
+        d = graph.distance(u, v, cap)
+    except CapExceeded:
+        d = None
+    src, dst = sorted((u, v), key=lambda w: w.depth)
+    return d, bfs_oracle(graph, src, dst, cap)
+
+
+def test_search_matches_bfs_oracle_in_one_coset():
+    # u and v = u [a,b]^alpha t^beta lie in one coset; both at depth 0..3
+    rng = random.Random(16)
+    graph = CuspedGraph()
+    for _ in range(40):
+        u = Vertex(random_gamma0_word(rng, 3), rng.randrange(-1, 2),
+                   rng.randrange(4))
+        v = Vertex(mul(u.base, word_pow(COMM, rng.randrange(-8, 9))),
+                   u.texp + rng.randrange(-3, 4), rng.randrange(4))
+        d, oracle = _checked_distance(graph, u, v, 6)
+        assert d == oracle, (u, v)
+
+
+def test_search_matches_bfs_oracle_across_cosets():
+    # v = u [a,b]^alpha x for a letter x, so v lies in another coset: u at
+    # depth 0..3 must climb out of its horoball; v at depth 0 keeps the
+    # oracle's ball affordable
+    rng = random.Random(17)
+    graph = CuspedGraph()
+    for _ in range(20):
+        u = Vertex(random_gamma0_word(rng, 3), rng.randrange(-1, 2),
+                   rng.randrange(4))
+        base = mul(mul(u.base, word_pow(COMM, rng.randrange(-2, 3))),
+                   rng.choice("aAbB"))
+        v = Vertex(base, u.texp + rng.randrange(-2, 3), 0)
+        d, oracle = _checked_distance(graph, u, v, 6)
+        assert d == oracle, (u, v)
+
+
+def test_distance_search_lists_no_vertex(monkeypatch):
+    # the search keeps depth-0 lattice points only and crosses horoballs in
+    # closed form: it never asks for the neighbours of a vertex
+    graph = CuspedGraph()
+    listed = []
+    neighbors = graph.neighbors
+
+    def spy(v):
+        listed.append(v)
+        return neighbors(v)
+
+    monkeypatch.setattr(graph, "neighbors", spy)
+    # values the explicit search of every horoball vertex gives as well
+    pairs = [("e@0:0", "ABab" * 8 + "@0:0", 6), ("e@0:3", "ab@2:0", 7),
+             ("bA@1:0", "bAbababab@0:1", 5), ("e@0:2", "BAbaa@-1:2", 7),
+             ("Baab@1:0", "baaBB@-2:1", 11)]
+    for u, v, d in pairs:
+        assert graph.distance(parse_vertex(u), parse_vertex(v)) == d
+    assert listed == []
 
 
 def test_ball_contains_sphere_counts(graph):

@@ -54,8 +54,6 @@ def test_constant_and_arithmetic():
     assert c(100) == Fraction(7, 3)
     f = linear(1).scale(2).shift(Fraction(1, 2))
     assert f(3) == Fraction(13, 2)
-    s = linear(1) + constant(1)
-    assert s(5) == 6
 
 
 def test_truncate():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from cuspedforms.errors import PsiPowerCap
 from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
                                Automorphism, GroupElem, gamma_inv, gamma_mul,
-                               gamma_rel, h_coord, inv, mul, parse_word,
-                               reduce_word, theta, word_pow)
+                               coset_key, gamma_rel, h_coord, inv, mul,
+                               parse_word, reduce_word, theta, word_pow)
 
 
 def naive_reduce(letters):
@@ -184,3 +184,36 @@ def test_h_coord():
         h_coord(GroupElem("ABababab", 0))
     with pytest.raises(ValueError):
         h_coord(GroupElem("ab", 0))
+
+
+# v = u * [a,b]^alpha * t^beta * w: the same coset of <[a,b], t> as u when
+# w is empty (or peripheral), mostly another one otherwise
+coset_steps = st.tuples(st.integers(-5, 5), st.integers(-3, 3),
+                        st.one_of(st.just(""), reduced))
+
+
+@settings(max_examples=400, deadline=None)
+@given(elements, coset_steps)
+def test_coset_key_names_the_coset(u, step):
+    alpha, beta, w = step
+    v = gamma_mul(u, GroupElem(mul(word_pow(COMM, alpha), w), beta))
+    (ku, au), (kv, av) = coset_key(u.base), coset_key(v.base)
+    for g, k, a in ((u, ku, au), (v, kv, av)):
+        assert mul(k, word_pow(COMM, a)) == g.base
+    try:
+        rel = h_coord(gamma_rel(u, v))
+    except ValueError:
+        rel = None
+    assert (ku == kv) == (rel is not None)
+    if rel is not None:
+        assert rel == (av - au, v.texp - u.texp)
+
+
+def test_coset_key_is_the_least_word_of_the_coset():
+    rng = random.Random(14)
+    for _ in range(300):
+        w = reduce_word(rng.choice("aAbB") for _ in range(rng.randrange(9)))
+        w = mul(w, word_pow(COMM, rng.randrange(-3, 4)))
+        key, _ = coset_key(w)
+        coset = [mul(w, word_pow(COMM, j)) for j in range(-6, 7)]
+        assert key == min(coset, key=lambda x: (len(x), x))
