@@ -15,9 +15,9 @@ from cuspedforms.config import RunConfig
 qc = RunConfig().build()
 graph = qc.graph
 
-c = Q.build_c()
+c = Q.build_c(graph.psi)
 print("boundary of c is the peripheral class:",
-      c.boundary() == Q.boundary_class())
+      c.boundary() == Q.boundary_class(graph.psi))
 
 for m in (1, 2, 8, 16):
     K = Q.k_of(m)

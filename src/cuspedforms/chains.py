@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import Simplex, Vertex, _parity, anchor_simplex, vertex_key
-from .words import DEFAULT_PSI, Automorphism, GroupElem
+from .words import Automorphism, GroupElem
 
 #: (t-exponent of the front vertex, anchored simplex): one F-orbit
 OrbitKey = tuple[int, Simplex]
@@ -119,7 +119,7 @@ class Chain:
 # -- coinvariants -----------------------------------------------------------
 
 
-def orbit_canonical(verts: Simplex, psi: Automorphism = DEFAULT_PSI
+def orbit_canonical(verts: Simplex, psi: Automorphism
                     ) -> tuple[int, Simplex, int]:
     """(k, s, sign): the key (k, s) of the simplex's F-orbit, and the sign
     of the vertex order that s lists.  For g in G the translate g . verts
@@ -137,12 +137,12 @@ class CoinvariantChain(Chain):
     __slots__ = ("psi",)
 
     def __init__(self, dim: int, terms: dict[OrbitKey, Fraction] | None = None,
-                 psi: Automorphism = DEFAULT_PSI):
+                 *, psi: Automorphism):
         super().__init__(dim, terms)
         self.psi = psi
 
     def _new(self, dim, terms=None) -> "CoinvariantChain":
-        return CoinvariantChain(dim, terms, self.psi)
+        return CoinvariantChain(dim, terms, psi=self.psi)
 
     def add(self, verts: Simplex, coeff: Fraction | int,
             shift: int = 0) -> None:
@@ -174,13 +174,6 @@ class CoinvariantChain(Chain):
         k, verts = key
         return tuple(Vertex(self.psi.apply(v.base, k), v.texp + k, v.depth)
                      for v in verts)
-
-
-def coinvariant_reduce(chain: Chain) -> CoinvariantChain:
-    out = CoinvariantChain(chain.dim)
-    for verts, coeff in chain.terms.items():
-        out.add(verts, coeff)
-    return out
 
 
 def _simplex_order(verts: Simplex) -> tuple:

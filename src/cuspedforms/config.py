@@ -17,35 +17,37 @@ class RunConfig:
     depth_cap: int = 12
     distance_cap: int = 24
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
-    psi_inverse_images: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("kappa", "depth_cap", "distance_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        self.psi()  # rejects images that are not a basis of F(a,b)
 
     # -- construction ---------------------------------------------------
 
     def psi(self) -> Automorphism:
-        images = self.psi_images or DEFAULT_PSI.images
-        inverse = self.psi_inverse_images or DEFAULT_PSI.inverse_images
-        return Automorphism(images, inverse)
+        """The twist; psi^-1 is derived from the images."""
+        return Automorphism(self.psi_images) if self.psi_images \
+            else DEFAULT_PSI
 
     def hyperbolization(self) -> Hyperbolization:
         return Hyperbolization()
 
     def selfcheck(self) -> dict:
         """Startup invariants; every command runs these first."""
-        psi = self.psi()
+        return self._selfcheck(self.psi())
+
+    def _selfcheck(self, psi: Automorphism) -> dict:
         psi.check()
-        hyp = self.hyperbolization()
-        hyp.check()
+        self.hyperbolization().check()
         return {"psi_fixes_commutator": True, "psi_inverse_ok": True,
                 "commutator_trace": -2, "ok": True}
 
     def build(self) -> QuasiCocycle:
-        self.selfcheck()
-        graph = CuspedGraph(self.psi(), depth_cap=self.depth_cap,
+        psi = self.psi()
+        self._selfcheck(psi)
+        graph = CuspedGraph(psi, depth_cap=self.depth_cap,
                             distance_cap=self.distance_cap)
         engine = FillEngine(graph, kappa=self.kappa)
         return QuasiCocycle(engine, OrientationCocycle(self.hyperbolization()))
@@ -73,7 +75,7 @@ class RunConfig:
         for key, val in values.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in ("psi_images", "psi_inverse_images"):
+            if key == "psi_images":
                 kwargs[key] = val if isinstance(val, dict) else _parse_words(val)
             else:
                 kwargs[key] = int(val)
@@ -84,6 +86,8 @@ def _parse_words(text: str) -> dict:
     # "a:ba,b:bab"
     out = {}
     for part in text.split(","):
-        key, _, word = part.partition(":")
-        out[key.strip()] = word.strip()
+        key, _, word = (x.strip() for x in part.partition(":"))
+        if key in out:
+            raise ValueError(f"psi_images names {key!r} twice")
+        out[key] = word
     return out

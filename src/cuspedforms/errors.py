@@ -15,7 +15,8 @@ class NotParabolic(CuspedFormsError):
 
 
 class DegreeOverflow(CuspedFormsError):
-    """Neighbor enumeration requested beyond the configured depth cap."""
+    """A vertex deeper than the configured depth cap was reached, by
+    neighbor enumeration or by a distance search."""
 
 
 class CapExceeded(CuspedFormsError):

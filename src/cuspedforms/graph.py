@@ -48,10 +48,6 @@ class Vertex(NamedTuple):
 BASEPOINT = Vertex("", 0, 0)
 
 
-def vertex(g: GroupElem, depth: int = 0) -> Vertex:
-    return Vertex(g.base, g.texp, depth)
-
-
 def parse_vertex(text: str) -> Vertex:
     body, _, depth = text.rpartition(":")
     if not body:
@@ -89,7 +85,7 @@ def _orders(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
                  for p in permutations(range(n)))
 
 
-def anchor_simplex(verts: Simplex, psi: Automorphism = DEFAULT_PSI
+def anchor_simplex(verts: Simplex, psi: Automorphism
                    ) -> tuple[Simplex, int, GroupElem]:
     """(s, sign, g) with verts = g . s up to a reordering of sign `sign`:
     over every vertex order, translate the front vertex to (e, 0, depth)

@@ -176,11 +176,6 @@ def lip_tail(f: LipFn, n: int) -> Fraction:
     return best
 
 
-def oscillation(f: LipFn, window: int) -> Fraction:
-    vals = [f(x) for x in range(-window, window + 1)]
-    return max(vals) - min(vals)
-
-
 def parse_spec(spec: str) -> LipFn:
     """f specs: linear:<slope>, powfloor:<num>/<den>, const:<q>,
     table:<path-or-inline-json>, periodic:<path-or-inline-json>."""

@@ -145,13 +145,3 @@ class OrientationCocycle:
         return cyclic_orientation(self.hyp.orbit_point(w0),
                                   self.hyp.orbit_point(w1),
                                   self.hyp.orbit_point(w2))
-
-    def __call__(self, x0, x1, x2) -> int:
-        """Vertices, group elements, or bare words all work."""
-        return self.on_words(_word_of(x0), _word_of(x1), _word_of(x2))
-
-
-def _word_of(x) -> str:
-    if isinstance(x, str):
-        return x
-    return x.base  # GroupElem and Vertex both expose .base

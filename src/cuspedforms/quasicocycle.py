@@ -14,7 +14,7 @@ from .graph import CuspedGraph, Vertex, random_gamma0_word
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
 from .lp import row_reduce
 from .moebius import OrientationCocycle
-from .words import COMM, DEFAULT_PSI, Automorphism, GroupElem, mul, word_pow
+from .words import COMM, Automorphism, GroupElem, mul, word_pow
 
 Triple = tuple[Vertex, Vertex, Vertex]
 #: (t-exponent x, weight w) pairs, x increasing
@@ -119,14 +119,14 @@ def _v(base: str, texp: int = 0, depth: int = 0) -> Vertex:
     return Vertex(base, texp, depth)
 
 
-def boundary_class(psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+def boundary_class(psi: Automorphism) -> CoinvariantChain:
     """The 1-class of ((e,0), ([a,b],0)); this is the boundary of c."""
     out = CoinvariantChain(1, psi=psi)
     out.add((_v(""), _v(COMM)), 1)
     return out
 
 
-def build_c(psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+def build_c(psi: Automorphism) -> CoinvariantChain:
     out = CoinvariantChain(2, psi=psi)
     out.add((_v(""), _v("b"), _v("ba")), 1)
     out.add((_v(""), _v("ba"), _v("ab")), 1)
@@ -141,14 +141,14 @@ def k_of(m: int) -> int:
     return m.bit_length()
 
 
-def build_aK(K: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+def build_aK(K: int, psi: Automorphism) -> CoinvariantChain:
     out = CoinvariantChain(1, psi=psi)
     out.add((_v("", 0, K), _v(word_pow(COMM, 2 ** K), 0, K)),
             Fraction(1, 2 ** K))
     return out
 
 
-def build_d(m: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+def build_d(m: int, psi: Automorphism) -> CoinvariantChain:
     out = CoinvariantChain(2, psi=psi)
     for i in range(k_of(m)):
         w_i = word_pow(COMM, 2 ** i)
@@ -160,7 +160,7 @@ def build_d(m: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
     return out
 
 
-def build_e(m: int, psi: Automorphism = DEFAULT_PSI) -> CoinvariantChain:
+def build_e(m: int, psi: Automorphism) -> CoinvariantChain:
     K = k_of(m)
     w = word_pow(COMM, 2 ** K)
     # t^m [a,b]^{2^K} = [a,b]^{2^K} t^m since psi fixes the commutator

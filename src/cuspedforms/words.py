@@ -39,14 +39,11 @@ def reduce_word(letters: Iterable[str]) -> str:
 
 
 def mul(u: str, v: str) -> str:
-    """Product of two reduced words, reduced."""
-    out = list(u)
-    for x in v:
-        if out and out[-1] == x.swapcase():
-            out.pop()
-        else:
-            out.append(x)
-    return "".join(out)
+    """Product of two reduced words, reduced: only the junction cancels."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k].swapcase():
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 def inv(w: str) -> str:
@@ -72,35 +69,24 @@ def format_word(w: str) -> str:
 
 
 class Automorphism:
-    """An automorphism of F(a,b) given by the images of the generators,
-    together with its inverse.  Iterated application reduces at every step,
-    so intermediate words never outgrow the reduced images.
+    """An automorphism of F(a,b) given by the images of the generators; its
+    inverse is derived from them (`_invert`).  Iterated application reduces
+    at every step, so intermediate words never outgrow the reduced images.
     """
 
-    def __init__(self, images: dict[str, str], inverse_images: dict[str, str]):
-        self.images = {
-            "a": reduce_word(images["a"]),
-            "b": reduce_word(images["b"]),
-        }
-        self.images["A"] = inv(self.images["a"])
-        self.images["B"] = inv(self.images["b"])
-        self.inverse_images = {
-            "a": reduce_word(inverse_images["a"]),
-            "b": reduce_word(inverse_images["b"]),
-        }
-        self.inverse_images["A"] = inv(self.inverse_images["a"])
-        self.inverse_images["B"] = inv(self.inverse_images["b"])
+    def __init__(self, images: dict[str, str]):
+        if sorted(images) != list(GENERATORS):
+            raise ValueError(f"psi images need exactly the keys a and b, "
+                             f"got {sorted(images)}")
+        self.images = {g: parse_word(images[g]) for g in GENERATORS}
+        self.inverse_images = _invert(self.images)
+        for table in (self.images, self.inverse_images):
+            table["A"] = inv(table["a"])
+            table["B"] = inv(table["b"])
 
     def apply_once(self, w: str, forward: bool = True) -> str:
         table = self.images if forward else self.inverse_images
-        out: list[str] = []
-        for x in w:
-            for y in table[x]:
-                if out and out[-1] == y.swapcase():
-                    out.pop()
-                else:
-                    out.append(y)
-        return "".join(out)
+        return reduce_word("".join(table[x] for x in w))
 
     def apply(self, w: str, power: int) -> str:
         """psi^power(w).  A step that leaves the word unchanged ends the
@@ -118,33 +104,54 @@ class Automorphism:
         return w
 
     def check(self) -> None:
-        """Startup self-checks: the commutator is fixed, and the given inverse
-        really inverts on the generators."""
+        """Startup self-checks: the commutator is fixed, and the derived
+        inverse really inverts on the generators."""
         if self.apply_once(COMM) != COMM:
             raise ValueError("configured automorphism does not fix [a,b]")
         for g in GENERATORS:
             if self.apply_once(self.apply_once(g), forward=False) != g:
-                raise ValueError("configured inverse does not invert psi")
+                raise ValueError("derived inverse does not invert psi")
             if self.apply_once(self.apply_once(g, forward=False)) != g:
-                raise ValueError("configured inverse does not invert psi")
-
-    def abelianization(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Column-per-generator exponent matrix ((a_a, a_b), (b_a, b_b))."""
-
-        def counts(w: str) -> tuple[int, int]:
-            na = w.count("a") - w.count("A")
-            nb = w.count("b") - w.count("B")
-            return na, nb
-
-        ca = counts(self.images["a"])
-        cb = counts(self.images["b"])
-        return (ca[0], cb[0]), (ca[1], cb[1])
+                raise ValueError("derived inverse does not invert psi")
 
 
-#: Default twist: psi(a) = ba, psi(b) = bab.  Fixes [a,b] exactly and has
-#: Anosov abelianization (1 1; 1 2).
-DEFAULT_PSI = Automorphism({"a": "ba", "b": "bab"},
-                           {"a": "Baa", "b": "Ab"})
+def _invert(images: dict[str, str]) -> dict[str, str]:
+    """The images of a and b under psi^-1, by greedy Nielsen reduction of
+    the basis (psi(a), psi(b)).  Each entry is a word and its preimage; a
+    move u <- u v^+-1 or v^+-1 u that shortens u is taken while the words
+    have more than two letters in all.  In F(a,b) every other basis admits
+    such a move, so the reduction ends at two letters, one per generator,
+    whose preimages are psi^-1 of them or of their inverses."""
+    pair = [(images["a"], "a"), (images["b"], "b")]
+    while len(pair[0][0]) + len(pair[1][0]) > 2:
+        for i in (0, 1):
+            move = _shorter(*pair[i], *pair[1 - i])
+            if move:
+                pair[i] = move
+                break
+        else:
+            break
+    if sorted(w.lower() for w, _ in pair) != list(GENERATORS):
+        raise ValueError(f"psi images {format_word(images['a'])}, "
+                         f"{format_word(images['b'])} are not a basis of "
+                         f"F(a,b)")
+    return {w.lower(): p if w.islower() else inv(p) for w, p in pair}
+
+
+def _shorter(u: str, pu: str, v: str, pv: str) -> tuple[str, str] | None:
+    """A product u v^+-1 or v^+-1 u shorter than u, with its preimage."""
+    for x, px in ((v, pv), (inv(v), inv(pv))):
+        if len(mul(u, x)) < len(u):
+            return mul(u, x), mul(pu, px)
+        if len(mul(x, u)) < len(u):
+            return mul(x, u), mul(px, pu)
+    return None
+
+
+#: Default twist: psi(a) = ba, psi(b) = bab, so psi^-1(a) = Baa and
+#: psi^-1(b) = Ab.  Fixes [a,b] exactly and has Anosov abelianization
+#: (1 1; 1 2).
+DEFAULT_PSI = Automorphism({"a": "ba", "b": "bab"})
 
 
 class GroupElem(NamedTuple):
@@ -157,27 +164,21 @@ class GroupElem(NamedTuple):
         return f"{format_word(self.base)}@{self.texp}"
 
 
-def gamma_mul(g: GroupElem, h: GroupElem, psi: Automorphism = DEFAULT_PSI) -> GroupElem:
+def gamma_mul(g: GroupElem, h: GroupElem, psi: Automorphism) -> GroupElem:
     return GroupElem(mul(g.base, psi.apply(h.base, g.texp)), g.texp + h.texp)
 
 
-def gamma_inv(g: GroupElem, psi: Automorphism = DEFAULT_PSI) -> GroupElem:
+def gamma_inv(g: GroupElem, psi: Automorphism) -> GroupElem:
     # (g0 t^k)^-1 = psi^-k(g0^-1) t^-k
     return GroupElem(psi.apply(inv(g.base), -g.texp), -g.texp)
 
 
-def gamma_rel(g: GroupElem, h: GroupElem,
-              psi: Automorphism = DEFAULT_PSI) -> GroupElem:
+def gamma_rel(g: GroupElem, h: GroupElem, psi: Automorphism) -> GroupElem:
     """g^-1 h.  For g = g0 t^k and h = h0 t^l this is psi^-k(g0^-1 h0)
     t^(l-k): the common prefix of g0 and h0 cancels before psi^-k is
     applied, so a short relative word of two long translates stays cheap."""
     return GroupElem(psi.apply(mul(inv(g.base), h.base), -g.texp),
                      h.texp - g.texp)
-
-
-def theta(g: GroupElem) -> int:
-    """The t-exponent homomorphism G -> Z."""
-    return g.texp
 
 
 class HCoord(NamedTuple):

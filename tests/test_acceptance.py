@@ -64,13 +64,14 @@ def test_criterion_03_eps_known_values(qc):
 
 
 def test_criterion_04_cycle_identities(graph):
-    c = Q.build_c()
-    assert c.boundary() == Q.boundary_class()
+    psi = graph.psi
+    c = Q.build_c(psi)
+    assert c.boundary() == Q.boundary_class(psi)
     for m in range(1, 17):
         K = Q.k_of(m)
-        aK = Q.build_aK(K)
-        d, e = Q.build_d(m), Q.build_e(m)
-        assert d.boundary() == -Q.boundary_class() + aK
+        aK = Q.build_aK(K, psi)
+        d, e = Q.build_d(m, psi), Q.build_e(m, psi)
+        assert d.boundary() == -Q.boundary_class(psi) + aK
         assert e.boundary() == \
             aK - aK.translate(graph, GroupElem("", m))
         A = Q.build_A(graph, m)

@@ -5,8 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspedforms.chains import (Chain, CoinvariantChain, coinvariant_reduce,
-                                orbit_canonical)
+from cuspedforms.chains import Chain, CoinvariantChain, orbit_canonical
 from cuspedforms.graph import Vertex, random_gamma0_word, vertex_key
 from cuspedforms.quasicocycle import build_c
 from cuspedforms.words import (DEFAULT_PSI, GroupElem, gamma_mul, inv, mul,
@@ -87,16 +86,16 @@ def test_orbit_canonical_is_orbit_invariant():
     rng = random.Random(18)
     for _ in range(60):
         sx = random_simplex(rng, 2)
-        k, canon, sign = orbit_canonical(sx)
+        k, canon, sign = orbit_canonical(sx, DEFAULT_PSI)
         # translate on the left by a free-group element and re-canonicalize
         g = random_gamma0_word(rng, 3)
         moved = tuple(Vertex(mul(g, w.base), w.texp, w.depth) for w in sx)
-        assert orbit_canonical(moved) == (k, canon, sign)
+        assert orbit_canonical(moved, DEFAULT_PSI) == (k, canon, sign)
         assert canon[0].base == "" and canon[0].texp == 0
 
 
 def test_coinvariant_chain_identifies_translates():
-    c = CoinvariantChain(1)
+    c = CoinvariantChain(1, psi=DEFAULT_PSI)
     c.add((v(""), v("a")), 1)
     c.add((v("b"), v("ba")), -1)  # b . (e, a)
     assert not c
@@ -105,7 +104,7 @@ def test_coinvariant_chain_identifies_translates():
 def test_coinvariant_support_is_refused():
     # a key (k, s) names an F-orbit, not vertices; Chain.support would walk
     # it as if it were a simplex and return s and k
-    c = build_c()
+    c = build_c(DEFAULT_PSI)
     assert c
     with pytest.raises(TypeError, match="names an F-orbit"):
         c.support()
@@ -114,12 +113,18 @@ def test_coinvariant_support_is_refused():
 
 
 def test_coinvariant_boundary_commutes_with_reduce():
+    def reduce(chain):
+        out = CoinvariantChain(chain.dim, psi=DEFAULT_PSI)
+        for verts, coeff in chain.terms.items():
+            out.add(verts, coeff)
+        return out
+
     rng = random.Random(19)
     for _ in range(30):
         c = Chain(2)
         for _ in range(3):
             c.add(random_simplex(rng, 2), rng.randrange(1, 3))
-        assert coinvariant_reduce(c.boundary()) == coinvariant_reduce(c).boundary()
+        assert reduce(c.boundary()) == reduce(c).boundary()
 
 
 # -- the (k, s) orbit key against the brute-force F-orbit form ---------------
@@ -162,8 +167,9 @@ def act(g, verts):
 @settings(max_examples=300, deadline=None)
 @given(simplices, elements)
 def test_orbit_key_shifts_by_theta(sx, g):
-    k, canon, sign = orbit_canonical(sx)
-    assert orbit_canonical(act(g, sx)) == (k + g.texp, canon, sign)
+    k, canon, sign = orbit_canonical(sx, DEFAULT_PSI)
+    assert orbit_canonical(act(g, sx), DEFAULT_PSI) == (k + g.texp, canon,
+                                                        sign)
     # the key names the orbit of t^k . canon, listed in the order of sign
     rep = act(GroupElem("", k), canon)
     form, form_sign = brute_force_orbit_form(rep)
@@ -182,8 +188,8 @@ def test_orbit_key_agrees_with_brute_force_oracle(sx, data):
             g = GroupElem(g.base, 0)
         order = data.draw(st.permutations(range(len(sx))))
         other = act(g, tuple(sx[i] for i in order))
-    k1, c1, s1 = orbit_canonical(sx)
-    k2, c2, s2 = orbit_canonical(other)
+    k1, c1, s1 = orbit_canonical(sx, DEFAULT_PSI)
+    k2, c2, s2 = orbit_canonical(other, DEFAULT_PSI)
     f1, t1 = brute_force_orbit_form(sx)
     f2, t2 = brute_force_orbit_form(other)
     assert ((k1, c1) == (k2, c2)) == (f1 == f2)

@@ -126,7 +126,7 @@ def test_cap_errors_are_json_lines(capsys):
 DEAD_KEYS = {"filler": "lp", "rng_seed": "3", "rho_a": "1,1,1,2",
              "rho_b": "1,-1,-1,2", "fill_recursion_cap": "32",
              "lp_window_radius": "1", "lp_simplex_cap": "500",
-             "psi_power_cap": "40"}
+             "psi_power_cap": "40", "psi_inverse_images": "a:Baa,b:Ab"}
 
 
 @pytest.mark.parametrize("key, value", DEAD_KEYS.items(), ids=list(DEAD_KEYS))
@@ -136,8 +136,9 @@ def test_dead_keys_are_unknown_config_keys(capsys, tmp_path, key, value):
     # ever set the generator matrices `rho_a`/`rho_b` (Hyperbolization
     # still takes them), and no run set the fill depth cap, the LP window
     # radius or the LP simplex cap (now constants or per-call defaults of
-    # cuspedforms.fill), and the psi power cap guarded no power that could
-    # run (words.MAX_WORD_LETTERS bounds the word built instead); a config
+    # cuspedforms.fill), the psi power cap guarded no power that could
+    # run (words.MAX_WORD_LETTERS bounds the word built instead), and psi's
+    # inverse images are derived from its images; a config
     # that sets any of them fails instead of silently changing nothing
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         RunConfig.from_dict({key: value})
@@ -149,8 +150,7 @@ def test_dead_keys_are_unknown_config_keys(capsys, tmp_path, key, value):
                       "message": f"unknown config key '{key}'"}]
 
 
-PSI_SQUARED = {"psi_images": "a:babba,b:babbabab",
-               "psi_inverse_images": "a:BaBaaBaa,b:AAbAb"}
+PSI_SQUARED = {"psi_images": "a:babba,b:babbabab"}
 
 #: for each RunConfig field: the values set, where the built quasi-cocycle
 #: carries the field, and the value expected there
@@ -162,10 +162,31 @@ REACHES = {
                      lambda qc: qc.engine.graph.distance_cap, 17),
     "psi_images": (PSI_SQUARED, lambda qc: qc.engine.graph.psi.images["a"],
                    "babba"),
-    "psi_inverse_images": (
-        PSI_SQUARED, lambda qc: qc.engine.graph.psi.inverse_images["b"],
-        "AAbAb"),
 }
+
+
+BAD_PSI_IMAGES = {
+    "a:ba": "psi images need exactly the keys a and b, got ['a']",
+    "a:ba,b:bab,c:a": "psi images need exactly the keys a and b, "
+                      "got ['a', 'b', 'c']",
+    "a:ba,a:bab": "psi_images names 'a' twice",
+    "a:bx,b:bab": "bad letter 'x' in word 'bx'",
+    "a:ab,b:ba": "psi images ab, ba are not a basis of F(a,b)",
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_PSI_IMAGES.items(),
+                         ids=list(BAD_PSI_IMAGES))
+def test_bad_psi_images_are_rejected(capsys, text, message):
+    # psi's images are outside input: a missing or extra key, a letter
+    # outside aAbB and a pair that is not a basis of F(a,b) are refused as
+    # a bad input (exit code 2), not as a failed check or a traceback
+    with pytest.raises(ValueError) as err:
+        RunConfig.from_dict({"psi_images": text})
+    assert str(err.value) == message
+    code, lines = run(capsys, "--set", f"psi_images={text}", "selfcheck")
+    assert code == 2
+    assert lines == [{"error": "ValueError", "message": message}]
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -5,7 +8,7 @@ import pytest
 
 from cuspedforms.errors import CapExceeded, DegreeOverflow, PsiPowerCap
 from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
-                               random_gamma0_word, vertex)
+                               random_gamma0_word)
 from cuspedforms.words import COMM, GroupElem, mul, word_pow
 
 from _oracles import bfs_oracle
@@ -310,7 +313,27 @@ def test_delta_estimate_reports_capped_quadruples():
         (Fraction(1, 2), 46)
 
 
-def test_vertex_helpers():
-    g = GroupElem("ab", 3)
-    assert vertex(g, 2) == Vertex("ab", 3, 2)
-    assert vertex(g).elem == g
+def test_psi_enters_through_the_graph_only():
+    # below the config, the default twist enters only as CuspedGraph's
+    # default; every other function takes psi from its caller, so a call
+    # site that forgets psi fails instead of computing under the default
+    import cuspedforms
+    from cuspedforms.words import Automorphism
+    modules = [importlib.import_module(m.name) for m in
+               pkgutil.iter_modules(cuspedforms.__path__, "cuspedforms.")]
+    functions = set()
+    for mod in modules:
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions.add(obj)
+            elif inspect.isclass(obj):
+                functions.update(f for _, f in
+                                 inspect.getmembers(obj, inspect.isfunction)
+                                 if f.__module__ == mod.__name__)
+    defaults = sorted(f"{f.__module__}.{f.__qualname__}({p.name})"
+                      for f in functions
+                      for p in inspect.signature(f).parameters.values()
+                      if isinstance(p.default, Automorphism))
+    assert defaults == ["cuspedforms.graph.CuspedGraph.__init__(psi)"]

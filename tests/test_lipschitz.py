@@ -4,7 +4,7 @@ import pytest
 
 from cuspedforms.errors import LipschitzViolation
 from cuspedforms.lipschitz import (bounded_periodic, constant, linear,
-                                   lip_on_window, lip_tail, oscillation,
+                                   lip_on_window, lip_tail,
                                    parse_spec, power_floor, table, truncate)
 
 
@@ -79,11 +79,6 @@ def test_lip_tail_sequences():
         Fraction(1, 5)]
     assert all(lip_tail(linear(1), n) == 1 for n in range(5))
     assert lip_tail(constant(4), 2) == 0
-
-
-def test_oscillation():
-    assert oscillation(bounded_periodic([Fraction(0), Fraction(1)]), 8) == 1
-    assert oscillation(constant(2), 8) == 0
 
 
 def test_parse_spec():

@@ -56,14 +56,14 @@ def test_cyclic_orientation_alternates():
 
 
 def test_eps_known_values():
-    eps = OrientationCocycle()
+    eps = OrientationCocycle().on_words
     assert eps("", "ab", "a") == 1
     assert eps("", "b", "ba") == 1
     assert eps("", "ba", "ab") == 0
 
 
 def test_eps_is_a_cocycle_on_samples():
-    eps = OrientationCocycle()
+    eps = OrientationCocycle().on_words
     rng = random.Random(6)
     for _ in range(300):
         ws = [random_word(rng, rng.randrange(0, 12)) for _ in range(4)]
@@ -75,7 +75,7 @@ def test_eps_is_a_cocycle_on_samples():
 
 
 def test_eps_left_invariance_on_samples():
-    eps = OrientationCocycle()
+    eps = OrientationCocycle().on_words
     rng = random.Random(7)
     for _ in range(200):
         g = random_word(rng, 6)

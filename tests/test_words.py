@@ -7,7 +7,7 @@ from cuspedforms.errors import PsiPowerCap
 from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
                                Automorphism, GroupElem, gamma_inv, gamma_mul,
                                coset_key, gamma_rel, h_coord, inv, mul,
-                               parse_word, reduce_word, theta, word_pow)
+                               parse_word, reduce_word, word_pow)
 
 
 def naive_reduce(letters):
@@ -34,6 +34,40 @@ def test_reduce_matches_naive_oracle():
     for _ in range(300):
         raw = random_letters(rng, rng.randrange(0, 24))
         assert reduce_word(raw) == naive_reduce(raw)
+
+
+def stack_mul(u, v):
+    """The stack loop `mul` ran before it cancelled at the junction only."""
+    out = list(u)
+    for x in v:
+        if out and out[-1] == x.swapcase():
+            out.pop()
+        else:
+            out.append(x)
+    return "".join(out)
+
+
+def stack_apply_once(psi, w, forward=True):
+    """The stack loop `Automorphism.apply_once` ran before it reduced the
+    joined images with `reduce_word`."""
+    table = psi.images if forward else psi.inverse_images
+    return stack_mul("", "".join(table[x] for x in w))
+
+
+reduced = st.lists(st.sampled_from("aAbB"), max_size=12).map(reduce_word)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reduced, reduced, st.booleans())
+def test_mul_and_apply_once_match_stack_loops(u, v, share):
+    # share: v starts with the inverse of a tail of u, so a long junction
+    # cancels
+    if share:
+        v = mul(inv(u[len(u) // 2:]), v)
+    assert mul(u, v) == stack_mul(u, v)
+    for forward in (True, False):
+        assert DEFAULT_PSI.apply_once(u, forward) == \
+            stack_apply_once(DEFAULT_PSI, u, forward)
 
 
 def test_mul_associative_and_inverse():
@@ -75,6 +109,58 @@ def test_parse_word():
     assert parse_word("ab") == "ab"
     with pytest.raises(ValueError):
         parse_word("abc")
+
+
+def nielsen_product(moves):
+    """(psi(a), psi(b)) for the automorphism that applies each move
+    (i, op, e, right) to the basis in turn: op 1 swaps the two entries and
+    op 2 inverts entry i; then entry i becomes entry i times entry 1 - i to
+    the power e, on the right if `right`, else on the left."""
+    pair = ["a", "b"]
+    for i, op, e, right in moves:
+        if op == 1:
+            pair.reverse()
+        elif op == 2:
+            pair[i] = inv(pair[i])
+        x = pair[1 - i] if e > 0 else inv(pair[1 - i])
+        pair[i] = mul(pair[i], x) if right else mul(x, pair[i])
+    return {"a": pair[0], "b": pair[1]}
+
+
+nielsen_moves = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
+                                   st.sampled_from((1, -1)), st.booleans()),
+                         max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nielsen_moves)
+def test_derived_inverse_inverts_nielsen_products(moves):
+    psi = Automorphism(nielsen_product(moves))
+    for g in "abAB":
+        assert psi.apply_once(psi.apply_once(g), forward=False) == g
+        assert psi.apply_once(psi.apply_once(g, forward=False)) == g
+
+
+def test_derived_inverse_reproduces_the_known_inverses():
+    assert DEFAULT_PSI.inverse_images["a"] == "Baa"
+    assert DEFAULT_PSI.inverse_images["b"] == "Ab"
+    squared = Automorphism({"a": "babba", "b": "babbabab"})
+    assert squared.inverse_images["a"] == "BaBaaBaa"
+    assert squared.inverse_images["b"] == "AAbAb"
+    squared.check()
+
+
+@pytest.mark.parametrize("images, message", [
+    ({"a": "ab", "b": "ba"}, "not a basis"),
+    ({"a": "aa", "b": "b"}, "not a basis"),
+    ({"a": "e", "b": "ab"}, "not a basis"),
+    ({"a": "ba"}, "exactly the keys a and b"),
+    ({"a": "ba", "b": "bab", "A": "AB"}, "exactly the keys a and b"),
+    ({"a": "bc", "b": "bab"}, "bad letter 'c'"),
+])
+def test_bad_images_are_rejected(images, message):
+    with pytest.raises(ValueError, match=message):
+        Automorphism(images)
 
 
 def test_default_psi_images():
@@ -131,7 +217,11 @@ def test_psi_fixed_word_costs_one_step(monkeypatch):
 
 
 def test_psi_abelianization_is_anosov():
-    (aa, ab), (ba, bb) = DEFAULT_PSI.abelianization()
+    # column per generator: the exponent sums of a and b in psi(a), psi(b)
+    (aa, ba), (ab, bb) = ((w.count("a") - w.count("A"),
+                           w.count("b") - w.count("B"))
+                          for w in (DEFAULT_PSI.images["a"],
+                                    DEFAULT_PSI.images["b"]))
     assert (aa, ab, ba, bb) == (1, 1, 1, 2)
     assert aa * bb - ab * ba == 1
     assert aa + bb > 2  # trace > 2: hyperbolic on the torus
@@ -143,13 +233,17 @@ def test_gamma_normal_form():
         g = GroupElem(reduce_word(random_letters(rng, 8)), rng.randrange(-4, 5))
         h = GroupElem(reduce_word(random_letters(rng, 8)), rng.randrange(-4, 5))
         k = GroupElem(reduce_word(random_letters(rng, 8)), rng.randrange(-4, 5))
-        assert gamma_mul(gamma_mul(g, h), k) == gamma_mul(g, gamma_mul(h, k))
-        assert gamma_mul(g, gamma_inv(g)) == GroupElem("", 0)
-        assert gamma_mul(gamma_inv(g), g) == GroupElem("", 0)
-        assert theta(gamma_mul(g, h)) == theta(g) + theta(h)
+        assert gmul(gmul(g, h), k) == gmul(g, gmul(h, k))
+        assert gmul(g, gamma_inv(g, DEFAULT_PSI)) == GroupElem("", 0)
+        assert gmul(gamma_inv(g, DEFAULT_PSI), g) == GroupElem("", 0)
+        assert gmul(g, h).texp == g.texp + h.texp
 
 
-reduced = st.lists(st.sampled_from("aAbB"), max_size=12).map(reduce_word)
+def gmul(g, h):
+    """The product of G under the default twist."""
+    return gamma_mul(g, h, DEFAULT_PSI)
+
+
 elements = st.builds(GroupElem, reduced, st.integers(-6, 6))
 
 
@@ -158,16 +252,16 @@ elements = st.builds(GroupElem, reduced, st.integers(-6, 6))
 def test_gamma_rel_matches_inverse_times_product(g, h, translate):
     # translate: h shares g as a prefix, the case anchoring is built for
     if translate:
-        h = gamma_mul(g, h)
-    rel = gamma_rel(g, h)
-    assert rel == gamma_mul(gamma_inv(g), h)
+        h = gmul(g, h)
+    rel = gamma_rel(g, h, DEFAULT_PSI)
+    assert rel == gmul(gamma_inv(g, DEFAULT_PSI), h)
     assert naive_reduce(rel.base) == rel.base
 
 
 def test_t_conjugation_acts_by_psi():
     t = GroupElem("", 1)
     g = GroupElem("ab", 0)
-    assert gamma_mul(gamma_mul(t, g), gamma_inv(t)) == GroupElem(
+    assert gmul(gmul(t, g), gamma_inv(t, DEFAULT_PSI)) == GroupElem(
         DEFAULT_PSI.apply("ab", 1), 0)
 
 
@@ -196,12 +290,12 @@ coset_steps = st.tuples(st.integers(-5, 5), st.integers(-3, 3),
 @given(elements, coset_steps)
 def test_coset_key_names_the_coset(u, step):
     alpha, beta, w = step
-    v = gamma_mul(u, GroupElem(mul(word_pow(COMM, alpha), w), beta))
+    v = gmul(u, GroupElem(mul(word_pow(COMM, alpha), w), beta))
     (ku, au), (kv, av) = coset_key(u.base), coset_key(v.base)
     for g, k, a in ((u, ku, au), (v, kv, av)):
         assert mul(k, word_pow(COMM, a)) == g.base
     try:
-        rel = h_coord(gamma_rel(u, v))
+        rel = h_coord(gamma_rel(u, v, DEFAULT_PSI))
     except ValueError:
         rel = None
     assert (ku == kv) == (rel is not None)
