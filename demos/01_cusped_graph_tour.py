@@ -2,8 +2,8 @@
 
 Builds the cusped graph of the free-by-cyclic group rel its peripheral Z^2,
 then walks through distances, horoball descent, and a small hyperbolicity
-estimate.  Everything is exact; run time is about 5 s on a 2-core x86-64
-host, nearly all of it in the 200-sample estimate at the end.
+estimate.  Everything is exact; run time is about 2.5 s on a 2-core x86-64
+host, most of it in the 200-sample estimate at the end.
 """
 
 from cuspedforms.config import RunConfig

@@ -11,7 +11,8 @@ base * <[a,b]>, and its vertices by lattice points (alpha, beta) with
 g = key [a,b]^alpha t^beta (`words.coset_key`).  Distances cross a horoball in
 closed form, `horoball_distance`, so the distance search lists no vertex of
 depth >= 1; `neighbors` and `ball` enumerate them, for walks and geodesic
-midpoints.
+midpoints.  The search's source half, the ball about (e, 0, n), is kept per
+source depth n and reused by every later query.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ class _Side:
     vertices within it as lattice points (coset key, alpha, beta) with their
     distances, the coset entries (alpha, beta, depth, r) by key, and the
     lattice points of the last layer.  `shapes` counts the entries by
-    (depth, r), which fixes their rings in the next layer."""
+    (depth, r), which fixes their rings in the next layer.  Every point is
+    an entry or on the ring of one, at exactly its distance."""
 
     def __init__(self, v: Vertex):
         self.key, alpha = coset_key(v.base)
@@ -220,6 +222,14 @@ class CuspedGraph:
     coset keys and lattice points; a stretch through a horoball between two
     points of one coset costs `horoball_distance` of their l1 distance and
     depths, the Groves-Manning transit.
+
+    Every search starts at the anchored source (e, 0, depth(u)), so its
+    source half is shared: `_sides` keeps one search side per source depth
+    and every search grows it further.  A side holds the exact distances
+    of its source to the depth-0 points within its radius, a function of
+    the source and radius alone, so what an earlier query grew stays
+    valid.  It can answer a query exactly past its cap; `_dist_cache` then
+    holds (d, True) and the query raises CapExceeded.
     """
 
     GENERATOR_WORDS = ("a", "A", "b", "B", COMM, COMM_INV)
@@ -232,6 +242,7 @@ class CuspedGraph:
         self._dist_cache: dict[tuple, tuple[int, bool]] = {}
         self._geo_cache: dict[Simplex, Vertex] = {}
         self._twisted_gen_cache: dict[int, tuple[str, ...]] = {}
+        self._sides: dict[int, _Side] = {}
 
     # -- group action -------------------------------------------------
 
@@ -317,23 +328,20 @@ class CuspedGraph:
         if cap < 2:
             raise CapExceeded(f"d({u},{v}) > {cap}")
         key = (u.depth, va)
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            bound, exact = hit
-            if exact:
-                if bound <= cap:
-                    return bound
-                raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
-            if cap <= bound:
-                raise CapExceeded(f"d({u},{v}) > {bound} >= {cap}")
-        d = self._bidirectional(Vertex("", 0, u.depth), va, cap)
-        ua = gamma_inv(va.elem, self.psi)
-        fact = (cap, False) if d is None else (d, True)
-        self._dist_cache[key] = fact
-        self._dist_cache[(v.depth, Vertex(ua.base, ua.texp, u.depth))] = fact
-        if d is None:
-            raise CapExceeded(f"d({u},{v}) > {cap}")
-        return d
+        fact = self._dist_cache.get(key)
+        if fact is None or (not fact[1] and cap > fact[0]):
+            d = self._bidirectional(u.depth, va, cap)
+            ua = gamma_inv(va.elem, self.psi)
+            fact = (cap, False) if d is None else (d, True)
+            self._dist_cache[key] = fact
+            back = Vertex(ua.base, ua.texp, u.depth)
+            self._dist_cache[(v.depth, back)] = fact
+        bound, exact = fact
+        if not exact:
+            raise CapExceeded(f"d({u},{v}) > {bound}")
+        if bound > cap:  # a grown shared side can answer past the cap
+            raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
+        return bound
 
     def distance_at_most(self, u: Vertex, v: Vertex, bound: int) -> bool:
         try:
@@ -341,9 +349,10 @@ class CuspedGraph:
         except CapExceeded:
             return False
 
-    def _bidirectional(self, src: Vertex, dst: Vertex, cap: int) -> int | None:
-        """d(src, dst) if it is at most cap, else None, without listing a
-        vertex of depth >= 1.
+    def _bidirectional(self, depth: int, dst: Vertex, cap: int) -> int | None:
+        """d((e, 0, depth), dst) if it is at most the cap, else None, without
+        listing a vertex of depth >= 1.  It may return d past the cap too,
+        which is then exact as well.
 
         Each side grows by layers and holds the depth-0 vertices within its
         radius, as lattice points (coset key, alpha, beta) of `coset_key`, and
@@ -353,22 +362,32 @@ class CuspedGraph:
         coset is reached from an entry through the coset's horoball, at the
         cost `horoball_distance`; one layer adds the four non-peripheral
         edges of the last layer and, per entry, the ring of lattice points at
-        exactly the new cost.  Candidates are the depth-0 points both sides
-        hold and the entry pairs of a shared coset, r + r' + h.  If d <= rs
-        + rt, a geodesic has a depth-0 point within both radii or a deep
-        stretch between two entries, so the least candidate is exact once
-        it is at most rs + rt."""
-        for v in (src, dst):
-            if v.depth > self.depth_cap:
+        exactly the new cost.  Candidates are the entry pairs of a shared
+        coset, one entry per side: r + r' + h.  If d <= rs + rt, a geodesic
+        has a deep stretch between two entries, or a depth-0 point p within
+        both radii; each side reaches p from one of its entries at exactly
+        its distance, and h obeys the triangle inequality through p, so
+        that pair's candidate is at most d.  The least candidate is
+        therefore exact once it is at most rs + rt.
+
+        The source side is shared: `_sides[depth]` is kept across queries
+        and grown further by any of them.  `_grow` writes its near side
+        only, so a side is a function of its source and radius, whatever
+        queries grew it.  A new destination side starts with one check of
+        its endpoint against the shared entries of its coset; `_grow`
+        checks every later pair when its second entry arrives."""
+        for n in (depth, dst.depth):
+            if n > self.depth_cap:
                 raise DegreeOverflow(
-                    f"depth {v.depth} exceeds cap {self.depth_cap}")
-        s, t = _Side(src), _Side(dst)
-        best = None
-        if s.key == t.key:
-            (a1, b1), (a2, b2) = s.point, t.point
-            best = horoball_distance(abs(a1 - a2) + abs(b1 - b2), src.depth,
-                                     dst.depth, self.depth_cap)
-        while s.radius + t.radius < cap:
+                    f"depth {n} exceeds cap {self.depth_cap}")
+        s = self._sides.get(depth)
+        if s is None:
+            s = self._sides[depth] = _Side(Vertex("", 0, depth))
+        t = _Side(dst)
+        best = self._via_entries(s, t.key, *t.point, dst.depth, 0, None)
+        while best is None or best > s.radius + t.radius:
+            if s.radius + t.radius >= cap:
+                return None
             # grow the cheaper side: a deep entry's first ring can hold
             # millions of points while its side's last layer is one vertex
             if (s.next_layer_cost(self.depth_cap)
@@ -376,12 +395,23 @@ class CuspedGraph:
                 best = self._grow(s, t, best)
             else:
                 best = self._grow(t, s, best)
-            if best is not None and best <= s.radius + t.radius:
-                return best
-        return None
+        return best
+
+    def _via_entries(self, far: _Side, key: str, alpha: int, beta: int,
+                     depth: int, r: int, best: int | None) -> int | None:
+        """The least of `best` and the paths from the point (key, alpha,
+        beta) at this depth, r from its own side, through its coset's
+        horoball to an entry of `far`."""
+        for a2, b2, n2, r2 in far.entries.get(key, ()):
+            c = r + r2 + horoball_distance(
+                abs(alpha - a2) + abs(beta - b2), depth, n2, self.depth_cap)
+            if best is None or c < best:
+                best = c
+        return best
 
     def _grow(self, near: _Side, far: _Side, best: int | None) -> int | None:
-        """Grow `near` by one layer; the least candidate seen so far."""
+        """Grow `near` by one layer; the least candidate seen so far.  Reads
+        `far` and writes `near` only."""
         r = near.radius + 1
         dist, entries, depth_cap = near.dist, near.entries, self.depth_cap
         layer = []
@@ -404,17 +434,8 @@ class CuspedGraph:
                 dist[p] = r
                 layer.append(p)
                 entries.setdefault(key2, []).append((alpha2, beta, 0, r))
-                for a2, b2, n2, r2 in far.entries.get(key2, ()):
-                    c = r + r2 + horoball_distance(
-                        abs(alpha2 - a2) + abs(beta - b2), 0, n2, depth_cap)
-                    if best is None or c < best:
-                        best = c
+                best = self._via_entries(far, key2, alpha2, beta, 0, r, best)
         near.shapes[0, r] = len(layer) - rings_end
-        other = far.dist
-        for p in layer:
-            r2 = other.get(p)
-            if r2 is not None and (best is None or r + r2 < best):
-                best = r + r2
         near.frontier, near.radius = layer, r
         return best
 

@@ -335,16 +335,6 @@ def _witness(qc: QuasiCocycle, f: LipFn,
     return None
 
 
-def vanishing_certificate(qc: QuasiCocycle, f: LipFn, n: int,
-                          radius: int) -> dict:
-    """Evaluate alpha_{f_n} on every distinct triple over the radius-`radius`
-    Cayley ball of the free group at depth 0; exact vanishing check."""
-    forms, theta_span = _ball_forms(qc, radius)
-    witness = _witness(qc, truncate(f, n), forms)
-    return {"n": n, "radius": radius, "vanishes": witness is None,
-            "witness": witness, "theta_span": theta_span}
-
-
 def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
                                 radii: list[int], khat: Fraction
                                 ) -> list[dict]:

@@ -1,6 +1,10 @@
-"""Independent oracles shared by the test modules."""
+"""Independent oracles, and helpers only tests use, shared by the test
+modules."""
 
 from fractions import Fraction
+
+from cuspedforms.lipschitz import truncate
+from cuspedforms.quasicocycle import _ball_forms, _witness
 
 
 def bfs_oracle(graph, src, dst, cap):
@@ -42,3 +46,14 @@ def theta_window_oracle(qc, triples):
           for face in qc.engine.fill_triangle(*tri).chain.terms
           for v in face]
     return (min(xs), max(xs)) if xs else None
+
+
+def vanishing_certificate(qc, f, n, radius):
+    """alpha_{f_n} on every distinct triple of the radius-`radius` Cayley
+    ball of the free group at depth 0, read from the ball's distinct forms:
+    the exact vanishing check, with the first non-vanishing triple as
+    witness and the theta span of the fillings."""
+    forms, theta_span = _ball_forms(qc, radius)
+    witness = _witness(qc, truncate(f, n), forms)
+    return {"n": n, "radius": radius, "vanishes": witness is None,
+            "witness": witness, "theta_span": theta_span}

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cuspedforms.errors import CapExceeded, DegreeOverflow, PsiPowerCap
-from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
-                               random_gamma0_word)
+from cuspedforms.graph import (CuspedGraph, Vertex, _Side, horoball_distance,
+                               parse_vertex, random_gamma0_word)
 from cuspedforms.words import COMM, GroupElem, mul, word_pow
 
 from _oracles import bfs_oracle
@@ -109,9 +109,9 @@ def test_capped_miss_is_remembered(monkeypatch):
     searches = []
     search = graph._bidirectional
 
-    def spy(src, dst, cap):
+    def spy(depth, dst, cap):
         searches.append(cap)
-        return search(src, dst, cap)
+        return search(depth, dst, cap)
 
     monkeypatch.setattr(graph, "_bidirectional", spy)
     u, v = Vertex("", 0, 0), Vertex("abab", 0, 0)
@@ -140,9 +140,9 @@ def test_reverse_distance_needs_no_search(monkeypatch, cap, known):
     searches = []
     search = graph._bidirectional
 
-    def spy(src, dst, cap):
+    def spy(depth, dst, cap):
         searches.append(cap)
-        return search(src, dst, cap)
+        return search(depth, dst, cap)
 
     monkeypatch.setattr(graph, "_bidirectional", spy)
     u, v = Vertex("bA", 1, 0), Vertex("bAbababab", 0, 1)
@@ -179,15 +179,18 @@ def test_peripheral_shortcut_agrees_with_search(graph):
         assert graph.distance(u, v) == bfs_oracle(graph, u, v, 10)
 
 
+def _capped(graph, u, v, cap):
+    try:
+        return graph.distance(u, v, cap)
+    except CapExceeded:
+        return None
+
+
 def _checked_distance(graph, u, v, cap):
     """(the search's capped distance, the plain BFS oracle's), the oracle
     starting at the shallower endpoint, whose ball is the cheaper one."""
-    try:
-        d = graph.distance(u, v, cap)
-    except CapExceeded:
-        d = None
     src, dst = sorted((u, v), key=lambda w: w.depth)
-    return d, bfs_oracle(graph, src, dst, cap)
+    return _capped(graph, u, v, cap), bfs_oracle(graph, src, dst, cap)
 
 
 def test_search_matches_bfs_oracle_in_one_coset():
@@ -238,6 +241,93 @@ def test_distance_search_lists_no_vertex(monkeypatch):
     for u, v, d in pairs:
         assert graph.distance(parse_vertex(u), parse_vertex(v)) == d
     assert listed == []
+
+
+def test_exact_answer_above_the_cap_stays_exact(monkeypatch):
+    # a shared side grown to radius 4 holds d(e, abab) = 4 and answers a
+    # query at cap 3 at once: the answer is stored as exact, the query
+    # raises, and a later query at a larger cap runs no search
+    graph = CuspedGraph()
+    u, v = Vertex("", 0, 0), Vertex("abab", 0, 0)
+    assert graph.distance(u, parse_vertex("bAbababab@0:1")) == 8
+    assert graph._sides[0].radius == 4
+    searches = []
+    search = graph._bidirectional
+
+    def spy(depth, dst, cap):
+        searches.append(cap)
+        return search(depth, dst, cap)
+
+    monkeypatch.setattr(graph, "_bidirectional", spy)
+    with pytest.raises(CapExceeded, match=r"= 4 > 3"):
+        graph.distance(u, v, cap=3)
+    assert searches == [3]
+    assert graph._dist_cache[(0, v)] == (4, True)
+    assert not graph.distance_at_most(v, u, 3)
+    assert graph.distance(u, v, cap=6) == graph.distance(v, u) == 4
+    assert searches == [3]
+
+
+def _seeded_queries(seed: int, count: int) -> list:
+    """(u, v, cap): u at depth 0..4, v in u's coset or a few letters off
+    it, at depth 0..4, caps 2..9; the first query has a deep endpoint and
+    grows the shared depth-0 side to radius 4."""
+    rng = random.Random(seed)
+    queries = [(Vertex("", 0, 0), parse_vertex("bAbababab@0:1"), 9)]
+    for _ in range(count - 1):
+        u = Vertex(random_gamma0_word(rng, 3), rng.randrange(-1, 2),
+                   rng.randrange(5))
+        base = mul(u.base, word_pow(COMM, rng.randrange(-8, 9)))
+        if rng.randrange(2):
+            base = mul(base, random_gamma0_word(rng, 3))
+        v = Vertex(base, u.texp + rng.randrange(-3, 4), rng.randrange(5))
+        queries.append((u, v, rng.randrange(2, 10)))
+    return queries
+
+
+def test_shared_sides_answer_as_fresh_graphs():
+    # one long-lived graph, whose shared sides every query grows, against a
+    # fresh graph per query and, where its ball is small, the plain BFS
+    graph = CuspedGraph()
+    for u, v, cap in _seeded_queries(18, 500):
+        d = _capped(graph, u, v, cap)
+        assert d == _capped(CuspedGraph(), u, v, cap), (u, v, cap)
+        if cap <= 5 and max(u.depth, v.depth) <= 2:
+            assert _checked_distance(graph, u, v, cap) == (d, d), (u, v, cap)
+    assert sorted(graph._sides) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seed", [19, 20, 21])
+def test_shared_side_is_the_side_grown_alone(seed):
+    # a side depends on its source and radius only: after queries in any
+    # order, each shared side equals a side grown alone to its radius
+    queries = _seeded_queries(18, 120)
+    random.Random(seed).shuffle(queries)
+    graph = CuspedGraph()
+    for u, v, cap in queries:
+        _capped(graph, u, v, cap)
+    assert min(side.radius for side in graph._sides.values()) >= 3
+    for n, shared in graph._sides.items():
+        alone = _Side(Vertex("", 0, n))
+        far = _Side(Vertex("ab", 3, 0))
+        while alone.radius < shared.radius:
+            graph._grow(alone, far, None)
+        assert vars(alone) == vars(shared), n
+
+
+def test_side_points_are_priced_by_their_entries():
+    # why the search compares entries only: every point a side holds is
+    # an entry, or on the ring of one of its coset, at exactly its distance
+    graph = CuspedGraph()
+    for u, v, cap in _seeded_queries(18, 120):
+        _capped(graph, u, v, cap)
+    for side in graph._sides.values():
+        assert side.radius >= 3
+        for (key, alpha, beta), r in side.dist.items():
+            assert r == min(
+                r0 + horoball_distance(abs(alpha - a0) + abs(beta - b0),
+                                       n0, 0, graph.depth_cap)
+                for a0, b0, n0, r0 in side.entries[key])
 
 
 def test_ball_contains_sphere_counts(graph):

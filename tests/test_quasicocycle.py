@@ -3,7 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from _oracles import alpha_oracle, theta_window_oracle
+from _oracles import (alpha_oracle, theta_window_oracle,
+                      vanishing_certificate)
 from test_chains import brute_force_orbit_form
 
 from cuspedforms import lipschitz as lf
@@ -15,8 +16,7 @@ from cuspedforms.quasicocycle import (STRATA, _ball_forms, _witness,
                                       boundary_class, build_A, build_aK,
                                       build_c, build_d, build_e, defect_scan,
                                       evaluate_on_Am, free_ball,
-                                      independence_rank, k_of, sample_tuple,
-                                      vanishing_certificate)
+                                      independence_rank, k_of, sample_tuple)
 from cuspedforms.words import COMM, GroupElem, word_pow
 
 
