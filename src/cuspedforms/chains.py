@@ -163,17 +163,11 @@ class CoinvariantChain(Chain):
 
     def support(self) -> set[Vertex]:
         raise TypeError("a coinvariant term (k, s) names an F-orbit, not "
-                        "vertices; take the vertices of representative(key)")
+                        "vertices; its simplex t^k . s is one representative")
 
     def translate(self, graph, g: GroupElem) -> "CoinvariantChain":
         return self._new(self.dim, {(k + g.texp, s): c
                                     for (k, s), c in self.terms.items()})
-
-    def representative(self, key: OrbitKey) -> Simplex:
-        """The simplex t^k . s of a key; its words grow like psi^k."""
-        k, verts = key
-        return tuple(Vertex(self.psi.apply(v.base, k), v.texp + k, v.depth)
-                     for v in verts)
 
 
 def _simplex_order(verts: Simplex) -> tuple:

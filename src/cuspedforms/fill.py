@@ -11,6 +11,12 @@ of the unordered pair (both cached in `CuspedGraph`), so Q is equivariant and
 antisymmetric by induction on the distance.  A fill is cached once per
 canonical anchored triple (`graph.anchor_simplex`) in `_fill_cache` and
 translated back with the permutation sign.
+
+The certified l1-minimal LP filling of a cycle is anchored, equivariant and
+cached once per orbit the same way: the cycle and its seed vertices are
+anchored at a seed of least depth (`graph.anchor_cycle`), the LP is solved
+on that canonical translate, and the chain in `_lp_cache` is translated
+back.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from fractions import Fraction
 from . import lp
 from .chains import Chain
 from .errors import FillDepthExceeded, Infeasible, WindowTooLarge
-from .graph import CuspedGraph, Simplex, Vertex, anchor_simplex, vertex_key
+from .graph import (CuspedGraph, Simplex, Vertex, anchor_cycle, anchor_simplex,
+                    vertex_key)
 from .words import GroupElem
 
 
@@ -43,6 +50,12 @@ FILL_DEPTH_CAP = 64
 LP_SIMPLEX_CAP = 2000
 
 
+def _key_vertex(key: tuple) -> Vertex:
+    """The vertex of a `graph.vertex_key`."""
+    depth, _, base, texp = key
+    return Vertex(base, texp, depth)
+
+
 class FillEngine:
     def __init__(self, graph: CuspedGraph, kappa: int = 8):
         if kappa < 2:
@@ -51,6 +64,7 @@ class FillEngine:
         self.kappa = kappa
         self._fill_cache: dict[Simplex, tuple[Chain, str]] = {}
         self._filling: set[Simplex] = set()  # canonical triples in progress
+        self._lp_cache: dict[tuple, Chain] = {}
 
     # -- combing --------------------------------------------------------
 
@@ -137,10 +151,34 @@ class FillEngine:
         simplices spanned by a window around supp(z) (plus any explicitly
         seeded vertices, e.g. the support of a known filling).  The LP
         answer has passed lp's exact dual certificate, so the norm is
-        minimal over the window's simplices."""
+        minimal over the window's simplices.
+
+        The LP is solved once per orbit: z and the seeds are anchored
+        (`graph.anchor_cycle`), the canonical filling is cached in
+        `_lp_cache` under (window_radius, anchored key), and the answer is
+        its translate.  Window, Rips simplices and l1 minimum are
+        equivariant, and translation only relabels the LP's rows and
+        columns, so the certificate holds in every frame and
+        fill_cycle_lp(g z, g E) = g fill_cycle_lp(z, E) exactly."""
         if not z:
             return FillResult(Chain(z.dim + 1), "lp", Fraction(0))
-        seeds = z.support() | (extra_vertices or set())
+        key, g = anchor_cycle(z.terms, extra_vertices or (), self.graph.psi)
+        key = (window_radius, *key)
+        canon = self._lp_cache.get(key)
+        if canon is None:
+            canon = self._lp_cache[key] = self._fill_canonical_lp(key)
+        out = canon.translate(self.graph, g)
+        if out.boundary() != z:
+            raise Infeasible("LP result failed exact boundary verification")
+        return FillResult(out, "lp", out.l1_norm())
+
+    def _fill_canonical_lp(self, key: tuple) -> Chain:
+        """The certified l1-minimal filling of the anchored cycle and seeds
+        that `key` lists."""
+        window_radius, terms, extra = key
+        z = Chain(len(terms[0][0]) - 1,
+                  {tuple(map(_key_vertex, sx)): c for sx, c in terms})
+        seeds = z.support() | set(map(_key_vertex, extra))
         window = self.rips_window(seeds, window_radius)
         simplices = self._rips_simplices(window, z.dim + 2, LP_SIMPLEX_CAP)
         if not simplices:
@@ -163,7 +201,7 @@ class FillEngine:
                 out.add(sx, c)
         if out.boundary() != z:
             raise Infeasible("LP result failed exact boundary verification")
-        return FillResult(out, "lp", out.l1_norm())
+        return out
 
     def _rips_simplices(self, window: list[Vertex], size: int,
                         cap: int) -> list[tuple[Vertex, ...]]:

@@ -127,6 +127,44 @@ def anchor_simplex(verts: Simplex, psi: Automorphism
     return canon, sign, verts[i].elem
 
 
+def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
+                 ) -> tuple[tuple, GroupElem]:
+    """(key, g) with the chain `terms` and the vertex set `extra` equal to
+    g . (the chain and set the key lists).  The seeds are the vertices of
+    the terms and of `extra`; over every seed of least depth, translate
+    the seeds so that it is (e, 0, depth) and key the result as (the terms
+    as sorted (vertex-key tuple, coefficient) pairs, each simplex in
+    vertex order, the sorted vertex keys of `extra`); keep the lex-least
+    key, and g is the group element of its seed.  Gamma acts freely on
+    vertices and is torsion-free, so no two seeds give the same key.
+
+    As in `anchor_simplex`, only the relative elements of one seed and
+    each other seed touch the input words; the other anchorings are
+    derived from these."""
+    extra = tuple(extra)
+    seeds = list({v for sx in terms for v in sx}.union(extra))
+    rel = {v: gamma_rel(seeds[0].elem, v.elem, psi) for v in seeds}
+    low = min(v.depth for v in seeds)
+    best_key = best = None
+    for c in seeds:
+        if c.depth != low:
+            continue
+        back = gamma_inv(rel[c], psi)
+        moved = {}
+        for v in seeds:
+            e = gamma_mul(back, rel[v], psi)
+            moved[v] = vertex_key(Vertex(e.base, e.texp, v.depth))
+        cyc = []
+        for sx, coeff in terms.items():
+            ks = [moved[v] for v in sx]
+            order = sorted(range(len(ks)), key=ks.__getitem__)
+            cyc.append((tuple(ks[i] for i in order), _parity(order) * coeff))
+        key = (tuple(sorted(cyc)), tuple(sorted(moved[v] for v in extra)))
+        if best_key is None or key < best_key:
+            best_key, best = key, c
+    return best_key, best.elem
+
+
 def horoball_distance(load: int, n1: int, n2: int, depth_cap: int) -> int:
     """Distance inside one horoball between its vertices at depths n1 and
     n2 whose lattice points are `load` apart in l1: a geodesic descends to
@@ -211,9 +249,9 @@ class CuspedGraph:
 
     `_dist_cache` is keyed by the ordered pair (depth(u), v anchored at u),
     which costs one relative word per query.  It maps the key to (d, True)
-    once the distance d is known, or to (c, False) once a search at cap c
-    has failed, i.e. d > c; a search writes its answer under both
-    orientations, so d(v, u) after d(u, v) never searches.
+    once the distance d is known, or to (b, False) once a search at cap c
+    has failed, having proved d > b >= c; a search writes its answer under
+    both orientations, so d(v, u) after d(u, v) never searches.
 
     `_geo_cache` is keyed by the canonical pair `anchor_simplex((u, v))`
     and holds the midpoint of that pair only, never a whole path.
@@ -330,10 +368,9 @@ class CuspedGraph:
         key = (u.depth, va)
         fact = self._dist_cache.get(key)
         if fact is None or (not fact[1] and cap > fact[0]):
-            d = self._bidirectional(u.depth, va, cap)
+            fact = self._dist_cache[key] = self._bidirectional(
+                u.depth, va, cap)
             ua = gamma_inv(va.elem, self.psi)
-            fact = (cap, False) if d is None else (d, True)
-            self._dist_cache[key] = fact
             back = Vertex(ua.base, ua.texp, u.depth)
             self._dist_cache[(v.depth, back)] = fact
         bound, exact = fact
@@ -349,10 +386,11 @@ class CuspedGraph:
         except CapExceeded:
             return False
 
-    def _bidirectional(self, depth: int, dst: Vertex, cap: int) -> int | None:
-        """d((e, 0, depth), dst) if it is at most the cap, else None, without
-        listing a vertex of depth >= 1.  It may return d past the cap too,
-        which is then exact as well.
+    def _bidirectional(self, depth: int, dst: Vertex,
+                       cap: int) -> tuple[int, bool]:
+        """(d, True) with d = d((e, 0, depth), dst) if d is at most the cap,
+        else (b, False) with the proven bound d > b >= cap, without listing a
+        vertex of depth >= 1.  It may return (d, True) past the cap too.
 
         Each side grows by layers and holds the depth-0 vertices within its
         radius, as lattice points (coset key, alpha, beta) of `coset_key`, and
@@ -368,7 +406,9 @@ class CuspedGraph:
         both radii; each side reaches p from one of its entries at exactly
         its distance, and h obeys the triangle inequality through p, so
         that pair's candidate is at most d.  The least candidate is
-        therefore exact once it is at most rs + rt.
+        therefore exact once it is at most rs + rt; a search that stops
+        short of that has proved d > rs + rt, which a grown shared side can
+        put past the cap.
 
         The source side is shared: `_sides[depth]` is kept across queries
         and grown further by any of them.  `_grow` writes its near side
@@ -387,7 +427,7 @@ class CuspedGraph:
         best = self._via_entries(s, t.key, *t.point, dst.depth, 0, None)
         while best is None or best > s.radius + t.radius:
             if s.radius + t.radius >= cap:
-                return None
+                return s.radius + t.radius, False
             # grow the cheaper side: a deep entry's first ring can hold
             # millions of points while its side's last layer is one vertex
             if (s.next_layer_cost(self.depth_cap)
@@ -395,7 +435,7 @@ class CuspedGraph:
                 best = self._grow(s, t, best)
             else:
                 best = self._grow(t, s, best)
-        return best
+        return best, True
 
     def _via_entries(self, far: _Side, key: str, alpha: int, beta: int,
                      depth: int, r: int, best: int | None) -> int | None:

@@ -5,8 +5,7 @@ in floats, the primal x is rebuilt exactly by rational row reduction on the
 columns the float answer uses, and HiGHS's row duals, rationalised, give a
 dual vector y.  x is returned only when the certificate holds exactly:
 A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, which by weak duality makes x an
-l1-minimal solution.  `solve_exact`, a dense Fraction simplex, is the
-reference oracle that the tests compare against; the package never calls it.
+l1-minimal solution.
 """
 
 from __future__ import annotations
@@ -19,82 +18,6 @@ from .errors import Infeasible
 #: largest denominator a rationalised dual may have; the duals of filling
 #: LPs are integers, and those of small random LPs have small denominators
 DUAL_DENOMINATOR = 10 ** 6
-
-
-def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
-                n_rows: int) -> list[Fraction]:
-    """min sum |x_j| s.t. sum_j x_j * col_j = target, exact rationals.
-
-    Each signed variable is split into a positive and a negative part and the
-    standard two-phase simplex method (Bland's rule, hence terminating) runs
-    on a dense Fraction tableau.
-    """
-    ncols = 2 * len(columns)
-    rhs = [target.get(i, Fraction(0)) for i in range(n_rows)]
-    rows: list[list[Fraction]] = []
-    for i in range(n_rows):
-        row = [Fraction(0)] * ncols
-        for j, col in enumerate(columns):
-            v = col.get(i)
-            if v:
-                row[2 * j] = v
-                row[2 * j + 1] = -v
-        rows.append(row)
-    # make rhs nonnegative, add artificials
-    for i in range(n_rows):
-        if rhs[i] < 0:
-            rhs[i] = -rhs[i]
-            rows[i] = [-v for v in rows[i]]
-    total = ncols + n_rows
-    tableau = [rows[i] + [Fraction(1) if k == i else Fraction(0)
-                          for k in range(n_rows)] + [rhs[i]]
-               for i in range(n_rows)]
-    basis = [ncols + i for i in range(n_rows)]
-
-    def pivot(tab, basis, costs, allowed):
-        while True:
-            # reduced costs under current basis
-            red = list(costs)
-            offset = Fraction(0)
-            for i, bi in enumerate(basis):
-                cb = costs[bi]
-                if cb:
-                    offset += cb * tab[i][-1]
-                    for j in range(allowed):
-                        red[j] -= cb * tab[i][j]
-            enter = next((j for j in range(allowed) if red[j] < 0), None)
-            if enter is None:
-                return offset
-            best = None
-            for i in range(n_rows):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best[0] or \
-                            (ratio == best[0] and basis[i] < basis[best[1]]):
-                        best = (ratio, i)
-            if best is None:
-                raise Infeasible("unbounded filling LP (should not happen)")
-            _, row = best
-            piv = tab[row][enter]
-            tab[row] = [v / piv for v in tab[row]]
-            for i in range(n_rows):
-                if i != row and tab[i][enter]:
-                    f = tab[i][enter]
-                    tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
-            basis[row] = enter
-
-    phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * n_rows
-    if pivot(tableau, basis, phase1_cost, total) != 0:
-        raise Infeasible("no filling within the window")
-    # artificials may no longer enter the basis
-    phase2_cost = [Fraction(1)] * ncols + [Fraction(0)] * n_rows
-    pivot(tableau, basis, phase2_cost, ncols)
-    x = [Fraction(0)] * ncols
-    for i, bi in enumerate(basis):
-        if bi < ncols:
-            x[bi] = tableau[i][-1]
-    return [x[2 * j] - x[2 * j + 1] for j in range(len(columns))]
 
 
 def solve_float_then_verify(columns: list[dict[int, Fraction]],

@@ -4,14 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from cuspedforms import fill
+from cuspedforms import fill, lp
 from cuspedforms.chains import Chain
-from cuspedforms.errors import FillDepthExceeded
-from cuspedforms.fill import FillEngine
-from cuspedforms.graph import (CuspedGraph, Vertex, parse_vertex,
-                               random_gamma0_word)
+from cuspedforms.errors import FillDepthExceeded, Infeasible
+from cuspedforms.fill import FillEngine, _key_vertex
+from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
+                               parse_vertex, random_gamma0_word)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
-from cuspedforms.words import COMM, GroupElem, word_pow
+from cuspedforms.words import COMM, GroupElem, gamma_mul, word_pow
 
 from _oracles import bfs_oracle
 
@@ -202,6 +202,112 @@ def test_lp_fill_matches_boundary_and_norm(engine, graph):
                                extra_vertices=cone.chain.support())
     assert res.chain.boundary() == z
     assert res.norm <= cone.norm
+
+
+def lp_spy(monkeypatch):
+    """A list that grows by one for every LP solved."""
+    solved = []
+    solve = lp.solve_float_then_verify
+
+    def spy(*args):
+        solved.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "solve_float_then_verify", spy)
+    return solved
+
+
+def square_cycle():
+    """(z, e): a 4-cycle of depth-0 vertices at distance 2 from e whose
+    diagonals exceed kappa = 2.  At window radius 0 it has no filling on its
+    own vertices, and the cone from e fills it with norm 4."""
+    square = [parse_vertex(s) for s in ("A@-1:0", "A@1:0", "AB@1:0",
+                                        "ABa@0:0")]
+    z = Chain(1)
+    for i in range(4):
+        z.add((square[i], square[(i + 1) % 4]), 1)
+    return z, Vertex("", 0, 0)
+
+
+def lp_instances(graph, engine):
+    """(z, window radius, E): seeded nonzero combing cycles of Cayley
+    triangles at kappa = 2, seeded with their cone fills, and the square
+    coned off from e."""
+    rng = random.Random(1)
+    out = []
+    while len(out) < 4:
+        pts = sample_tuple(graph, rng, "cayley", 3)
+        if len(set(pts)) == 3 and engine.triangle_cycle(*pts):
+            out.append((engine.triangle_cycle(*pts), 1,
+                        engine.fill_triangle(*pts).chain.support()))
+    z, e = square_cycle()
+    return out + [(z, 0, {e})]
+
+
+def test_anchor_cycle_is_a_canonical_form():
+    # translates share the key, and the element recovers the input
+    graph = CuspedGraph()
+    engine = FillEngine(graph, kappa=2)
+    rng = random.Random(41)
+    for z, _, extra in lp_instances(graph, engine):
+        key, h = anchor_cycle(z.terms, extra, graph.psi)
+        terms, extra_keys = key
+        canon = Chain(z.dim, {tuple(map(_key_vertex, sx)): c
+                              for sx, c in terms})
+        assert canon.translate(graph, h) == z
+        assert {graph.left_mul(h, _key_vertex(k))
+                for k in extra_keys} == set(extra)
+        assert min(v.depth for v in canon.support()) == 0
+        for _ in range(3):
+            g = GroupElem(random_gamma0_word(rng, 6), rng.randrange(-2, 3))
+            moved, gh = anchor_cycle(
+                z.translate(graph, g).terms,
+                {graph.left_mul(g, v) for v in extra}, graph.psi)
+            assert moved == key
+            assert gh == gamma_mul(g, h, graph.psi)
+
+
+def test_lp_fill_is_equivariant_and_solved_once_per_orbit(monkeypatch):
+    # fill_cycle_lp(g z, g E) = g fill_cycle_lp(z, E) exactly, the translate
+    # solves no LP, and its norm is a fresh engine's
+    graph = CuspedGraph()
+    engine = FillEngine(graph, kappa=2)
+    instances = lp_instances(graph, engine)
+    solved = lp_spy(monkeypatch)
+    rng = random.Random(42)
+    for z, radius, extra in instances:
+        solved.clear()
+        res = engine.fill_cycle_lp(z, radius, extra)
+        assert solved == [1]
+        assert res.chain.boundary() == z
+        for _ in range(2):
+            g = GroupElem(random_gamma0_word(rng, 6),
+                          rng.choice((-2, -1, 1, 2)))
+            gz = z.translate(graph, g)
+            ge = {graph.left_mul(g, v) for v in extra}
+            solved.clear()
+            moved = engine.fill_cycle_lp(gz, radius, ge)
+            assert not solved
+            assert moved.chain == res.chain.translate(graph, g)
+            assert moved.norm == res.norm == FillEngine(
+                CuspedGraph(), kappa=2).fill_cycle_lp(gz, radius, ge).norm
+    assert len(engine._lp_cache) == len(instances)
+
+
+def test_lp_cache_keys_the_window_and_the_seeds(monkeypatch):
+    # the square has a filling at window radius 1, or when e is seeded, but
+    # none on its own vertices: a cached answer for one of those inputs
+    # must not answer the other
+    z, e = square_cycle()
+    engine = FillEngine(CuspedGraph(), kappa=2)
+    solved = lp_spy(monkeypatch)
+    assert engine.fill_cycle_lp(z, 1).norm == 4
+    assert engine.fill_cycle_lp(z, 0, {e}).norm == 4
+    assert len(solved) == 2
+    for fresh in (FillEngine(CuspedGraph(), kappa=2), engine):
+        with pytest.raises(Infeasible, match="no candidate simplices"):
+            fresh.fill_cycle_lp(z, 0)
+    assert len(engine._lp_cache) == 2
 
 
 def oracle_rips_triangles(window, kappa):

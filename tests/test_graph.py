@@ -268,6 +268,35 @@ def test_exact_answer_above_the_cap_stays_exact(monkeypatch):
     assert searches == [3]
 
 
+def test_failed_search_keeps_its_proven_bound(monkeypatch):
+    # a shared side grown to radius 4 gives up on a far vertex at cap 2
+    # having proved d > 4, not just d > 2: queries at caps up to 4 run no
+    # search, in either orientation, and only a larger cap searches again
+    graph = CuspedGraph()
+    u, far = Vertex("", 0, 0), Vertex(word_pow("ab", 40), 0, 0)
+    assert graph.distance(u, parse_vertex("bAbababab@0:1")) == 8
+    assert graph._sides[0].radius == 4
+    searches = []
+    search = graph._bidirectional
+
+    def spy(depth, dst, cap):
+        searches.append(cap)
+        return search(depth, dst, cap)
+
+    monkeypatch.setattr(graph, "_bidirectional", spy)
+    with pytest.raises(CapExceeded, match=r"> 4$"):
+        graph.distance(u, far, cap=2)
+    assert searches == [2]
+    assert graph._dist_cache[(0, far)] == (4, False)
+    for cap in (2, 3, 4):
+        assert not graph.distance_at_most(u, far, cap)
+        assert not graph.distance_at_most(far, u, cap)
+    assert searches == [2]
+    with pytest.raises(CapExceeded, match=r"> 5$"):
+        graph.distance(u, far, cap=5)
+    assert searches == [2, 5]
+
+
 def _seeded_queries(seed: int, count: int) -> list:
     """(u, v, cap): u at depth 0..4, v in u's coset or a few letters off
     it, at depth 0..4, caps 2..9; the first query has a deep endpoint and

@@ -9,7 +9,9 @@ import pytest
 
 from cuspedforms import lp
 from cuspedforms.errors import Infeasible
-from cuspedforms.lp import certify, solve_exact, solve_float_then_verify
+from cuspedforms.lp import certify, solve_float_then_verify
+
+from _oracles import solve_exact
 
 # min |x0| + |x1| + |x2| s.t. x0 (1, 1) + x1 (1, 0) + x2 (0, 1) = (1, 1):
 # the optimum is x = (1, 0, 0), proved by the dual y = (1/2, 1/2);
