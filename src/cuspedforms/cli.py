@@ -150,10 +150,13 @@ def run(args: argparse.Namespace) -> int:
             radii = [int(x) for x in args.radii.split(",")]
             ms = [int(x) for x in args.ms.split(",")]
             khat = Fraction(args.khat)
+            # both tables are built before either is printed, so a
+            # rejected input prints its error line alone
+            nontrivial = qcm.nontriviality_certificate(qc, f, ms)
             for row in qcm.bah_upper_bound_certificate(qc, f, radii, khat):
                 ok = ok and row["vanishes"]
                 emit({"table": "bah_upper_bound", **row})
-            for row in qcm.nontriviality_certificate(qc, f, ms):
+            for row in nontrivial:
                 emit({"table": "nontriviality", **row})
         else:  # rank
             fs = [parse_spec(s) for s in args.f]

@@ -325,6 +325,9 @@ class CuspedGraph:
     def _twisted(self, texp: int) -> tuple[str, ...]:
         """psi^texp of GENERATOR_WORDS: the base words of the generator
         edges at t-exponent texp, the four letters first."""
+        # a tuple of its own per t-exponent: one lookup answers all six
+        # words, where psi's (word, power) memo would take six per frontier
+        # point in `_grow`
         twisted = self._twisted_gen_cache.get(texp)
         if twisted is None:
             twisted = tuple(self.psi.apply(w, texp)
@@ -482,6 +485,8 @@ class CuspedGraph:
     def ball(self, center: Vertex, radius: int,
              max_depth: int | None = None) -> dict[Vertex, int]:
         """All vertices within the radius, with their distances."""
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
         dist = {center: 0}
         frontier = [center]
         for r in range(1, radius + 1):
@@ -534,6 +539,11 @@ class CuspedGraph:
         hyperbolicity defect over seeded random quadruples within the radius
         of the basepoint, and the number of quadruples left out because one
         of their distances exceeds the distance cap."""
+        if sample_size < 1:
+            raise ValueError(f"sample size must be positive, got "
+                             f"{sample_size}")
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
         rng = random.Random(seed)
         best = Fraction(0)
         skipped = 0

@@ -245,11 +245,17 @@ class DefectReport:
                 "theta_window": list(self.theta_window)}
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+
+
 def defect_scan(qc: QuasiCocycle, f: LipFn, count: int,
                 seed: int) -> DefectReport:
     """Max |delta alpha_f| over `count` seeded 4-tuples drawn from the three
     strata in rotation; ratio is against the lip constant on the theta window
     actually touched."""
+    _check_count(count)
     rng = random.Random(seed)
     qc.reset_window()
     best = Fraction(0)
@@ -273,6 +279,7 @@ def defect_scan(qc: QuasiCocycle, f: LipFn, count: int,
 def max_alpha_scan(qc: QuasiCocycle, f: LipFn, count: int,
                    seed: int) -> tuple[Fraction, Fraction]:
     """(max |alpha_f|, max fill norm) over seeded sample triples."""
+    _check_count(count)
     rng = random.Random(seed)
     best = Fraction(0)
     worst_norm = Fraction(0)
@@ -343,6 +350,9 @@ def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
     khat * lip_tail(f, n_i); the bound column witnesses the vanishing of the
     seminorm for sublinear f.  Each level n is checked on the distinct
     forms of the ball, read once per radius."""
+    for radius in radii:
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
     rows = []
     prev_bound: Fraction | None = None
     for radius in radii:
@@ -375,6 +385,7 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
                               ms: list[int]) -> list[dict]:
     """Rows (m, |alpha_f(A_m)| / ||A_m||_1): any bounded invariant primitive
     of delta alpha_f has sup norm at least the ratio."""
+    _check_ms(ms)
     rows = []
     for m in ms:
         chain, form = _am(qc, m)
@@ -385,6 +396,13 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
     return rows
 
 
+def _check_ms(ms: list[int]) -> None:
+    """Every A_m needs m >= 1; checked before the first row is built."""
+    for m in ms:
+        k_of(m)
+
+
 def independence_rank(fs: list[LipFn], ms: list[int]) -> int:
     """Rank over Q of the matrix [f_j(m_i) - f_j(0)]."""
+    _check_ms(ms)
     return len(row_reduce([[f(m) - f(0) for f in fs] for m in ms], len(fs)))

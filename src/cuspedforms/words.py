@@ -5,6 +5,9 @@ Words are plain strings over the alphabet {a, A, b, B} (uppercase = inverse);
 the empty string is the identity, printed as "e".  Elements of the semidirect
 product are pairs (base, texp) in normal form g0 * t^k, multiplied with the
 twisted rule (g0 t^k)(h0 t^l) = (g0 * psi^k(h0)) t^(k+l).
+
+The group law applies psi-powers to short words, and the same pairs (word,
+power) recur, so `Automorphism.apply` memoises them (see there).
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ class Automorphism:
     """An automorphism of F(a,b) given by the images of the generators; its
     inverse is derived from them (`_invert`).  Iterated application reduces
     at every step, so intermediate words never outgrow the reduced images.
+
+    `apply` memoises psi^power(word) in `_apply_cache`, keyed by (word,
+    power) with the power's sign, for every power but 0.  The automorphism
+    never changes once built, so the memo changes no answer.  On
+    `DEFAULT_PSI` it is process-wide, shared by every graph on the default
+    twist.  A call that raises PsiPowerCap stores nothing.
     """
 
     def __init__(self, images: dict[str, str]):
@@ -83,16 +92,24 @@ class Automorphism:
         for table in (self.images, self.inverse_images):
             table["A"] = inv(table["a"])
             table["B"] = inv(table["b"])
+        self._apply_cache: dict[tuple[str, int], str] = {}
 
     def apply_once(self, w: str, forward: bool = True) -> str:
         table = self.images if forward else self.inverse_images
         return reduce_word("".join(table[x] for x in w))
 
     def apply(self, w: str, power: int) -> str:
-        """psi^power(w).  A step that leaves the word unchanged ends the
-        loop, since every later step would too; a step that builds more
-        than MAX_WORD_LETTERS letters raises PsiPowerCap."""
-        forward = power >= 0
+        """psi^power(w), memoised for power != 0.  A step that leaves the
+        word unchanged ends the loop, since every later step would too; a
+        step that builds more than MAX_WORD_LETTERS letters raises
+        PsiPowerCap."""
+        if power == 0:
+            return w
+        key = (w, power)
+        cached = self._apply_cache.get(key)
+        if cached is not None:
+            return cached
+        forward = power > 0
         for _ in range(abs(power)):
             out = self.apply_once(w, forward)
             if out == w:
@@ -101,6 +118,7 @@ class Automorphism:
                 raise PsiPowerCap(f"psi^{power} builds a word of more than "
                                   f"{MAX_WORD_LETTERS} letters")
             w = out
+        self._apply_cache[key] = w
         return w
 
     def check(self) -> None:

@@ -111,6 +111,36 @@ def test_bad_vertex_encoding(capsys):
                       "message": "vertex 'e@0:-1' has a negative depth"}]
 
 
+OUT_OF_RANGE = {
+    "defect-n-0": (("alpha", "defect", "--f", "linear:1", "--n", "0"),
+                   "count must be positive, got 0"),
+    "defect-n-neg": (("alpha", "defect", "--f", "linear:1", "--n", "-5"),
+                     "count must be positive, got -5"),
+    "delta-samples": (("graph", "delta", "--samples", "-3"),
+                      "sample size must be positive, got -3"),
+    "delta-radius": (("graph", "delta", "--radius", "-2"),
+                     "radius must be non-negative, got -2"),
+    "ball-r": (("graph", "ball", "e@0:0", "--r", "-1"),
+               "radius must be non-negative, got -1"),
+    "certify-radii": (("alpha", "certify", "--f", "linear:1", "--radii",
+                       "-1"), "radius must be non-negative, got -1"),
+    "rank-ms": (("alpha", "rank", "--f", "linear:1", "--ms", "0"),
+                "m must be at least 1"),
+    "certify-ms": (("alpha", "certify", "--f", "linear:1", "--ms", "0"),
+                   "m must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE.values(),
+                         ids=list(OUT_OF_RANGE))
+def test_out_of_range_counts_and_radii_are_rejected(capsys, argv, message):
+    # a count, radius or m out of range is refused before any work or
+    # output: one JSON error line, exit code 2
+    code, lines = run(capsys, *argv)
+    assert code == 2
+    assert lines == [{"error": "ValueError", "message": message}]
+
+
 def test_cap_errors_are_json_lines(capsys):
     # exit code 1 means a check failed; a hit cap is 2, as a bad input is
     code, lines = run(capsys, "--set", "distance_cap=2", "graph", "dist",

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspedforms.config import RunConfig
 from cuspedforms.errors import PsiPowerCap
 from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
                                Automorphism, GroupElem, gamma_inv, gamma_mul,
@@ -196,24 +197,71 @@ def test_psi_power_cap():
         DEFAULT_PSI.apply("a", 15)
 
 
-def test_psi_fixed_word_costs_one_step(monkeypatch):
-    # psi fixes [a,b], so every power of it returns after one step
+def apply_once_spy(monkeypatch, limit=None):
+    """The directions of every `Automorphism.apply_once` step from now on."""
     calls = []
     apply_once = Automorphism.apply_once
 
     def spy(self, w, forward=True):
         calls.append(forward)
-        assert len(calls) <= 5, "more steps than the words need"
+        assert limit is None or len(calls) <= limit, \
+            "more steps than the words need"
         return apply_once(self, w, forward)
 
     monkeypatch.setattr(Automorphism, "apply_once", spy)
-    assert DEFAULT_PSI.apply(COMM * 5, 10 ** 9) == COMM * 5
+    return calls
+
+
+def test_psi_fixed_word_costs_one_step(monkeypatch):
+    # psi fixes [a,b], so every power of it returns after one step.  A fresh
+    # automorphism with the default images: DEFAULT_PSI's memo may already
+    # hold these answers from earlier tests
+    psi = Automorphism({"a": "ba", "b": "bab"})
+    calls = apply_once_spy(monkeypatch, limit=5)
+    assert psi.apply(COMM * 5, 10 ** 9) == COMM * 5
     assert calls == [True]
-    assert DEFAULT_PSI.apply(COMM_INV * 3, -10 ** 9) == COMM_INV * 3
+    assert psi.apply(COMM_INV * 3, -10 ** 9) == COMM_INV * 3
     assert calls == [True, False]
     # a word that psi moves takes one step per power
-    DEFAULT_PSI.apply("ab", 3)
+    psi.apply("ab", 3)
     assert len(calls) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced, st.integers(1, 6))
+def test_psi_memo_gives_first_answers(w, k):
+    # the process-wide memo of DEFAULT_PSI against a fresh automorphism's
+    # first answer, for both signs of the power
+    for power in (k, -k):
+        fresh = Automorphism({"a": "ba", "b": "bab"})
+        assert DEFAULT_PSI.apply(w, power) == fresh.apply(w, power)
+
+
+def test_psi_memo_answers_a_repeat_without_a_step(monkeypatch):
+    psi = Automorphism({"a": "ba", "b": "bab"})
+    first = psi.apply("ab", 3)
+    back = psi.apply(first, -3)
+    calls = apply_once_spy(monkeypatch)
+    assert psi.apply("ab", 3) == first
+    assert psi.apply(first, -3) == back == "ab"
+    assert psi.apply("ab", 0) == "ab"
+    assert calls == []
+    assert set(psi._apply_cache) == {("ab", 3), (first, -3)}
+
+
+def test_psi_memo_keeps_nothing_of_a_capped_call():
+    for _ in range(2):
+        with pytest.raises(PsiPowerCap, match=r"psi\^15 builds"):
+            DEFAULT_PSI.apply("a", 15)
+    assert ("a", 15) not in DEFAULT_PSI._apply_cache
+
+
+def test_psi_memo_is_per_automorphism():
+    psi2 = RunConfig(psi_images={"a": "babba", "b": "babbabab"}).psi()
+    assert DEFAULT_PSI.apply("ab", 1) == "babab"
+    assert psi2.apply("ab", 1) == "babbababbabab"
+    assert DEFAULT_PSI._apply_cache[("ab", 1)] == "babab"
+    assert psi2._apply_cache == {("ab", 1): "babbababbabab"}
 
 
 def test_psi_abelianization_is_anosov():
