@@ -142,10 +142,10 @@ def run(args: argparse.Namespace) -> int:
             emit(qcm.defect_scan(qc, f, args.n, args.seed).to_json())
         elif args.sub == "am":
             value = qcm.evaluate_on_Am(qc, f, args.m)
-            expected = 2 * abs(f(args.m) - f(0))
-            ok = abs(value) == expected
-            emit({"m": args.m, "value": value,
-                  "expected_abs": expected, "ok": ok})
+            expected = 2 * (f(args.m) - f(0))
+            ok = value == expected
+            emit({"m": args.m, "value": value, "expected": expected,
+                  "expected_abs": abs(expected), "ok": ok})
         elif args.sub == "certify":
             radii = [int(x) for x in args.radii.split(",")]
             ms = [int(x) for x in args.ms.split(",")]

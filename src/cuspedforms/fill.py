@@ -10,7 +10,11 @@ cached: the distance and the midpoint it splits at are equivariant functions
 of the unordered pair (both cached in `CuspedGraph`), so Q is equivariant and
 antisymmetric by induction on the distance.  A fill is cached once per
 canonical anchored triple (`graph.anchor_simplex`) in `_fill_cache` and
-translated back with the permutation sign.
+translated back with the permutation sign.  `canonical_fill` is that cached
+fill of a canonical triple; `fill_anchored` anchors a raw triple and reads
+it, and a caller that anchors the triple itself (`QuasiCocycle`, which
+reads the four faces of a 4-tuple off one relative-element table) reads it
+directly.
 
 The certified l1-minimal LP filling of a cycle is anchored, equivariant and
 cached once per orbit the same way: the cycle and its seed vertices are
@@ -28,7 +32,7 @@ from . import lp
 from .chains import Chain
 from .errors import FillDepthExceeded, Infeasible, WindowTooLarge
 from .graph import (CuspedGraph, Simplex, Vertex, anchor_cycle, anchor_simplex,
-                    vertex_key)
+                    key_vertex, vertex_key)
 from .words import GroupElem
 
 
@@ -48,12 +52,6 @@ _SIDE_PERMS = {(0, 1): ((0, 1, 2), 1), (0, 2): ((0, 2, 1), -1),
 FILL_DEPTH_CAP = 64
 #: Rips simplices allowed in one LP window before WindowTooLarge
 LP_SIMPLEX_CAP = 2000
-
-
-def _key_vertex(key: tuple) -> Vertex:
-    """The vertex of a `graph.vertex_key`."""
-    depth, _, base, texp = key
-    return Vertex(base, texp, depth)
 
 
 class FillEngine:
@@ -97,12 +95,18 @@ class FillEngine:
                       x2: Vertex) -> tuple[Chain, int, GroupElem, str]:
         """Filling as (canonical chain, sign, shift, method) with the actual
         chain equal to sign * shift . canonical; callers that only need an
-        invariant evaluation can skip the translation entirely.  The fill is
-        deterministic, so cone splits that reach a triple still being filled
-        never terminate: that raises at once, naming the triple."""
+        invariant evaluation can skip the translation entirely."""
         if len({x0, x1, x2}) < 3:
             return Chain(2), 1, GroupElem("", 0), "degenerate"
         canon, sign, shift = anchor_simplex((x0, x1, x2), self.graph.psi)
+        chain, method = self.canonical_fill(canon)
+        return chain, sign, shift, method
+
+    def canonical_fill(self, canon: Simplex) -> tuple[Chain, str]:
+        """(chain, method): the filling of a canonical triple of
+        `graph.anchor_simplex`, cached in `_fill_cache`.  The fill is
+        deterministic, so cone splits that reach a triple still being
+        filled never terminate: that raises at once, naming the triple."""
         hit = self._fill_cache.get(canon)
         if hit is None:
             if canon in self._filling:
@@ -120,7 +124,7 @@ class FillEngine:
             finally:
                 self._filling.discard(canon)
             self._fill_cache[canon] = hit
-        return hit[0], sign, shift, hit[1]
+        return hit
 
     def _fill_canonical(self, tri: Simplex) -> tuple[Chain, str]:
         dists = {side: self.graph.distance(tri[side[0]], tri[side[1]])
@@ -177,8 +181,8 @@ class FillEngine:
         that `key` lists."""
         window_radius, terms, extra = key
         z = Chain(len(terms[0][0]) - 1,
-                  {tuple(map(_key_vertex, sx)): c for sx, c in terms})
-        seeds = z.support() | set(map(_key_vertex, extra))
+                  {tuple(map(key_vertex, sx)): c for sx, c in terms})
+        seeds = z.support() | set(map(key_vertex, extra))
         window = self.rips_window(seeds, window_radius)
         simplices = self._rips_simplices(window, z.dim + 2, LP_SIMPLEX_CAP)
         if not simplices:

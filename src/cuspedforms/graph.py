@@ -13,6 +13,12 @@ closed form, `horoball_distance`, so the distance search lists no vertex of
 depth >= 1; `neighbors` and `ball` enumerate them, for walks and geodesic
 midpoints.  The search's source half, the ball about (e, 0, n), is kept per
 source depth n and reused by every later query.
+
+A simplex is anchored by translating one vertex to (e, 0, depth), over
+every vertex order, and keeping the lex-least result (`anchor_simplex`).
+The translates come from one table of relative elements per vertex tuple
+(`relative_table`), and one order search reads any face of the tuple off
+it (`anchor_face`), so the four faces of a 4-tuple cost one table.
 """
 
 from __future__ import annotations
@@ -65,6 +71,12 @@ def vertex_key(v: Vertex):
     return (v.depth, len(v.base), v.base, v.texp)
 
 
+def key_vertex(key: tuple) -> Vertex:
+    """The vertex of a `vertex_key`."""
+    depth, _, base, texp = key
+    return Vertex(base, texp, depth)
+
+
 Simplex = tuple[Vertex, ...]
 
 
@@ -79,11 +91,55 @@ def _parity(seq) -> int:
 
 
 @cache
-def _orders(n: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Every vertex order of an n-simplex as (front vertex i, indices
-    i * n + j of the other vertices j in order, sign of the order)."""
+def _orders(n: int, face: tuple[int, ...]
+            ) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Every vertex order of the face at the increasing positions `face` of
+    an n-tuple, as (front position i, table indices i * n + j of the other
+    positions j in order, sign of the order within the face)."""
     return tuple((p[0], tuple(p[0] * n + j for j in p[1:]), _parity(p))
-                 for p in permutations(range(n)))
+                 for p in permutations(face))
+
+
+def relative_table(verts: Simplex, psi: Automorphism) -> list:
+    """The `vertex_key` of vertex j anchored at vertex i, the vertex
+    (g_i^-1 g_j, depth of j), at index i * n + j of a list, for every
+    ordered pair i != j of the n vertices; None at i = j.  Only the n - 1
+    relative elements of vertex 0 and vertex j touch the input words, each
+    through `words.gamma_rel`, which cancels their common prefix before
+    applying the psi-power; the other entries are derived from these, which
+    stay short even when the inputs are long: n - 1 inverses and
+    (n - 1)(n - 2) products in all."""
+    n = len(verts)
+    rel: list = [None] * (n * n)
+    for j in range(1, n):
+        r = gamma_rel(verts[0], verts[j], psi)
+        rel[j] = r
+        rel[j * n] = gamma_inv(r, psi)
+    for i in range(1, n):
+        back = rel[i * n]
+        for j in range(1, n):
+            if i != j:
+                rel[i * n + j] = gamma_mul(back, rel[j], psi)
+    # vertex_key of Vertex(e.base, e.texp, depth of j), without the vertex
+    return [None if e is None else
+            (verts[ij % n].depth, len(e.base), e.base, e.texp)
+            for ij, e in enumerate(rel)]
+
+
+def anchor_face(verts: Simplex, table: list,
+                face: tuple[int, ...]) -> tuple[Simplex, int, GroupElem]:
+    """`anchor_simplex` of the vertices at the increasing positions `face`
+    of `verts`, read off their `relative_table`: no group operation.  The
+    face's vertices must be distinct."""
+    best_key = best = None
+    for i, others, sign in _orders(len(verts), face):
+        # the front vertex is (e, 0, depth): its depth is its whole key
+        key = (verts[i].depth, *[table[x] for x in others])
+        if best_key is None or key < best_key:
+            best_key, best = key, (i, sign)
+    i, sign = best
+    canon = (Vertex("", 0, best_key[0]), *map(key_vertex, best_key[1:]))
+    return canon, sign, verts[i].elem
 
 
 def anchor_simplex(verts: Simplex, psi: Automorphism
@@ -95,36 +151,13 @@ def anchor_simplex(verts: Simplex, psi: Automorphism
     canonical form of a pair (geodesic midpoints, combing paths) and of a
     triple (fillings, coinvariant keys).
 
-    Only the relative elements of vertex 0 and vertex j touch the input
-    words, and each cancels their common prefix before applying the
-    psi-power (`words.gamma_rel`); the other anchorings are derived from
-    these, which stay short even when the inputs are long.
+    It is `anchor_face` of all the vertices, read off their
+    `relative_table`; a caller that anchors several faces of one tuple
+    (`QuasiCocycle.delta_alpha`) builds the tuple's table once and reads
+    every face off it.
     """
-    n = len(verts)
-    # rel[i * n + j]: vertex j anchored at vertex i
-    rel: list = [None] * (n * n)
-    for j in range(1, n):
-        r = gamma_rel(verts[0].elem, verts[j].elem, psi)
-        rel[j] = r
-        rel[j * n] = gamma_inv(r, psi)
-    for i in range(1, n):
-        for j in range(1, n):
-            if i != j:
-                rel[i * n + j] = gamma_mul(rel[i * n], rel[j], psi)
-    keys = rel[:]
-    for ij, e in enumerate(rel):
-        if e is not None:
-            v = rel[ij] = Vertex(e.base, e.texp, verts[ij % n].depth)
-            keys[ij] = vertex_key(v)
-    best_key = best = None
-    for i, others, sign in _orders(n):
-        # the front vertex is (e, 0, depth): its depth is its whole key
-        key = (verts[i].depth, *[keys[x] for x in others])
-        if best_key is None or key < best_key:
-            best_key, best = key, (i, others, sign)
-    i, others, sign = best
-    canon = (Vertex("", 0, verts[i].depth), *[rel[x] for x in others])
-    return canon, sign, verts[i].elem
+    return anchor_face(verts, relative_table(verts, psi),
+                       tuple(range(len(verts))))
 
 
 def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
@@ -143,7 +176,7 @@ def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
     derived from these."""
     extra = tuple(extra)
     seeds = list({v for sx in terms for v in sx}.union(extra))
-    rel = {v: gamma_rel(seeds[0].elem, v.elem, psi) for v in seeds}
+    rel = {v: gamma_rel(seeds[0], v, psi) for v in seeds}
     low = min(v.depth for v in seeds)
     best_key = best = None
     for c in seeds:
@@ -290,7 +323,7 @@ class CuspedGraph:
 
     def anchor(self, u: Vertex, v: Vertex) -> Vertex:
         """v in the coordinates that move u to (e, depth(u))."""
-        rel = gamma_rel(u.elem, v.elem, self.psi)
+        rel = gamma_rel(u, v, self.psi)
         return Vertex(rel.base, rel.texp, v.depth)
 
     # -- adjacency -----------------------------------------------------

@@ -1,5 +1,10 @@
 """Volume-form quasi-cocycles alpha_f, the explicit cycles c, d_m, e_m, A_m,
-and the defect / certificate machinery built on top of them."""
+and the defect / certificate machinery built on top of them.
+
+alpha_f is read as a linear form in the values of f, cached once per
+canonical triple (`graph.anchor_simplex`) and, with the anchoring's sign and
+shift, once per raw triple.  delta alpha_f anchors the four faces of its
+4-tuple off one relative-element table (`graph.relative_table`)."""
 
 from __future__ import annotations
 
@@ -10,7 +15,8 @@ from itertools import combinations
 
 from .chains import CoinvariantChain
 from .fill import FillEngine
-from .graph import CuspedGraph, Vertex, random_gamma0_word
+from .graph import (CuspedGraph, Vertex, anchor_face, anchor_simplex,
+                    random_gamma0_word, relative_table)
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
 from .lp import row_reduce
 from .moebius import OrientationCocycle
@@ -25,19 +31,32 @@ Weights = tuple[tuple[int, Fraction], ...]
 LinearForm = tuple[Weights, tuple[int, ...]]
 #: the largest truncation level `bah_upper_bound_certificate` tries
 CERTIFICATE_N_MAX = 16
+#: the (form, sign, shift) of a triple with a repeated vertex: alpha is 0
+_DEGENERATE: tuple[LinearForm, int, int] = (((), ()), 1, 0)
+#: the positions of face i of a 4-tuple, the face leaving out vertex i
+_FACES = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
 
 
 class QuasiCocycle:
     """alpha_f over a fill engine.  alpha_f(x0, x1, x2) is the sum over the
     filling's faces of coeff * eps(face) * (f at the face's t-exponents) / 3,
     which is linear in the values of f: `form` reads it once per triple as
-    a `LinearForm`, and every value of alpha is that form evaluated."""
+    a `LinearForm`, and every value of alpha is that form evaluated.
+
+    Two caches hold it.  `_form_cache` maps a canonical triple of
+    `graph.anchor_simplex` to the form of its filling, so a triple whose
+    orbit has been read before costs no eps and no Fraction work.
+    `_anchor_cache` maps a raw triple to (form, sign, shift), its canonical
+    triple's form with the anchoring's sign and t-shift, so a triple seen
+    before costs one lookup.  `delta_alpha` anchors the four faces of a
+    4-tuple off one `graph.relative_table` of the tuple."""
 
     def __init__(self, engine: FillEngine, eps: OrientationCocycle | None = None):
         self.engine = engine
         self.graph = engine.graph
         self.eps = eps or OrientationCocycle()
         self._anchor_cache: dict[Triple, tuple[LinearForm, int, int]] = {}
+        self._form_cache: dict[Triple, LinearForm] = {}
         self._am_cache: dict[int, tuple[CoinvariantChain, LinearForm]] = {}
         self.theta_lo: int | None = None  # theta window touched since reset
         self.theta_hi: int | None = None
@@ -61,7 +80,17 @@ class QuasiCocycle:
         key = (x0, x1, x2)
         hit = self._anchor_cache.get(key)
         if hit is None:
-            chain, sign, g, _ = self.engine.fill_anchored(x0, x1, x2)
+            hit = self._anchor_cache[key] = (
+                self._read(*anchor_simplex(key, self.graph.psi))
+                if len(set(key)) == 3 else _DEGENERATE)
+        return hit
+
+    def _read(self, canon: Triple, sign: int,
+              g: GroupElem) -> tuple[LinearForm, int, int]:
+        """(form, sign, shift) of a triple anchored as (canon, sign, g)."""
+        form = self._form_cache.get(canon)
+        if form is None:
+            chain, _ = self.engine.canonical_fill(canon)
             weights: dict[int, Fraction] = {}
             for face, c in chain.terms.items():
                 e = self.eps.on_words(*(v.base for v in face))
@@ -69,11 +98,10 @@ class QuasiCocycle:
                     for v in face:
                         weights[v.texp] = weights.get(v.texp, 0) + c * e
             xs = [v.texp for face in chain.terms for v in face]
-            form = (tuple((x, w / 3) for x, w in sorted(weights.items()) if w),
-                    (min(xs), max(xs)) if xs else ())
-            hit = (form, sign, g.texp)
-            self._anchor_cache[key] = hit
-        return hit
+            form = self._form_cache[canon] = (
+                tuple((x, w / 3) for x, w in sorted(weights.items()) if w),
+                (min(xs), max(xs)) if xs else ())
+        return form, sign, g.texp
 
     def alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex) -> Fraction:
         form, sign, shift = self.form(x0, x1, x2)
@@ -103,11 +131,26 @@ class QuasiCocycle:
 
     def delta_alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex,
                     x3: Vertex) -> Fraction:
+        """sum of (-1)^i alpha_f(face i), face i leaving out x_i.  A face
+        seen before costs one `_anchor_cache` lookup; the others are
+        anchored off one `graph.relative_table` of the 4-tuple, built on
+        the first miss."""
         pts = (x0, x1, x2, x3)
+        table = None
         total = Fraction(0)
-        for i in range(4):
+        for i, positions in enumerate(_FACES):
             face = pts[:i] + pts[i + 1:]
-            val = self.alpha(f, *face)
+            hit = self._anchor_cache.get(face)
+            if hit is None:
+                if len(set(face)) < 3:
+                    hit = _DEGENERATE
+                else:
+                    if table is None:
+                        table = relative_table(pts, self.graph.psi)
+                    hit = self._read(*anchor_face(pts, table, positions))
+                self._anchor_cache[face] = hit
+            form, sign, shift = hit
+            val = sign * self.evaluate(f, form, shift)
             total += val if i % 2 == 0 else -val
         return total
 

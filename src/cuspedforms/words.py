@@ -194,8 +194,15 @@ def gamma_inv(g: GroupElem, psi: Automorphism) -> GroupElem:
 def gamma_rel(g: GroupElem, h: GroupElem, psi: Automorphism) -> GroupElem:
     """g^-1 h.  For g = g0 t^k and h = h0 t^l this is psi^-k(g0^-1 h0)
     t^(l-k): the common prefix of g0 and h0 cancels before psi^-k is
-    applied, so a short relative word of two long translates stays cheap."""
-    return GroupElem(psi.apply(mul(inv(g.base), h.base), -g.texp),
+    applied, so a short relative word of two long translates stays cheap.
+    Past the prefix, g0 and h0 differ in their next letters, so
+    inv(g0[k:]) + h0[k:] is already reduced.  g and h may be anything with
+    a base and a t-exponent, a cusped-graph vertex included."""
+    u, v = g.base, h.base
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[k] == v[k]:
+        k += 1
+    return GroupElem(psi.apply(inv(u[k:]) + v[k:], -g.texp),
                      h.texp - g.texp)
 
 

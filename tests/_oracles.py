@@ -2,11 +2,13 @@
 modules."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from cuspedforms.errors import Infeasible
-from cuspedforms.graph import Vertex
+from cuspedforms.graph import Vertex, vertex_key
 from cuspedforms.lipschitz import truncate
 from cuspedforms.quasicocycle import _ball_forms, _witness
+from cuspedforms.words import gamma_inv, gamma_mul
 
 
 def bfs_oracle(graph, src, dst, cap):
@@ -27,6 +29,29 @@ def bfs_oracle(graph, src, dst, cap):
                     nxt.append(w)
         frontier = nxt
     return None
+
+
+def anchor_oracle(verts, psi):
+    """`graph.anchor_simplex` pair by pair: over every vertex order, move
+    each vertex by the inverse of the front vertex's element (gamma_inv and
+    gamma_mul on the input words, no relative table) and keep the
+    lex-least tuple of vertex keys; (that tuple's vertices, the sign of its
+    order, the front vertex's element)."""
+    best = None
+    for perm in permutations(range(len(verts))):
+        front = verts[perm[0]].elem
+        back = gamma_inv(front, psi)
+        cand = tuple(Vertex(*gamma_mul(back, verts[i].elem, psi),
+                            verts[i].depth) for i in perm)
+        key = tuple(vertex_key(v) for v in cand)
+        if best is None or key < best[0]:
+            sign = 1
+            for i in range(len(perm)):
+                for j in range(i + 1, len(perm)):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            best = (key, cand, sign, front)
+    return best[1:]
 
 
 def alpha_oracle(qc, f, tri):

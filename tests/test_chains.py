@@ -47,6 +47,65 @@ def test_boundary_squares_to_zero():
         assert not c.boundary().boundary()
 
 
+chain_vertices = st.builds(
+    Vertex, st.lists(st.sampled_from("aAbB"), max_size=3).map(reduce_word),
+    st.integers(-1, 1), st.integers(0, 1))
+
+
+def distinct_simplices(dim):
+    return st.lists(chain_vertices, min_size=dim + 1, max_size=dim + 1,
+                    unique=True).map(tuple)
+
+
+coefficients = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+def parity(perm):
+    return sum(perm[i] > perm[j] for i in range(len(perm))
+               for j in range(i + 1, len(perm))) % 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(distinct_simplices(d),
+                        st.permutations(range(d + 1)))), coefficients)
+def test_reordering_a_term_multiplies_it_by_the_sign(sx_perm, coeff):
+    sx, perm = sx_perm
+    if not parity(perm):  # a transposition more makes the order odd
+        perm = [perm[1], perm[0], *perm[2:]]
+    c = Chain(len(sx) - 1)
+    c.add(sx, coeff)
+    odd = Chain(len(sx) - 1)
+    odd.add(tuple(sx[i] for i in perm), coeff)
+    assert odd == -c
+    odd.add(sx, coeff)
+    assert not odd
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(distinct_simplices(d), st.integers(0, d),
+                        st.integers(0, d))), coefficients)
+def test_a_repeated_vertex_kills_the_term(sx_ij, coeff):
+    sx, i, j = sx_ij
+    if i == j:
+        j = (i + 1) % len(sx)
+    c = Chain(len(sx) - 1)
+    c.add(sx[:j] + (sx[i],) + sx[j + 1:], coeff)
+    assert not c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(distinct_simplices(d), coefficients),
+                       min_size=1, max_size=5)))
+def test_boundary_of_a_boundary_is_empty(terms):
+    c = Chain(len(terms[0][0]) - 1)
+    for sx, coeff in terms:
+        c.add(sx, coeff)
+    assert not c.boundary().boundary()
+
+
 def test_boundary_of_an_edge():
     c = Chain(1)
     c.add((v(""), v("a")), 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspedforms import quasicocycle as qcm
 from cuspedforms.cli import main
 from cuspedforms.config import RunConfig
 from cuspedforms.graph import parse_vertex
@@ -62,6 +63,25 @@ def test_alpha_am(capsys):
     assert code == 0
     assert lines[0]["ok"] is True
     assert lines[0]["expected_abs"] == "10"
+
+
+def test_alpha_am_checks_the_sign(capsys):
+    code, lines = run(capsys, "alpha", "am", "--f", "linear:-1", "--m", "5")
+    assert code == 0
+    assert lines[0]["value"] == lines[0]["expected"] == "-10"
+    assert lines[0]["expected_abs"] == "10"
+    assert lines[0]["ok"] is True
+
+
+def test_alpha_am_fails_on_a_sign_error(capsys, monkeypatch):
+    original = qcm.evaluate_on_Am
+    monkeypatch.setattr(qcm, "evaluate_on_Am",
+                        lambda qc, f, m: -original(qc, f, m))
+    code, lines = run(capsys, "alpha", "am", "--f", "linear:1", "--m", "5")
+    assert code == 1
+    assert lines[0]["value"] == "-10"
+    assert lines[0]["expected"] == "10"
+    assert lines[0]["ok"] is False
 
 
 def test_alpha_defect_deterministic(capsys):

@@ -7,8 +7,8 @@ import pytest
 from cuspedforms import fill, lp
 from cuspedforms.chains import Chain
 from cuspedforms.errors import FillDepthExceeded, Infeasible
-from cuspedforms.fill import FillEngine, _key_vertex
-from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
+from cuspedforms.fill import FillEngine
+from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle, key_vertex,
                                parse_vertex, random_gamma0_word)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, gamma_mul, word_pow
@@ -252,10 +252,10 @@ def test_anchor_cycle_is_a_canonical_form():
     for z, _, extra in lp_instances(graph, engine):
         key, h = anchor_cycle(z.terms, extra, graph.psi)
         terms, extra_keys = key
-        canon = Chain(z.dim, {tuple(map(_key_vertex, sx)): c
+        canon = Chain(z.dim, {tuple(map(key_vertex, sx)): c
                               for sx, c in terms})
         assert canon.translate(graph, h) == z
-        assert {graph.left_mul(h, _key_vertex(k))
+        assert {graph.left_mul(h, key_vertex(k))
                 for k in extra_keys} == set(extra)
         assert min(v.depth for v in canon.support()) == 0
         for _ in range(3):

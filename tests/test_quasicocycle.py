@@ -3,21 +3,25 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from _oracles import (alpha_oracle, representative, theta_window_oracle,
-                      vanishing_certificate)
+from _oracles import (alpha_oracle, anchor_oracle, representative,
+                      theta_window_oracle, vanishing_certificate)
+from hypothesis import given, settings, strategies as st
 from test_chains import brute_force_orbit_form
 
 from cuspedforms import lipschitz as lf
 from cuspedforms.chains import CoinvariantChain
 from cuspedforms.config import RunConfig
 from cuspedforms.errors import FillDepthExceeded
-from cuspedforms.graph import Vertex
-from cuspedforms.quasicocycle import (STRATA, _ball_forms, _witness,
-                                      boundary_class, build_A, build_aK,
-                                      build_c, build_d, build_e, defect_scan,
-                                      evaluate_on_Am, free_ball,
+from cuspedforms.fill import FillEngine
+from cuspedforms.graph import (Vertex, anchor_face, anchor_simplex,
+                               relative_table)
+from cuspedforms.quasicocycle import (STRATA, QuasiCocycle, _ball_forms,
+                                      _witness, boundary_class, build_A,
+                                      build_aK, build_c, build_d, build_e,
+                                      defect_scan, evaluate_on_Am, free_ball,
                                       independence_rank, k_of, sample_tuple)
-from cuspedforms.words import COMM, GroupElem, word_pow
+from cuspedforms.words import (COMM, DEFAULT_PSI, GroupElem, gamma_mul,
+                               reduce_word, word_pow)
 
 
 def test_k_of():
@@ -168,6 +172,76 @@ def test_delta_alpha_of_constant_vanishes(qc, graph):
         assert qc.delta_alpha(f, *pts) == 0
 
 
+def words_upto(n):
+    return st.lists(st.sampled_from("aAbB"), max_size=n).map(reduce_word)
+
+
+@st.composite
+def translated_tuples(draw, offsets, translates):
+    """A 4-tuple of `offsets`, one vertex repeated a quarter of the time,
+    moved by one element drawn from `translates`."""
+    pts = draw(st.lists(offsets, min_size=4, max_size=4, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.permutations(range(4)))[:2]
+        pts[j] = pts[i]
+    g = draw(translates)
+    return tuple(Vertex(*gamma_mul(g, v.elem, DEFAULT_PSI), v.depth)
+                 for v in pts)
+
+
+@st.composite
+def near_offsets(draw):
+    """A vertex at most 4 steps from the basepoint: up from its depth, one
+    t-step and its letters."""
+    depth = draw(st.integers(0, 2))
+    return Vertex(draw(words_upto(3 - depth)), draw(st.integers(-1, 1)),
+                  depth)
+
+
+#: vertices far apart: group operations only, no graph search
+far_tuples = translated_tuples(
+    st.builds(Vertex, words_upto(10), st.integers(-4, 4), st.integers(0, 2)),
+    st.builds(GroupElem, words_upto(10), st.just(0)))
+#: a translate of four vertices within distance 8 of one another, so every
+#: face fills as a unit simplex at kappa 8 and no geodesic midpoint is
+#: needed
+near_tuples = translated_tuples(
+    near_offsets(), st.builds(GroupElem, words_upto(10), st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_tuples)
+def test_faces_read_off_the_tuple_table_anchor_as_anchor_simplex(pts):
+    # the four faces of delta_alpha are anchored off one relative-element
+    # table of the 4-tuple; each must be its own anchor_simplex, and that
+    # the pair-by-pair oracle
+    table = relative_table(pts, DEFAULT_PSI)
+    for positions in combinations(range(4), 3):
+        face = tuple(pts[j] for j in positions)
+        if len(set(face)) < 3:
+            continue
+        canon = anchor_face(pts, table, positions)
+        assert canon == anchor_simplex(face, DEFAULT_PSI)
+        assert canon == anchor_oracle(face, DEFAULT_PSI)
+    if len(set(pts)) == 4:
+        assert anchor_simplex(pts, DEFAULT_PSI) == \
+            anchor_oracle(pts, DEFAULT_PSI)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_tuples, st.sampled_from(sorted(ORACLE_FS)))
+def test_delta_alpha_matches_face_by_face_oracle(graph, pts, name):
+    # cold on a fresh engine, then warm on the same engine; the oracle
+    # fills the faces on an engine of its own
+    f = ORACLE_FS[name]
+    fresh = QuasiCocycle(FillEngine(graph))
+    oracle = QuasiCocycle(FillEngine(graph))
+    expected = sum((alpha_oracle(oracle, f, pts[:i] + pts[i + 1:])
+                    * (-1) ** i for i in range(4)), Fraction(0))
+    assert fresh.delta_alpha(f, *pts) == expected
+    assert fresh.delta_alpha(f, *pts) == expected
+
+
 def test_defect_scan_deterministic(qc):
     a = defect_scan(qc, lf.linear(1), 60, 42)
     b = defect_scan(qc, lf.linear(1), 60, 42)
@@ -268,6 +342,24 @@ def test_growth_on_A_32(qc, graph):
         assert A.l1_norm() == 12 - Fraction(4, 2 ** k_of(m))
         for f in (lf.linear(1), lf.power_floor(1, 2)):
             assert evaluate_on_Am(qc, f, m) == 2 * (f(m) - f(0))
+
+
+lipschitz_fs = st.one_of(
+    st.builds(lf.linear, st.fractions(-5, 5, max_denominator=6)),
+    st.integers(1, 4).flatmap(
+        lambda den: st.builds(lf.power_floor, st.integers(1, den),
+                              st.just(den))),
+    st.builds(lf.table, st.dictionaries(
+        st.integers(-8, 2 ** 12 + 8),
+        st.fractions(-20, 20, max_denominator=4), max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2 ** 12 - 1), lipschitz_fs)
+def test_growth_identity_on_A_m(qc, m, f):
+    # alpha_f(A_m) = 2 (f(m) - f(0)), signed, for every f; each new m
+    # builds A_m, up to the words [a,b]^(2^12) of m >= 2^11
+    assert evaluate_on_Am(qc, f, m) == 2 * (f(m) - f(0))
 
 
 def test_second_monodromy_contracts():
