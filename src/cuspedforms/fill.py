@@ -21,6 +21,13 @@ cached once per orbit the same way: the cycle and its seed vertices are
 anchored at a seed of least depth (`graph.anchor_cycle`), the LP is solved
 on that canonical translate, and the chain in `_lp_cache` is translated
 back.
+
+The LP window is built once per orbit.  `rips_window` keeps, for each of
+its vertices, the distance to each seed whose ball holds it; two vertices
+u, v with d(u, s) + d(s, v) <= kappa for some seed s are Rips neighbours by
+the triangle inequality, and only the other pairs ask the graph.  Cliques,
+rows and columns are window indices, numbered in the order the vertices
+would give them, so the LP is the same one.
 """
 
 from __future__ import annotations
@@ -143,11 +150,16 @@ class FillEngine:
 
     # -- LP fillings -----------------------------------------------------
 
-    def rips_window(self, around: set[Vertex], radius: int) -> list[Vertex]:
-        verts: set[Vertex] = set()
-        for v in around:
-            verts.update(self.graph.ball(v, radius))
-        return sorted(verts, key=vertex_key)
+    def rips_window(self, around: set[Vertex],
+                    radius: int) -> dict[Vertex, dict[int, int]]:
+        """The vertices within the radius of a seed, in `vertex_key`
+        order, each with its distance to every seed whose ball holds it
+        (seeds by position in `vertex_key` order), as `ball` lists them."""
+        reach: dict[Vertex, dict[int, int]] = {}
+        for s, seed in enumerate(sorted(around, key=vertex_key)):
+            for v, d in self.graph.ball(seed, radius).items():
+                reach.setdefault(v, {})[s] = d
+        return {v: reach[v] for v in sorted(reach, key=vertex_key)}
 
     def fill_cycle_lp(self, z: Chain, window_radius: int = 2,
                       extra_vertices: set[Vertex] | None = None) -> FillResult:
@@ -184,53 +196,71 @@ class FillEngine:
                   {tuple(map(key_vertex, sx)): c for sx, c in terms})
         seeds = z.support() | set(map(key_vertex, extra))
         window = self.rips_window(seeds, window_radius)
-        simplices = self._rips_simplices(window, z.dim + 2, LP_SIMPLEX_CAP)
-        if not simplices:
+        cliques = self._rips_simplices(window, z.dim + 2, LP_SIMPLEX_CAP)
+        if not cliques:
             raise Infeasible("window contains no candidate simplices")
+        verts = list(window)
+        index = {v: i for i, v in enumerate(verts)}
+        rows: dict[tuple[int, ...], int] = {}
 
-        rows: dict[tuple, int] = {}
-
-        def row(face: tuple) -> int:
+        def row(face: tuple[int, ...]) -> int:
             return rows.setdefault(face, len(rows))
 
-        target = {row(f): c for f, c in z.terms.items()}
-        # simplices come in vertex order, so each face is already a sorted
-        # Chain key and the boundary signs are (-1)^j
-        columns = [{row(sx[:j] + sx[j + 1:]): (-1) ** j
-                    for j in range(len(sx))} for sx in simplices]
+        # a Chain key is in vertex order, and so are the window's indices
+        target = {row(tuple(index[v] for v in sx)): c
+                  for sx, c in z.terms.items()}
+        # cliques are increasing, so each face is too, and the boundary
+        # signs are (-1)^j
+        columns = [{row(cl[:j] + cl[j + 1:]): (-1) ** j
+                    for j in range(len(cl))} for cl in cliques]
         coeffs = lp.solve_float_then_verify(columns, target, len(rows))
         out = Chain(z.dim + 1)
-        for sx, c in zip(simplices, coeffs):
+        for cl, c in zip(cliques, coeffs):
             if c:
-                out.add(sx, c)
+                out.add(tuple(verts[i] for i in cl), c)
         if out.boundary() != z:
             raise Infeasible("LP result failed exact boundary verification")
         return out
 
-    def _rips_simplices(self, window: list[Vertex], size: int,
-                        cap: int) -> list[tuple[Vertex, ...]]:
+    def _rips_simplices(self, window: dict[Vertex, dict[int, int]],
+                        size: int, cap: int) -> list[tuple[int, ...]]:
         """All size-vertex cliques of the Rips graph (diameter <= kappa) on
-        the window, in canonical vertex order."""
-        n = len(window)
-        adj = [set() for _ in range(n)]
+        a `rips_window`, as increasing tuples of window positions.  Two
+        vertices u, v with d(u, s) + d(s, v) <= kappa for a seed s are
+        adjacent by the triangle inequality, read off the seed distances
+        the window holds; every other pair asks the graph."""
+        verts = list(window)
+        n = len(verts)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        by_seed: dict[int, list[tuple[int, int]]] = {}
+        for i, reach in enumerate(window.values()):
+            for s, d in reach.items():
+                by_seed.setdefault(s, []).append((i, d))
+        for ball in by_seed.values():
+            for k, (i, di) in enumerate(ball):
+                for j, dj in ball[k + 1:]:
+                    if di + dj <= self.kappa:
+                        adj[i].add(j)
         for i in range(n):
+            near = adj[i]
             for j in range(i + 1, n):
-                if self.graph.distance_at_most(window[i], window[j], self.kappa):
-                    adj[i].add(j)
-        out: list[tuple[Vertex, ...]] = []
+                if j not in near and self.graph.distance_at_most(
+                        verts[i], verts[j], self.kappa):
+                    near.add(j)
+        out: list[tuple[int, ...]] = []
 
-        def extend(members: list[int], candidates: set[int]) -> None:
+        def extend(members: tuple[int, ...], candidates: set[int]) -> None:
             if len(members) == size:
-                out.append(tuple(window[i] for i in members))
+                out.append(members)
                 if len(out) > cap:
                     raise WindowTooLarge(
                         f"more than {cap} Rips simplices in the window")
                 return
             for j in sorted(candidates):
-                extend(members + [j], candidates & adj[j])
+                extend(members + (j,), candidates & adj[j])
 
         for i in range(n):
-            extend([i], set(adj[i]))
+            extend((i,), set(adj[i]))
         return out
 
     # -- relative filling diagnostics -------------------------------------

@@ -100,26 +100,27 @@ def _orders(n: int, face: tuple[int, ...]
                  for p in permutations(face))
 
 
-def relative_table(verts: Simplex, psi: Automorphism) -> list:
+def relative_table(verts: Simplex, psi: Automorphism,
+                   rows: list[int] | None = None) -> list:
     """The `vertex_key` of vertex j anchored at vertex i, the vertex
     (g_i^-1 g_j, depth of j), at index i * n + j of a list, for every
-    ordered pair i != j of the n vertices; None at i = j.  Only the n - 1
-    relative elements of vertex 0 and vertex j touch the input words, each
-    through `words.gamma_rel`, which cancels their common prefix before
-    applying the psi-power; the other entries are derived from these, which
-    stay short even when the inputs are long: n - 1 inverses and
-    (n - 1)(n - 2) products in all."""
+    ordered pair i != j of the n vertices, or only for i = 0 and the rows i
+    that `rows` lists; None elsewhere.  Only the n - 1 relative elements of
+    vertex 0 and vertex j touch the input words, each through
+    `words.gamma_rel`, which cancels their common prefix before applying
+    the psi-power; the other entries are derived from these, which stay
+    short even when the inputs are long: an inverse and n - 2 products per
+    further row."""
     n = len(verts)
     rel: list = [None] * (n * n)
     for j in range(1, n):
-        r = gamma_rel(verts[0], verts[j], psi)
-        rel[j] = r
-        rel[j * n] = gamma_inv(r, psi)
-    for i in range(1, n):
-        back = rel[i * n]
-        for j in range(1, n):
-            if i != j:
-                rel[i * n + j] = gamma_mul(back, rel[j], psi)
+        rel[j] = gamma_rel(verts[0], verts[j], psi)
+    for i in range(1, n) if rows is None else rows:
+        if i:
+            back = rel[i * n] = gamma_inv(rel[i], psi)
+            for j in range(1, n):
+                if i != j:
+                    rel[i * n + j] = gamma_mul(back, rel[j], psi)
     # vertex_key of Vertex(e.base, e.texp, depth of j), without the vertex
     return [None if e is None else
             (verts[ij % n].depth, len(e.base), e.base, e.texp)
@@ -171,31 +172,29 @@ def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
     key, and g is the group element of its seed.  Gamma acts freely on
     vertices and is torsion-free, so no two seeds give the same key.
 
-    As in `anchor_simplex`, only the relative elements of one seed and
-    each other seed touch the input words; the other anchorings are
-    derived from these."""
+    The translates are the rows of the seeds' `relative_table`, built for
+    the seeds of least depth only."""
     extra = tuple(extra)
-    seeds = list({v for sx in terms for v in sx}.union(extra))
-    rel = {v: gamma_rel(seeds[0], v, psi) for v in seeds}
-    low = min(v.depth for v in seeds)
+    seeds = sorted({v for sx in terms for v in sx}.union(extra),
+                   key=vertex_key)
+    n, low = len(seeds), seeds[0].depth
+    pos = {v: i for i, v in enumerate(seeds)}
+    fronts = [i for i, v in enumerate(seeds) if v.depth == low]
+    table = relative_table(seeds, psi, fronts)
     best_key = best = None
-    for c in seeds:
-        if c.depth != low:
-            continue
-        back = gamma_inv(rel[c], psi)
-        moved = {}
-        for v in seeds:
-            e = gamma_mul(back, rel[v], psi)
-            moved[v] = vertex_key(Vertex(e.base, e.texp, v.depth))
+    for c in fronts:
+        moved = table[c * n:(c + 1) * n]
+        moved[c] = (low, 0, "", 0)
         cyc = []
         for sx, coeff in terms.items():
-            ks = [moved[v] for v in sx]
+            ks = [moved[pos[v]] for v in sx]
             order = sorted(range(len(ks)), key=ks.__getitem__)
             cyc.append((tuple(ks[i] for i in order), _parity(order) * coeff))
-        key = (tuple(sorted(cyc)), tuple(sorted(moved[v] for v in extra)))
+        key = (tuple(sorted(cyc)),
+               tuple(sorted(moved[pos[v]] for v in extra)))
         if best_key is None or key < best_key:
             best_key, best = key, c
-    return best_key, best.elem
+    return best_key, seeds[best].elem
 
 
 def horoball_distance(load: int, n1: int, n2: int, depth_cap: int) -> int:
@@ -284,7 +283,10 @@ class CuspedGraph:
     which costs one relative word per query.  It maps the key to (d, True)
     once the distance d is known, or to (b, False) once a search at cap c
     has failed, having proved d > b >= c; a search writes its answer under
-    both orientations, so d(v, u) after d(u, v) never searches.
+    both orientations, so d(v, u) after d(u, v) never searches.  A query
+    reads one such fact (`distance_fact`), which never raises:
+    `distance` raises CapExceeded from it, and `distance_at_most` only
+    compares it with its bound.
 
     `_geo_cache` is keyed by the canonical pair `anchor_simplex((u, v))`
     and holds the midpoint of that pair only, never a whole path.
@@ -394,33 +396,41 @@ class CuspedGraph:
         """Exact graph distance, or CapExceeded if it exceeds the cap."""
         if cap is None:
             cap = self.distance_cap
+        bound, exact = self.distance_fact(u, v, cap)
+        if not exact:
+            raise CapExceeded(f"d({u},{v}) > {bound}")
+        # a grown shared side can answer past the cap; d <= 1 needs no
+        # search and is returned at any cap
+        if bound > max(cap, 1):
+            raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
+        return bound
+
+    def distance_at_most(self, u: Vertex, v: Vertex, bound: int) -> bool:
+        d, exact = self.distance_fact(u, v, bound)
+        return exact and d <= bound
+
+    def distance_fact(self, u: Vertex, v: Vertex, cap: int) -> tuple[int, bool]:
+        """What a search at this cap knows of d(u, v), without raising:
+        (d, True) with the exact distance, which may exceed the cap, or
+        (b, False) with the proven bound d > b >= cap."""
         if u == v:
-            return 0
+            return 0, True
         va = self.anchor(u, v)
-        if self._adjacent_anchored(u.depth, va):
-            return 1
-        if cap < 2:
-            raise CapExceeded(f"d({u},{v}) > {cap}")
         key = (u.depth, va)
         fact = self._dist_cache.get(key)
-        if fact is None or (not fact[1] and cap > fact[0]):
+        # only pairs at distance >= 2 are cached, so a hit needs no
+        # adjacency test
+        if fact is None or (not fact[1] and cap > fact[0]) or cap < 2:
+            if self._adjacent_anchored(u.depth, va):
+                return 1, True
+            if cap < 2:
+                return cap, False
             fact = self._dist_cache[key] = self._bidirectional(
                 u.depth, va, cap)
             ua = gamma_inv(va.elem, self.psi)
             back = Vertex(ua.base, ua.texp, u.depth)
             self._dist_cache[(v.depth, back)] = fact
-        bound, exact = fact
-        if not exact:
-            raise CapExceeded(f"d({u},{v}) > {bound}")
-        if bound > cap:  # a grown shared side can answer past the cap
-            raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
-        return bound
-
-    def distance_at_most(self, u: Vertex, v: Vertex, bound: int) -> bool:
-        try:
-            return self.distance(u, v, bound) <= bound
-        except CapExceeded:
-            return False
+        return fact
 
     def _bidirectional(self, depth: int, dst: Vertex,
                        cap: int) -> tuple[int, bool]:

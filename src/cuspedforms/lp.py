@@ -2,8 +2,9 @@
 
 Every LP takes one path, `solve_float_then_verify`: scipy's HiGHS solves it
 in floats, the primal x is rebuilt exactly by rational row reduction on the
-columns the float answer uses, and HiGHS's row duals, rationalised, give a
-dual vector y.  x is returned only when the certificate holds exactly:
+columns the float answer uses, over the rows that those columns or b touch
+(every other row is zero there), and HiGHS's row duals, rationalised, give
+a dual vector y.  x is returned only when the certificate holds exactly:
 A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, which by weak duality makes x an
 l1-minimal solution.
 """
@@ -43,8 +44,11 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
         raise Infeasible(f"float LP failed: {res.message}")
     signed = res.x[0::2] - res.x[1::2]
     support = [j for j in range(len(columns)) if abs(signed[j]) > 1e-9]
+    # a row that neither the support nor b touches is zero: it holds no
+    # pivot and cannot show b outside the span
+    touched = set(target).union(*(columns[j] for j in support))
     mat = [[Fraction(columns[j].get(i, 0)) for j in support]
-           + [Fraction(target.get(i, 0))] for i in range(n_rows)]
+           + [Fraction(target.get(i, 0))] for i in sorted(touched)]
     pivots = row_reduce(mat, len(support))
     if any(row[-1] for row in mat[len(pivots):]):
         raise Infeasible("exact reconstruction on the float support "
@@ -76,7 +80,7 @@ def certify(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
     for j, col in enumerate(columns):
         if abs(sum(v * ys[i] for i, v in col.items())) > scale:
             raise Infeasible(f"certificate: |A^T y| > 1 on column {j}")
-    norm = sum((abs(c) for c in x), Fraction(0))
+    norm = sum((abs(c) for c in x if c), Fraction(0))
     if sum(v * ys[i] for i, v in target.items()) != scale * norm:
         raise Infeasible(f"certificate: b.y != |x|_1 = {norm}")
 

@@ -168,3 +168,4 @@ def representative(chain, key):
     k, verts = key
     return tuple(Vertex(chain.psi.apply(v.base, k), v.texp + k, v.depth)
                  for v in verts)
+

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -9,11 +8,9 @@ from cuspedforms.chains import Chain
 from cuspedforms.errors import FillDepthExceeded, Infeasible
 from cuspedforms.fill import FillEngine
 from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle, key_vertex,
-                               parse_vertex, random_gamma0_word)
+                               parse_vertex, random_gamma0_word, vertex_key)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, gamma_mul, word_pow
-
-from _oracles import bfs_oracle
 
 
 def sample_triple(graph, rng, idx):
@@ -310,32 +307,71 @@ def test_lp_cache_keys_the_window_and_the_seeds(monkeypatch):
     assert len(engine._lp_cache) == 2
 
 
-def oracle_rips_triangles(window, kappa):
-    """Triangles of the Rips graph on the window, adjacency read off the
-    plain BFS on a fresh graph."""
+def oracle_rips_triangles(window, kappa, balls):
+    """Triangles of the Rips graph on the window (kappa 2 or 3), as
+    increasing position triples.  Adjacency is read off the plain BFS
+    `ball`s of radii 2 and 1 on a fresh graph, kept in `balls` across
+    windows: d(u, v) <= 3 exactly when some w within 1 of v is within 2 of
+    u."""
     fresh = CuspedGraph()
-    near = {(i, j) for i, j in combinations(range(len(window)), 2)
-            if bfs_oracle(fresh, window[i], window[j], kappa) is not None}
-    return [tuple(window[i] for i in tri)
-            for tri in combinations(range(len(window)), 3)
-            if all(side in near for side in combinations(tri, 2))]
+
+    def ball(v, r):
+        if (v, r) not in balls:
+            balls[v, r] = fresh.ball(v, r)
+        return balls[v, r]
+
+    def near(u, v):
+        return (v in ball(u, 2) if kappa == 2 else
+                any(w in ball(u, 2) for w in ball(v, 1)))
+
+    verts = list(window)
+    adj = [{j for j in range(i + 1, len(verts)) if near(verts[i], verts[j])}
+           for i in range(len(verts))]
+    return sorted((i, j, k) for i in range(len(verts)) for j in adj[i]
+                  for k in adj[i] & adj[j] if k > j)
 
 
-def test_rips_simplices_match_bfs_oracle():
-    # the distance cache remembers "farther than kappa" for window pairs; a
-    # stale entry would silently drop LP columns, cold, warm, or at a larger
-    # kappa on the same graph
-    graph = CuspedGraph()
-    pts = sample_tuple(graph, random.Random(1), "cayley", 3)
-    near, wider = FillEngine(graph, kappa=2), FillEngine(graph, kappa=3)
-    window = near.rips_window(set(pts), 1)
-    expect = oracle_rips_triangles(window, 2)
-    assert len(expect) > 100
-    assert near._rips_simplices(window, 3, 10 ** 6) == expect
-    assert near._rips_simplices(window, 3, 10 ** 6) == expect
-    wide = wider._rips_simplices(window, 3, 10 ** 6)
-    assert wide == oracle_rips_triangles(window, 3)
-    assert len(wide) > len(expect)
+def test_rips_simplices_match_bfs_oracle(monkeypatch):
+    # adjacency comes from the window's seed balls where they settle a pair
+    # and from the distance cache otherwise, which remembers "farther than
+    # kappa"; a wrong ball rule or a stale entry would silently drop or add
+    # LP columns, cold, warm, or at a larger kappa on the same graph.  At
+    # radius 2 and kappa 2 the balls settle only some pairs.
+    asked = []
+    at_most = CuspedGraph.distance_at_most
+
+    def spy(self, u, v, bound):
+        asked.append(1)
+        return at_most(self, u, v, bound)
+
+    monkeypatch.setattr(CuspedGraph, "distance_at_most", spy)
+    for stratum, seed in (("cayley", 1), ("cayley", 4), ("mixed", 8)):
+        pts = sample_tuple(CuspedGraph(), random.Random(seed), stratum, 3)
+        assert len(set(pts)) == 3
+        balls: dict = {}
+        for radius in (0, 1, 2):
+            graph = CuspedGraph()
+            near, wider = FillEngine(graph, kappa=2), FillEngine(graph, kappa=3)
+            window = near.rips_window(set(pts), radius)
+            fresh = CuspedGraph()
+            dists = [fresh.ball(s, radius)
+                     for s in sorted(pts, key=vertex_key)]
+            inside = set().union(*dists)
+            assert list(window) == sorted(inside, key=vertex_key)
+            assert window == {v: {s: d[v] for s, d in enumerate(dists)
+                                  if v in d} for v in inside}
+            expect = oracle_rips_triangles(window, 2, balls)
+            asked.clear()
+            assert near._rips_simplices(window, 3, 10 ** 6) == expect
+            pairs = len(window) * (len(window) - 1) // 2
+            if radius == 2:
+                assert 0 < len(asked) < pairs
+            assert near._rips_simplices(window, 3, 10 ** 6) == expect
+            wide = wider._rips_simplices(window, 3, 10 ** 6)
+            assert wide == oracle_rips_triangles(window, 3, balls)
+            assert wider._rips_simplices(window, 3, 10 ** 6) == wide
+            if radius:
+                assert len(wide) > len(expect) > 100
 
 
 def test_relative_fill_unit_simplex(engine):

@@ -102,6 +102,43 @@ def test_distance_cap(graph):
     assert not graph.distance_at_most(Vertex("", 0, 0), far, 3)
 
 
+def test_distance_at_most_matches_bfs_oracle():
+    # one graph asked every pair at bounds 0, 1, ..., 4 in turn, so a pair
+    # farther than a bound is asked again at a larger bound after its
+    # capped miss; the oracle is a plain BFS on a fresh graph
+    graph, fresh = CuspedGraph(), CuspedGraph()
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(24):
+        u = Vertex(random_gamma0_word(rng, 4), rng.randrange(-2, 3),
+                   rng.randrange(0, 2))
+        v = u
+        for _ in range(rng.randrange(2, 9)):
+            nbrs = graph.neighbors(v)
+            v = nbrs[rng.randrange(len(nbrs))]
+        pairs += [(u, u), (u, graph.neighbors(u)[rng.randrange(4)]), (u, v)]
+    u, v = Vertex("", 0, 0), Vertex("abab", 0, 0)
+    pairs.append((u, v))
+    # bounds 0 and 1 once more with every pair's fact cached
+    for bound in (0, 1, 2, 3, 4, 0, 1):
+        for x, y in pairs:
+            want = bfs_oracle(fresh, x, y, bound) is not None
+            assert graph.distance_at_most(x, y, bound) == want, (x, y, bound)
+    # u = v and adjacent pairs are answered at any cap, as before
+    assert graph.distance(u, u, cap=0) == 0
+    assert graph.distance(u, Vertex("a", 0, 0), cap=0) == 1
+    # the search at bound 4 found d(u, v) = 4: cap 3 raises with the exact
+    # distance; below cap 2 no fact is read, as before; a capped miss
+    # raises with its proven bound
+    with pytest.raises(CapExceeded, match=rf"^d\({u},{v}\) = 4 > 3$"):
+        graph.distance(u, v, cap=3)
+    with pytest.raises(CapExceeded, match=rf"^d\({u},{v}\) > 1$"):
+        graph.distance(u, v, cap=1)
+    far = Vertex(word_pow("ab", 40), 0, 0)
+    with pytest.raises(CapExceeded, match=rf"^d\({u},{far}\) > 4$"):
+        CuspedGraph().distance(u, far, cap=4)
+
+
 def test_capped_miss_is_remembered(monkeypatch):
     # a failed search at cap c answers later queries of the same anchored
     # pair at caps <= c; a larger cap searches again

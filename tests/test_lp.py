@@ -120,13 +120,36 @@ def random_lp(rng):
             col.pop(dst, None)
             if src in col:
                 col[dst] = col[src]
+    return cols, feasible_target(rng, cols), n_rows
+
+
+def feasible_target(rng, cols):
+    """b = A m for a random rational mix m of the columns."""
     mix = [Fraction(rng.randrange(-2, 3), rng.choice((1, 1, 2, 3)))
            for _ in cols]
     target = {}
     for col, c in zip(cols, mix):
         for r, val in col.items():
             target[r] = target.get(r, Fraction(0)) + c * val
-    return cols, {r: v for r, v in target.items() if v}, n_rows
+    return {r: v for r, v in target.items() if v}
+
+
+def sparse_lp(rng):
+    """A feasible LP whose rows include some that no column touches, spread
+    among the others, and some that are a combination of two other rows:
+    the rows the exact reconstruction skips or finds dependent."""
+    cols, _, n_rows = random_lp(rng)
+    for _ in range(rng.randrange(0, 3)):
+        i, j = rng.randrange(n_rows), rng.randrange(n_rows)
+        a, b = rng.choice((1, -1, 2)), rng.choice((1, -1))
+        for col in cols:
+            v = a * col.get(i, 0) + b * col.get(j, 0)
+            if v:
+                col[n_rows] = Fraction(v)
+        n_rows += 1
+    spread = sorted(rng.sample(range(n_rows + 4), n_rows))
+    cols = [{spread[r]: v for r, v in col.items()} for col in cols]
+    return cols, feasible_target(rng, cols), n_rows + 4
 
 
 def l1(x):
@@ -142,8 +165,8 @@ def test_float_path_is_certified_and_matches_exact_oracle(monkeypatch):
 
     monkeypatch.setattr(lp, "certify", spy)
     rng = random.Random(31)
-    for k in range(300):
-        cols, target, n_rows = random_lp(rng)
+    for k in range(450):
+        cols, target, n_rows = (random_lp if k % 3 else sparse_lp)(rng)
         x = solve_float_then_verify(cols, target, n_rows)
         assert len(certified) == k + 1 and certified[-1] == x
         check_solution(cols, target, n_rows, x)
