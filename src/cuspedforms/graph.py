@@ -8,11 +8,12 @@ vertical edges change the depth by one.
 
 A coset g<[a,b], t> is named by its key, the (length, lex)-least word of
 base * <[a,b]>, and its vertices by lattice points (alpha, beta) with
-g = key [a,b]^alpha t^beta (`words.coset_key`).  Distances cross a horoball in
-closed form, `horoball_distance`, so the distance search lists no vertex of
-depth >= 1; `neighbors` and `ball` enumerate them, for walks and geodesic
-midpoints.  The search's source half, the ball about (e, 0, n), is kept per
-source depth n and reused by every later query.
+g = key [a,b]^alpha t^beta (`words.coset_key`).  The distance search
+decides every distance, d = 1 included.  It crosses a horoball in closed
+form, `horoball_distance`, and lists no vertex of depth >= 1; `neighbors`
+and `ball` enumerate them, for walks, LP windows and the source half of a
+geodesic midpoint.  The search's source half, the ball about (e, 0, n), is
+kept per source depth n and reused by every later query.
 
 A simplex is anchored by translating one vertex to (e, 0, depth), over
 every vertex order, and keeping the lex-least result (`anchor_simplex`).
@@ -270,7 +271,7 @@ class _Side:
 
 
 class CuspedGraph:
-    """Adjacency, capped exact distances and geodesic midpoints.
+    """Neighbours, capped exact distances and geodesic midpoints.
 
     Queries are anchored: a pair (u, v) is translated so the first vertex's
     group element becomes the identity before searching, which keeps words
@@ -283,13 +284,16 @@ class CuspedGraph:
     which costs one relative word per query.  It maps the key to (d, True)
     once the distance d is known, or to (b, False) once a search at cap c
     has failed, having proved d > b >= c; a search writes its answer under
-    both orientations, so d(v, u) after d(u, v) never searches.  A query
+    both orientations, so d(v, u) after d(u, v) never searches.  Every
+    pair but u = v is a search's fact, adjacent pairs included.  A query
     reads one such fact (`distance_fact`), which never raises:
     `distance` raises CapExceeded from it, and `distance_at_most` only
     compares it with its bound.
 
     `_geo_cache` is keyed by the canonical pair `anchor_simplex((u, v))`
-    and holds the midpoint of that pair only, never a whole path.
+    and holds the midpoint of that pair only, never a whole path.  A
+    midpoint lists the source ball only (`neighbors`, `ball`) and asks the
+    distance search which vertex of its sphere is on a geodesic.
 
     The distance search (`_bidirectional`) holds depth-0 vertices only, as
     coset keys and lattice points; a stretch through a horoball between two
@@ -314,7 +318,6 @@ class CuspedGraph:
         self.distance_cap = distance_cap
         self._dist_cache: dict[tuple, tuple[int, bool]] = {}
         self._geo_cache: dict[Simplex, Vertex] = {}
-        self._twisted_gen_cache: dict[int, tuple[str, ...]] = {}
         self._sides: dict[int, _Side] = {}
 
     # -- group action -------------------------------------------------
@@ -336,8 +339,9 @@ class CuspedGraph:
                 f"depth {v.depth} exceeds cap {self.depth_cap}")
         out: set[Vertex] = set()
         if v.depth == 0:
-            for w in self._twisted(v.texp):
-                out.add(Vertex(mul(v.base, w), v.texp, 0))
+            for x in self.GENERATOR_WORDS:
+                out.add(Vertex(mul(v.base, self.psi.apply(x, v.texp)),
+                               v.texp, 0))
             out.add(Vertex(v.base, v.texp + 1, 0))
             out.add(Vertex(v.base, v.texp - 1, 0))
             out.add(Vertex(v.base, v.texp, 1))
@@ -357,39 +361,6 @@ class CuspedGraph:
         out.discard(v)
         return sorted(out, key=vertex_key)
 
-    def _twisted(self, texp: int) -> tuple[str, ...]:
-        """psi^texp of GENERATOR_WORDS: the base words of the generator
-        edges at t-exponent texp, the four letters first."""
-        # a tuple of its own per t-exponent: one lookup answers all six
-        # words, where psi's (word, power) memo would take six per frontier
-        # point in `_grow`
-        twisted = self._twisted_gen_cache.get(texp)
-        if twisted is None:
-            twisted = tuple(self.psi.apply(w, texp)
-                            for w in self.GENERATOR_WORDS)
-            self._twisted_gen_cache[texp] = twisted
-        return twisted
-
-    def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        return self._adjacent_anchored(u.depth, self.anchor(u, v))
-
-    def _adjacent_anchored(self, depth: int, va: Vertex) -> bool:
-        """Adjacency of (e, 0, depth) and the anchored vertex va."""
-        if not va.base and not va.texp:
-            return abs(depth - va.depth) == 1
-        if depth != va.depth:
-            return False
-        try:
-            hc = words.h_coord(va.elem)
-        except ValueError:
-            hc = None
-        if hc is not None:
-            dist = abs(hc.alpha) + abs(hc.beta)
-            return 0 < dist <= 2 ** depth
-        if depth == 0:
-            return va.texp == 0 and va.base in self.GENERATOR_WORDS
-        return False
-
     # -- distances -----------------------------------------------------
 
     def distance(self, u: Vertex, v: Vertex, cap: int | None = None) -> int:
@@ -399,8 +370,8 @@ class CuspedGraph:
         bound, exact = self.distance_fact(u, v, cap)
         if not exact:
             raise CapExceeded(f"d({u},{v}) > {bound}")
-        # a grown shared side can answer past the cap; d <= 1 needs no
-        # search and is returned at any cap
+        # a grown shared side can answer past the cap; every search runs
+        # to cap >= 1, so d <= 1 is returned at any cap
         if bound > max(cap, 1):
             raise CapExceeded(f"d({u},{v}) = {bound} > {cap}")
         return bound
@@ -410,21 +381,18 @@ class CuspedGraph:
         return exact and d <= bound
 
     def distance_fact(self, u: Vertex, v: Vertex, cap: int) -> tuple[int, bool]:
-        """What a search at this cap knows of d(u, v), without raising:
-        (d, True) with the exact distance, which may exceed the cap, or
-        (b, False) with the proven bound d > b >= cap."""
+        """What a search at cap max(cap, 1) knows of d(u, v), without
+        raising: (d, True) with the exact distance, which may exceed the
+        cap, or (b, False) with the proven bound d > b >= max(cap, 1).
+        Every fact but u = v, d = 1 included, comes from `_bidirectional`
+        and is cached under both orientations."""
         if u == v:
             return 0, True
+        cap = max(cap, 1)
         va = self.anchor(u, v)
         key = (u.depth, va)
         fact = self._dist_cache.get(key)
-        # only pairs at distance >= 2 are cached, so a hit needs no
-        # adjacency test
-        if fact is None or (not fact[1] and cap > fact[0]) or cap < 2:
-            if self._adjacent_anchored(u.depth, va):
-                return 1, True
-            if cap < 2:
-                return cap, False
+        if fact is None or (not fact[1] and cap > fact[0]):
             fact = self._dist_cache[key] = self._bidirectional(
                 u.depth, va, cap)
             ua = gamma_inv(va.elem, self.psi)
@@ -500,6 +468,7 @@ class CuspedGraph:
         `far` and writes `near` only."""
         r = near.radius + 1
         dist, entries, depth_cap = near.dist, near.entries, self.depth_cap
+        apply = self.psi.apply
         layer = []
         for key, ents in entries.items():
             for alpha, beta, depth, r0 in ents:
@@ -512,8 +481,8 @@ class CuspedGraph:
         for key, alpha, beta in near.frontier:
             base = mul(key, COMM * alpha if alpha >= 0
                        else COMM_INV * -alpha)
-            for x in self._twisted(beta)[:4]:
-                key2, alpha2 = coset_key(mul(base, x))
+            for x in words.LETTERS:
+                key2, alpha2 = coset_key(mul(base, apply(x, beta)))
                 p = (key2, alpha2, beta)
                 if p in dist:
                     continue
@@ -547,15 +516,20 @@ class CuspedGraph:
     # -- geodesic midpoints ---------------------------------------------
 
     def _meet_point(self, src: Vertex, dst: Vertex, d: int) -> Vertex:
+        """The `vertex_key`-least vertex at distance ceil(d/2) from src and
+        floor(d/2) from dst, for d = d(src, dst) >= 2.  An edge changes
+        the depth by at most one, so every vertex of a geodesic has depth
+        at most (d + depth(src) + depth(dst)) / 2 and the source ball is
+        listed to that depth only.  Its sphere of radius ceil(d/2) holds
+        every meet point, and the distance search tells which of its
+        vertices are within floor(d/2) of dst: those are the meet points,
+        by the triangle inequality."""
         half = (d + 1) // 2
-        max_depth = (d + src.depth + dst.depth) // 2
-        dist_s = self.ball(src, half, max_depth)
-        dist_t = self.ball(dst, d - half, max_depth)
-        meets = [w for w, r in dist_s.items()
-                 if r + dist_t.get(w, d + 1) == d and w not in (src, dst)]
-        if not meets:  # endpoints adjacent handled by caller
-            raise CapExceeded(f"no meet point between {src} and {dst}")
-        return min(meets, key=vertex_key)
+        ball = self.ball(src, half, (d + src.depth + dst.depth) // 2)
+        sphere = sorted((w for w, r in ball.items() if r == half),
+                        key=vertex_key)
+        return next(w for w in sphere
+                    if self.distance_at_most(w, dst, d - half))
 
     def geodesic_midpoint(self, u: Vertex, v: Vertex) -> Vertex:
         """A vertex m on a geodesic between u and v, at distance ceil(d/2)

@@ -206,31 +206,13 @@ def gamma_rel(g: GroupElem, h: GroupElem, psi: Automorphism) -> GroupElem:
                      h.texp - g.texp)
 
 
-class HCoord(NamedTuple):
-    """Coordinates on the peripheral Z^2: h = [a,b]^alpha * t^beta."""
-
-    alpha: int
-    beta: int
-
-
-def h_coord(g: GroupElem) -> HCoord:
-    """Coordinates of a peripheral element; raises if g is not in <[a,b], t>."""
-    n, r = divmod(len(g.base), 4)
-    if r != 0:
-        raise ValueError(f"{g} is not peripheral")
-    if g.base == COMM * n:
-        return HCoord(n, g.texp)
-    if g.base == COMM_INV * n:
-        return HCoord(-n, g.texp)
-    raise ValueError(f"{g} is not peripheral")
-
-
 def coset_key(w: str) -> tuple[str, int]:
     """(key, alpha) with w = key * [a,b]^alpha and key the (length,
     lex)-least word of the coset w * <[a,b]>.  So g = w t^beta lies in the
     left coset of <[a,b], t> named by key, at lattice point (alpha, beta):
     two elements share a coset exactly when their keys agree, and then
-    g^-1 h has the difference of their lattice points as h_coord.
+    g^-1 h = [a,b]^alpha t^beta with (alpha, beta) the difference of their
+    lattice points.
 
     Stripping the trailing [a,b]^(+-1) blocks leaves a word w0 that ends in
     neither block, so w0 * [a,b]^j cancels at most 3 letters and is longer

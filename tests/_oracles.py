@@ -3,12 +3,33 @@ modules."""
 
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from cuspedforms.errors import Infeasible
 from cuspedforms.graph import Vertex, vertex_key
 from cuspedforms.lipschitz import truncate
 from cuspedforms.quasicocycle import _ball_forms, _witness
-from cuspedforms.words import gamma_inv, gamma_mul
+from cuspedforms.words import COMM, COMM_INV, gamma_inv, gamma_mul
+
+
+class HCoord(NamedTuple):
+    """Coordinates on the peripheral Z^2: h = [a,b]^alpha * t^beta."""
+
+    alpha: int
+    beta: int
+
+
+def h_coord(g) -> HCoord:
+    """Coordinates of a peripheral element; raises if g is not in <[a,b],
+    t>: the oracle for `words.coset_key`."""
+    n, r = divmod(len(g.base), 4)
+    if r != 0:
+        raise ValueError(f"{g} is not peripheral")
+    if g.base == COMM * n:
+        return HCoord(n, g.texp)
+    if g.base == COMM_INV * n:
+        return HCoord(-n, g.texp)
+    raise ValueError(f"{g} is not peripheral")
 
 
 def bfs_oracle(graph, src, dst, cap):
@@ -29,6 +50,19 @@ def bfs_oracle(graph, src, dst, cap):
                     nxt.append(w)
         frontier = nxt
     return None
+
+
+def meet_point_oracle(graph, src, dst, d):
+    """The `vertex_key`-least vertex at distance ceil(d/2) from src and
+    floor(d/2) from dst, d = d(src, dst), from two explicit balls about
+    src and dst, both cut at depth (d + depth(src) + depth(dst)) // 2: no
+    distance search.  It is src when d = 0 and dst when d = 1."""
+    half = (d + 1) // 2
+    max_depth = (d + src.depth + dst.depth) // 2
+    dist_s = graph.ball(src, half, max_depth)
+    dist_t = graph.ball(dst, d - half, max_depth)
+    return min((w for w, r in dist_s.items()
+                if r == half and dist_t.get(w) == d - half), key=vertex_key)
 
 
 def anchor_oracle(verts, psi):

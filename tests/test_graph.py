@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from cuspedforms.errors import CapExceeded, DegreeOverflow, PsiPowerCap
-from cuspedforms.graph import (CuspedGraph, Vertex, _Side, horoball_distance,
-                               parse_vertex, random_gamma0_word)
+from cuspedforms.graph import (CuspedGraph, Vertex, _Side, anchor_simplex,
+                               horoball_distance, parse_vertex,
+                               random_gamma0_word)
 from cuspedforms.words import COMM, GroupElem, mul, word_pow
 
-from _oracles import bfs_oracle
+from _oracles import bfs_oracle, meet_point_oracle
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
 
 
@@ -34,7 +35,74 @@ def test_neighbors_symmetric(graph):
                    rng.randrange(0, 3))
         for w in graph.neighbors(v):
             assert v in graph.neighbors(w)
-            assert graph.adjacent(v, w) and graph.adjacent(w, v)
+            assert graph.distance(v, w, cap=0) == 1
+            assert graph.distance(w, v, cap=0) == 1
+
+
+def test_ball_of_radius_two_is_the_search_at_two():
+    # the search alone decides adjacency: past v and its neighbours, every
+    # vertex of the radius-2 ball is at distance exactly 2
+    rng = random.Random(23)
+    graph = CuspedGraph()
+    for depth in (0, 0, 1, 1, 2, 3):
+        v = Vertex(random_gamma0_word(rng, 3), rng.randrange(-2, 3), depth)
+        near = {v, *graph.neighbors(v)}
+        for w, r in graph.ball(v, 2).items():
+            assert graph.distance(v, w) == (r if w in near else 2), (v, w)
+
+
+def test_distance_fact_below_cap_two():
+    # caps 0 and 1 search at cap 1: u = v, an adjacent pair and d = 4,
+    # cold and once their facts are cached
+    u, adj, far = Vertex("", 0, 0), Vertex("a", 0, 0), Vertex("abab", 0, 0)
+    for cap in (0, 1):
+        graph = CuspedGraph()
+        for _ in range(2):
+            assert graph.distance_fact(u, u, cap) == (0, True)
+            assert graph.distance_fact(u, adj, cap) == (1, True)
+            assert graph.distance_fact(adj, u, cap) == (1, True)
+            assert graph.distance_fact(u, far, cap) == (1, False)
+        assert graph.distance(u, far, cap=4) == 4
+        assert graph.distance_fact(u, far, cap) == (4, True)
+        assert graph.distance_fact(far, u, cap) == (4, True)
+
+
+def test_adjacent_pair_searches_once(monkeypatch):
+    # d = 1 comes from the search too, and is cached in both orientations
+    graph = CuspedGraph()
+    searches = []
+    search = graph._bidirectional
+
+    def spy(depth, dst, cap):
+        searches.append(cap)
+        return search(depth, dst, cap)
+
+    monkeypatch.setattr(graph, "_bidirectional", spy)
+    u, v = Vertex("bA", 1, 0), Vertex("bAba", 1, 0)
+    assert graph.distance(u, v, cap=0) == 1
+    assert searches == [1]
+    for x, y in ((u, v), (v, u)):
+        for cap in (0, 1, 5, None):
+            assert graph.distance(x, y, cap) == 1
+        assert graph.distance_at_most(x, y, 1)
+        assert not graph.distance_at_most(x, y, 0)
+    assert graph.geodesic_midpoint(v, u) == graph.geodesic_midpoint(u, v)
+    assert searches == [1]
+
+
+def test_pair_past_depth_cap_raises_even_when_adjacent():
+    # the search checks both depths before anything else, as neighbors()
+    # checks its vertex: an edge one level past the cap raises too
+    graph = CuspedGraph()
+    top, deep = Vertex("", 0, 12), Vertex("", 0, 13)
+    with pytest.raises(DegreeOverflow, match="^depth 13 exceeds cap 12$"):
+        graph.neighbors(deep)
+    for u, v in ((top, deep), (deep, top),
+                 (deep, Vertex(COMM, 1, 13))):
+        with pytest.raises(DegreeOverflow, match="^depth 13 exceeds cap 12$"):
+            graph.distance(u, v)
+        with pytest.raises(DegreeOverflow, match="^depth 13 exceeds cap 12$"):
+            graph.distance_at_most(u, v, 1)
 
 
 def test_depth0_vertex_degree(graph):
@@ -124,15 +192,15 @@ def test_distance_at_most_matches_bfs_oracle():
         for x, y in pairs:
             want = bfs_oracle(fresh, x, y, bound) is not None
             assert graph.distance_at_most(x, y, bound) == want, (x, y, bound)
-    # u = v and adjacent pairs are answered at any cap, as before
+    # u = v and adjacent pairs are answered at any cap
     assert graph.distance(u, u, cap=0) == 0
     assert graph.distance(u, Vertex("a", 0, 0), cap=0) == 1
-    # the search at bound 4 found d(u, v) = 4: cap 3 raises with the exact
-    # distance; below cap 2 no fact is read, as before; a capped miss
-    # raises with its proven bound
+    # the search at bound 4 found d(u, v) = 4: caps 3 and 1 read that fact
+    # and raise with the exact distance; a capped miss raises with its
+    # proven bound
     with pytest.raises(CapExceeded, match=rf"^d\({u},{v}\) = 4 > 3$"):
         graph.distance(u, v, cap=3)
-    with pytest.raises(CapExceeded, match=rf"^d\({u},{v}\) > 1$"):
+    with pytest.raises(CapExceeded, match=rf"^d\({u},{v}\) = 4 > 1$"):
         graph.distance(u, v, cap=1)
     far = Vertex(word_pow("ab", 40), 0, 0)
     with pytest.raises(CapExceeded, match=rf"^d\({u},{far}\) > 4$"):
@@ -274,7 +342,11 @@ def test_distance_search_lists_no_vertex(monkeypatch):
     # values the explicit search of every horoball vertex gives as well
     pairs = [("e@0:0", "ABab" * 8 + "@0:0", 6), ("e@0:3", "ab@2:0", 7),
              ("bA@1:0", "bAbababab@0:1", 5), ("e@0:2", "BAbaa@-1:2", 7),
-             ("Baab@1:0", "baaBB@-2:1", 11)]
+             ("Baab@1:0", "baaBB@-2:1", 11),
+             # a generator edge (psi(a) = ba at t^1), a vertical edge and
+             # a horoball edge ([a,b]^3 t at depth 2, l1 load 4)
+             ("bA@1:0", "bAba@1:0", 1), ("Ba@-1:1", "Ba@-1:2", 1),
+             ("e@0:2", COMM * 3 + "@1:2", 1)]
     for u, v, d in pairs:
         assert graph.distance(parse_vertex(u), parse_vertex(v)) == d
     assert listed == []
@@ -436,7 +508,7 @@ def test_midpoint_equivariance(graph):
             graph.geodesic_midpoint(graph.left_mul(g, u), graph.left_mul(g, v))
 
 
-@pytest.mark.parametrize("u, v, mid", [
+MIDPOINT_VALUES = [
     # u = v: u itself
     ("ab@1:0", "ab@1:0", "ab@1:0"),
     # d = 1: the far endpoint of the canonical pair
@@ -447,11 +519,44 @@ def test_midpoint_equivariance(graph):
     ("bA@-1:2", "bA@-1:1", "bA@-1:2"),
     # d = 2
     ("ab@1:0", "abb@1:0", "abAB@1:0"),
-])
+]
+
+
+@pytest.mark.parametrize("u, v, mid", MIDPOINT_VALUES)
 def test_midpoint_values(graph, u, v, mid):
     u, v = parse_vertex(u), parse_vertex(v)
     assert graph.geodesic_midpoint(u, v) == parse_vertex(mid)
     assert graph.geodesic_midpoint(v, u) == parse_vertex(mid)
+
+
+def test_midpoint_matches_two_ball_oracle():
+    # the source ball and the distance search give the meet point of two
+    # explicit balls: 200 seeded 2..6-step walks from depths 0..3, the two
+    # slow pairs of the old two-ball search and the pinned midpoint values
+    rng = random.Random(22)
+    graph = CuspedGraph()
+    pairs = []
+    for _ in range(200):
+        u = Vertex(random_gamma0_word(rng, 3), rng.randrange(-1, 2),
+                   rng.randrange(4))
+        v = u
+        for _ in range(rng.randrange(2, 7)):
+            nbrs = graph.neighbors(v)
+            v = nbrs[rng.randrange(len(nbrs))]
+        pairs.append((u, v))
+    pairs += [(parse_vertex(u), parse_vertex(v)) for u, v in
+              [("e@0:2", "BAbaa@-1:2"), ("e@0:3", "ab@2:0")]
+              + [case[:2] for case in MIDPOINT_VALUES]]
+    oracle_graph = CuspedGraph()
+    for u, v in pairs:
+        if u == v:
+            want = u
+        else:
+            (src, dst), _, g = anchor_simplex((u, v), graph.psi)
+            d = oracle_graph.distance(src, dst)
+            want = oracle_graph.left_mul(
+                g, meet_point_oracle(oracle_graph, src, dst, d))
+        assert graph.geodesic_midpoint(u, v) == want, (u, v)
 
 
 def test_delta_estimate_pin(graph):

@@ -7,8 +7,10 @@ from cuspedforms.config import RunConfig
 from cuspedforms.errors import PsiPowerCap
 from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
                                Automorphism, GroupElem, gamma_inv, gamma_mul,
-                               coset_key, gamma_rel, h_coord, inv, mul,
+                               coset_key, gamma_rel, inv, mul,
                                parse_word, reduce_word, word_pow)
+
+from _oracles import h_coord
 
 
 def naive_reduce(letters):
