@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 
 from .fill import FillEngine
 from .graph import CuspedGraph
-from .moebius import Hyperbolization, OrientationCocycle
+from .moebius import Hyperbolization
 from .quasicocycle import QuasiCocycle
 from .words import Automorphism, DEFAULT_PSI
 
@@ -50,7 +50,7 @@ class RunConfig:
         graph = CuspedGraph(psi, depth_cap=self.depth_cap,
                             distance_cap=self.distance_cap)
         engine = FillEngine(graph, kappa=self.kappa)
-        return QuasiCocycle(engine, OrientationCocycle(self.hyperbolization()))
+        return QuasiCocycle(engine)
 
     # -- parsing ---------------------------------------------------------
 

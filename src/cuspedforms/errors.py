@@ -16,7 +16,8 @@ class NotParabolic(CuspedFormsError):
 
 class DegreeOverflow(CuspedFormsError):
     """A vertex deeper than the configured depth cap was reached, by
-    neighbor enumeration or by a distance search."""
+    neighbor enumeration or by a distance search, or `neighbors` was asked
+    for a vertex with more than graph.MAX_NEIGHBORS horoball neighbours."""
 
 
 class CapExceeded(CuspedFormsError):

@@ -11,10 +11,10 @@ of the unordered pair (both cached in `CuspedGraph`), so Q is equivariant and
 antisymmetric by induction on the distance.  A fill is cached once per
 canonical anchored triple (`graph.anchor_simplex`) in `_fill_cache` and
 translated back with the permutation sign.  `canonical_fill` is that cached
-fill of a canonical triple; `fill_anchored` anchors a raw triple and reads
-it, and a caller that anchors the triple itself (`QuasiCocycle`, which
-reads the four faces of a 4-tuple off one relative-element table) reads it
-directly.
+fill of a canonical triple; `fill_triangle` anchors a raw triple, reads it
+and translates it back, and a caller that anchors the triple itself
+(`QuasiCocycle`, which reads every face of a simplex off one
+relative-element table) reads it directly.
 
 The certified l1-minimal LP filling of a cycle is anchored, equivariant and
 cached once per orbit the same way: the cycle and its seed vertices are
@@ -40,7 +40,6 @@ from .chains import Chain
 from .errors import FillDepthExceeded, Infeasible, WindowTooLarge
 from .graph import (CuspedGraph, Simplex, Vertex, anchor_cycle, anchor_simplex,
                     key_vertex, vertex_key)
-from .words import GroupElem
 
 
 @dataclass(frozen=True)
@@ -92,22 +91,16 @@ class FillEngine:
     # -- triangle filling -----------------------------------------------
 
     def fill_triangle(self, x0: Vertex, x1: Vertex, x2: Vertex) -> FillResult:
-        chain, sign, shift, method = self.fill_anchored(x0, x1, x2)
-        out = chain.translate(self.graph, shift)
+        """The filling of a raw triple: sign * g . the cached fill of its
+        canonical triple (`graph.anchor_simplex`)."""
+        if len({x0, x1, x2}) < 3:
+            return FillResult(Chain(2), "degenerate", Fraction(0))
+        canon, sign, g = anchor_simplex((x0, x1, x2), self.graph.psi)
+        chain, method = self.canonical_fill(canon)
+        out = chain.translate(self.graph, g)
         if sign < 0:
             out = -out
         return FillResult(out, method, out.l1_norm())
-
-    def fill_anchored(self, x0: Vertex, x1: Vertex,
-                      x2: Vertex) -> tuple[Chain, int, GroupElem, str]:
-        """Filling as (canonical chain, sign, shift, method) with the actual
-        chain equal to sign * shift . canonical; callers that only need an
-        invariant evaluation can skip the translation entirely."""
-        if len({x0, x1, x2}) < 3:
-            return Chain(2), 1, GroupElem("", 0), "degenerate"
-        canon, sign, shift = anchor_simplex((x0, x1, x2), self.graph.psi)
-        chain, method = self.canonical_fill(canon)
-        return chain, sign, shift, method
 
     def canonical_fill(self, canon: Simplex) -> tuple[Chain, str]:
         """(chain, method): the filling of a canonical triple of

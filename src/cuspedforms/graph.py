@@ -54,6 +54,10 @@ class Vertex(NamedTuple):
 
 
 BASEPOINT = Vertex("", 0, 0)
+#: most horoball neighbours `neighbors` lists; one more raises
+#: DegreeOverflow.  A depth-n vertex has 2R(R + 1) of them, R = 2^n, so this
+#: stops depth 8: 131,584 neighbours, where depth 7 has 33,024.
+MAX_NEIGHBORS = 2 ** 16
 
 
 def parse_vertex(text: str) -> Vertex:
@@ -154,9 +158,8 @@ def anchor_simplex(verts: Simplex, psi: Automorphism
     triple (fillings, coinvariant keys).
 
     It is `anchor_face` of all the vertices, read off their
-    `relative_table`; a caller that anchors several faces of one tuple
-    (`QuasiCocycle.delta_alpha`) builds the tuple's table once and reads
-    every face off it.
+    `relative_table`.  `QuasiCocycle` calls `anchor_face` itself: it builds
+    one table of a triple or 4-tuple and reads every face off it.
     """
     return anchor_face(verts, relative_table(verts, psi),
                        tuple(range(len(verts))))
@@ -346,9 +349,13 @@ class CuspedGraph:
             out.add(Vertex(v.base, v.texp - 1, 0))
             out.add(Vertex(v.base, v.texp, 1))
         else:
+            reach = 2 ** v.depth
+            if 2 * reach * (reach + 1) > MAX_NEIGHBORS:
+                raise DegreeOverflow(
+                    f"depth {v.depth} has {2 * reach * (reach + 1)} "
+                    f"neighbours, more than {MAX_NEIGHBORS}")
             out.add(Vertex(v.base, v.texp, v.depth + 1))
             out.add(Vertex(v.base, v.texp, v.depth - 1))
-            reach = 2 ** v.depth
             for alpha in range(-reach, reach + 1):
                 # [a,b] is cyclically reduced, so its powers are repeats
                 word = mul(v.base, (COMM if alpha > 0 else COMM_INV)

@@ -1,10 +1,8 @@
 """Volume-form quasi-cocycles alpha_f, the explicit cycles c, d_m, e_m, A_m,
 and the defect / certificate machinery built on top of them.
 
-alpha_f is read as a linear form in the values of f, cached once per
-canonical triple (`graph.anchor_simplex`) and, with the anchoring's sign and
-shift, once per raw triple.  delta alpha_f anchors the four faces of its
-4-tuple off one relative-element table (`graph.relative_table`)."""
+alpha_f is linear in f.  A raw triple gets one cached `LinearForm`, and so
+does a raw 4-tuple: delta alpha_f, the alternating sum of its faces' forms."""
 
 from __future__ import annotations
 
@@ -12,10 +10,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .chains import CoinvariantChain
 from .fill import FillEngine
-from .graph import (CuspedGraph, Vertex, anchor_face, anchor_simplex,
+from .graph import (CuspedGraph, Simplex, Vertex, anchor_face,
                     random_gamma0_word, relative_table)
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
 from .lp import row_reduce
@@ -31,10 +30,25 @@ Weights = tuple[tuple[int, Fraction], ...]
 LinearForm = tuple[Weights, tuple[int, ...]]
 #: the largest truncation level `bah_upper_bound_certificate` tries
 CERTIFICATE_N_MAX = 16
-#: the (form, sign, shift) of a triple with a repeated vertex: alpha is 0
-_DEGENERATE: tuple[LinearForm, int, int] = (((), ()), 1, 0)
-#: the positions of face i of a 4-tuple, the face leaving out vertex i
+#: the positions of the faces of a simplex: a triple is its own face, and
+#: face i of a 4-tuple leaves out vertex i
+_TRIPLE = ((0, 1, 2),)
 _FACES = tuple(tuple(j for j in range(4) if j != i) for i in range(4))
+
+
+def _sum_forms(parts: Iterable[tuple[LinearForm, int, Fraction]]
+               ) -> LinearForm:
+    """The sum of coeff * form moved up by shift over the (form, shift,
+    coeff) parts: the weights add at x + shift, and the span runs from the
+    least to the greatest shifted span end."""
+    weights: dict[int, Fraction] = {}
+    touched: list[int] = []
+    for (terms, span), shift, coeff in parts:
+        touched += [x + shift for x in span]
+        for x, w in terms:
+            weights[x + shift] = weights.get(x + shift, 0) + coeff * w
+    span = (min(touched), max(touched)) if touched else ()
+    return tuple((x, w) for x, w in sorted(weights.items()) if w), span
 
 
 class QuasiCocycle:
@@ -46,16 +60,16 @@ class QuasiCocycle:
     Two caches hold it.  `_form_cache` maps a canonical triple of
     `graph.anchor_simplex` to the form of its filling, so a triple whose
     orbit has been read before costs no eps and no Fraction work.
-    `_anchor_cache` maps a raw triple to (form, sign, shift), its canonical
-    triple's form with the anchoring's sign and t-shift, so a triple seen
-    before costs one lookup.  `delta_alpha` anchors the four faces of a
-    4-tuple off one `graph.relative_table` of the tuple."""
+    `_anchor_cache` maps a raw triple or 4-tuple to its form at its own
+    t-exponents, the canonical forms of its faces with the anchorings'
+    signs and t-shifts folded in, so a simplex seen before costs one
+    lookup.  A face with a repeated vertex adds nothing."""
 
-    def __init__(self, engine: FillEngine, eps: OrientationCocycle | None = None):
+    def __init__(self, engine: FillEngine):
         self.engine = engine
         self.graph = engine.graph
-        self.eps = eps or OrientationCocycle()
-        self._anchor_cache: dict[Triple, tuple[LinearForm, int, int]] = {}
+        self.eps = OrientationCocycle()
+        self._anchor_cache: dict[Simplex, LinearForm] = {}
         self._form_cache: dict[Triple, LinearForm] = {}
         self._am_cache: dict[int, tuple[CoinvariantChain, LinearForm]] = {}
         self.theta_lo: int | None = None  # theta window touched since reset
@@ -64,30 +78,34 @@ class QuasiCocycle:
     def reset_window(self) -> None:
         self.theta_lo = self.theta_hi = None
 
-    def _touch(self, k: int) -> None:
-        if self.theta_lo is None or k < self.theta_lo:
-            self.theta_lo = k
-        if self.theta_hi is None or k > self.theta_hi:
-            self.theta_hi = k
+    def form(self, x0: Vertex, x1: Vertex, x2: Vertex) -> LinearForm:
+        """The form with alpha_f(x0, x1, x2) = evaluate(f, form) for every
+        f: the anchored filling's form, moved up by the t-exponent of the
+        element that translates it to the filling, since eps is invariant
+        under the whole group action.  The span covers every face, eps = 0
+        faces included."""
+        return self._simplex_form((x0, x1, x2), _TRIPLE)
 
-    def form(self, x0: Vertex, x1: Vertex,
-             x2: Vertex) -> tuple[LinearForm, int, int]:
-        """(form, sign, shift) with alpha_f(x0, x1, x2) = sign *
-        evaluate(f, form, shift) for every f.  The form is read off the
-        anchored filling, whose translate by an element of t-exponent
-        `shift` is the filling; eps is invariant under the whole group
-        action.  The span covers every face, eps = 0 faces included."""
-        key = (x0, x1, x2)
-        hit = self._anchor_cache.get(key)
+    def _simplex_form(self, pts: Simplex,
+                      faces: tuple[tuple[int, ...], ...]) -> LinearForm:
+        """The sum of (-1)^i * the form of face i of `pts`, over the faces
+        with distinct vertices, cached in `_anchor_cache`.  Every face is
+        anchored off one `graph.relative_table` of `pts`."""
+        hit = self._anchor_cache.get(pts)
         if hit is None:
-            hit = self._anchor_cache[key] = (
-                self._read(*anchor_simplex(key, self.graph.psi))
-                if len(set(key)) == 3 else _DEGENERATE)
+            table = relative_table(pts, self.graph.psi)
+            parts = []
+            for i, positions in enumerate(faces):
+                if len({pts[j] for j in positions}) == 3:
+                    canon, sign, g = anchor_face(pts, table, positions)
+                    parts.append((self._read(canon), g.texp,
+                                  sign * (-1) ** i))
+            hit = self._anchor_cache[pts] = _sum_forms(parts)
         return hit
 
-    def _read(self, canon: Triple, sign: int,
-              g: GroupElem) -> tuple[LinearForm, int, int]:
-        """(form, sign, shift) of a triple anchored as (canon, sign, g)."""
+    def _read(self, canon: Triple) -> LinearForm:
+        """The form of the filling of a canonical triple, cached in
+        `_form_cache`."""
         form = self._form_cache.get(canon)
         if form is None:
             chain, _ = self.engine.canonical_fill(canon)
@@ -101,58 +119,37 @@ class QuasiCocycle:
             form = self._form_cache[canon] = (
                 tuple((x, w / 3) for x, w in sorted(weights.items()) if w),
                 (min(xs), max(xs)) if xs else ())
-        return form, sign, g.texp
+        return form
 
     def alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex) -> Fraction:
-        form, sign, shift = self.form(x0, x1, x2)
-        return sign * self.evaluate(f, form, shift)
+        return self.evaluate(f, self.form(x0, x1, x2))
 
     def linear_form(self, chain: CoinvariantChain) -> LinearForm:
         """alpha_f on a coinvariant 2-chain, for every f at once: the sum of
-        the forms of its keys.  A key (k, s) is read at shift k, since
+        the forms of its keys.  A key (k, s) is moved up by k, since
         alpha_f(t^k . s) = alpha_{f(. + k)}(s)."""
-        weights: dict[int, Fraction] = {}
-        touched: list[int] = []
-        for (k, sx), coeff in chain.terms.items():
-            (terms, span), sign, shift = self.form(*sx)
-            shift += k
-            touched += [x + shift for x in span]
-            for x, w in terms:
-                weights[x + shift] = weights.get(x + shift, 0) + sign * coeff * w
-        span = (min(touched), max(touched)) if touched else ()
-        return tuple((x, w) for x, w in sorted(weights.items()) if w), span
+        return _sum_forms((self.form(*sx), k, coeff)
+                          for (k, sx), coeff in chain.terms.items())
 
-    def evaluate(self, f: LipFn, form: LinearForm, shift: int = 0) -> Fraction:
-        """The form read at shift `shift`: sum of w * f(x + shift)."""
+    def evaluate(self, f: LipFn, form: LinearForm) -> Fraction:
+        """sum of w * f(x) over the form's weights; the form's span widens
+        the theta window."""
         weights, span = form
-        for x in span:
-            self._touch(x + shift)
-        return sum((w * f(x + shift) for x, w in weights), Fraction(0))
+        if span:
+            lo, hi = span
+            if self.theta_lo is None:
+                self.theta_lo, self.theta_hi = lo, hi
+            else:
+                self.theta_lo = min(self.theta_lo, lo)
+                self.theta_hi = max(self.theta_hi, hi)
+        return sum((w * f(x) for x, w in weights), Fraction(0))
 
     def delta_alpha(self, f: LipFn, x0: Vertex, x1: Vertex, x2: Vertex,
                     x3: Vertex) -> Fraction:
-        """sum of (-1)^i alpha_f(face i), face i leaving out x_i.  A face
-        seen before costs one `_anchor_cache` lookup; the others are
-        anchored off one `graph.relative_table` of the 4-tuple, built on
-        the first miss."""
-        pts = (x0, x1, x2, x3)
-        table = None
-        total = Fraction(0)
-        for i, positions in enumerate(_FACES):
-            face = pts[:i] + pts[i + 1:]
-            hit = self._anchor_cache.get(face)
-            if hit is None:
-                if len(set(face)) < 3:
-                    hit = _DEGENERATE
-                else:
-                    if table is None:
-                        table = relative_table(pts, self.graph.psi)
-                    hit = self._read(*anchor_face(pts, table, positions))
-                self._anchor_cache[face] = hit
-            form, sign, shift = hit
-            val = sign * self.evaluate(f, form, shift)
-            total += val if i % 2 == 0 else -val
-        return total
+        """sum of (-1)^i alpha_f(face i), face i leaving out x_i: one
+        evaluation of the 4-tuple's form, the alternating sum of its
+        faces' forms."""
+        return self.evaluate(f, self._simplex_form((x0, x1, x2, x3), _FACES))
 
 
 # -- explicit cycles ---------------------------------------------------------
@@ -356,30 +353,28 @@ def free_ball(radius: int) -> list[str]:
 
 
 def _ball_forms(qc: QuasiCocycle, radius: int
-                ) -> tuple[dict[tuple[Weights, int], Triple], int]:
+                ) -> tuple[dict[Weights, Triple], int]:
     """alpha on every distinct triple of the radius-`radius` Cayley ball of
-    the free group at depth 0, in `combinations` order, as ({(signed
-    weights, shift): first triple with them}, theta span of the fillings);
-    forms that vanish for every f are left out.  Neither part depends on f."""
+    the free group at depth 0, in `combinations` order, as ({weights: first
+    triple with them}, theta span of the fillings); forms that vanish for
+    every f are left out.  Neither part depends on f."""
     ball = [Vertex(w, 0, 0) for w in free_ball(radius)]
-    forms: dict[tuple[Weights, int], Triple] = {}
+    forms: dict[Weights, Triple] = {}
     theta: set[int] = set()
     for tri in combinations(ball, 3):
-        (weights, span), sign, shift = qc.form(*tri)
-        theta.update(x + shift for x in span)
+        weights, span = qc.form(*tri)
+        theta.update(span)
         if weights:
-            signed = tuple((x, sign * w) for x, w in weights)
-            forms.setdefault((signed, shift), tri)
+            forms.setdefault(weights, tri)
     return forms, max(map(abs, theta), default=0)
 
 
-def _witness(qc: QuasiCocycle, f: LipFn,
-             forms: dict[tuple[Weights, int], Triple]
+def _witness(qc: QuasiCocycle, f: LipFn, forms: dict[Weights, Triple]
              ) -> tuple[tuple[str, ...], Fraction] | None:
     """(triple, alpha_f) for the first triple of `forms` on which alpha_f is
     not zero, or None."""
-    for (weights, shift), tri in forms.items():
-        val = qc.evaluate(f, (weights, ()), shift)
+    for weights, tri in forms.items():
+        val = qc.evaluate(f, (weights, ()))
         if val:
             return tuple(str(v) for v in tri), val
     return None

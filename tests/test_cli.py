@@ -171,6 +171,12 @@ def test_cap_errors_are_json_lines(capsys):
     code, lines = run(capsys, "graph", "dist", "e@0:0", "a@30:0")
     assert code == 2
     assert lines[0]["error"] == "PsiPowerCap"
+    # a horoball vertex too deep to list is refused before any listing
+    code, lines = run(capsys, "graph", "ball", "e@0:12", "--r", "1")
+    assert code == 2
+    assert lines == [{"error": "DegreeOverflow",
+                      "message": "depth 12 has 33562624 neighbours, "
+                                 "more than 65536"}]
 
 
 DEAD_KEYS = {"filler": "lp", "rng_seed": "3", "rho_a": "1,1,1,2",

@@ -7,8 +7,9 @@ from cuspedforms import fill, lp
 from cuspedforms.chains import Chain
 from cuspedforms.errors import FillDepthExceeded, Infeasible
 from cuspedforms.fill import FillEngine
-from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle, key_vertex,
-                               parse_vertex, random_gamma0_word, vertex_key)
+from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
+                               anchor_simplex, key_vertex, parse_vertex,
+                               random_gamma0_word, vertex_key)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, gamma_mul, word_pow
 
@@ -108,17 +109,21 @@ def test_fill_degenerate(engine):
     assert not res.chain
 
 
-def test_fill_anchored_consistent_with_fill(engine, graph):
+def test_fill_triangle_is_the_anchored_canonical_fill(engine, graph):
+    # the filling of a raw triple is sign * g . (the cached fill of its
+    # canonical triple), with (canonical triple, sign, g) from anchor_simplex
     rng = random.Random(29)
     for i in range(25):
         pts = sample_triple(graph, rng, i)
         if len(set(pts)) < 3:
             continue
-        chain, sign, shift, method = engine.fill_anchored(*pts)
-        rebuilt = chain.translate(graph, shift)
+        canon, sign, g = anchor_simplex(pts, graph.psi)
+        chain, method = engine.canonical_fill(canon)
+        rebuilt = chain.translate(graph, g)
         if sign < 0:
             rebuilt = -rebuilt
-        assert rebuilt == engine.fill_triangle(*pts).chain
+        res = engine.fill_triangle(*pts)
+        assert (res.chain, res.method) == (rebuilt, method)
 
 
 def test_cone_split_cycle_fails_fast(graph, monkeypatch):

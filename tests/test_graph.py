@@ -2,6 +2,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,18 @@ def test_deep_peripheral_query_past_depth_cap():
     graph = CuspedGraph()
     with pytest.raises(DegreeOverflow, match="depth 13 exceeds cap 12"):
         graph.distance(Vertex("", 0, 13), Vertex(COMM * 9000, 0, 13))
+
+
+def test_neighbors_of_a_deep_vertex_raise_before_listing():
+    # depth 7 lists 33,026 neighbours; depth 8 would list 131,586 and
+    # depth 12 about 3 * 10^7, so both raise before building any
+    graph = CuspedGraph()
+    assert len(graph.neighbors(Vertex("", 0, 7))) == 2 * 128 * 129 + 2
+    for depth in (8, 12):
+        t0 = time.perf_counter()
+        with pytest.raises(DegreeOverflow, match=f"^depth {depth} has "):
+            graph.neighbors(Vertex("", 0, depth))
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_neighbors_at_large_t_exponent_raise():

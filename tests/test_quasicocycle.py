@@ -111,6 +111,36 @@ def test_alpha_matches_face_by_face_oracle(request, kappa, name):
         assert (qc.theta_lo, qc.theta_hi) == (window or (None, None))
 
 
+@pytest.mark.parametrize("kappa", [8, 2])
+def test_delta_alpha_window_is_its_faces_window(request, kappa):
+    # the 4-tuple's one form spans exactly what its faces' fillings touch
+    qc = request.getfixturevalue("qc" if kappa == 8 else "qc_kappa2")
+    f = ORACLE_FS["table"]
+    rng = random.Random(67)
+    for i in range(120):
+        pts = sample_tuple(qc.graph, rng, STRATA[i % 3], 4)
+        faces = [face for face in (pts[:j] + pts[j + 1:] for j in range(4))
+                 if len(set(face)) == 3]
+        try:
+            window = theta_window_oracle(qc, faces)
+        except FillDepthExceeded:
+            continue  # kappa 2 is too small for one of these triangles
+        qc.reset_window()
+        qc.delta_alpha(f, *pts)
+        assert (qc.theta_lo, qc.theta_hi) == (window or (None, None))
+
+
+def test_repeated_vertices_add_nothing(graph):
+    # a face with a repeated vertex is skipped: no fill, no window
+    qc = QuasiCocycle(FillEngine(graph))
+    f = ORACLE_FS["table"]
+    v, w = Vertex("ab", 1, 0), Vertex("b", -1, 1)
+    assert qc.alpha(f, v, v, w) == qc.alpha(f, v, w, w) == 0
+    assert qc.delta_alpha(f, v, v, w, w) == 0
+    assert (qc.theta_lo, qc.theta_hi) == (None, None)
+    assert not qc.engine._fill_cache
+
+
 def brute_force_certificate(qc, f, n, radius):
     """vanishing_certificate triple by triple through the oracles."""
     fn = lf.truncate(f, n)
@@ -153,9 +183,8 @@ def test_certificate_witness_is_the_first_nonvanishing_triple(qc, f):
         assert expected is not None
         forms = _ball_forms(qc, radius)[0]
         assert _witness(qc, f, forms) == expected
-        for (weights, shift), tri in forms.items():
-            assert qc.evaluate(f, (weights, ()), shift) == \
-                alpha_oracle(qc, f, tri)
+        for weights, tri in forms.items():
+            assert qc.evaluate(f, (weights, ())) == alpha_oracle(qc, f, tri)
 
 
 def test_evaluate_on_Am_small(qc):
