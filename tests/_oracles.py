@@ -126,8 +126,27 @@ def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
 
     Each signed variable is split into a positive and a negative part and the
     standard two-phase simplex method (Bland's rule, hence terminating) runs
-    on a dense Fraction tableau.
+    on a dense Fraction tableau: phase 1 is `feasible_basis`, and phase 2
+    starts from its basis, which holds no artificial.
     """
+    ncols = 2 * len(columns)
+    tableau, basis = feasible_basis(columns, target, n_rows)
+    _simplex(tableau, basis, [Fraction(1)] * ncols)
+    x = [Fraction(0)] * ncols
+    for row, bi in zip(tableau, basis):
+        x[bi] = row[-1]
+    return [x[2 * j] - x[2 * j + 1] for j in range(len(columns))]
+
+
+def feasible_basis(columns: list[dict[int, Fraction]],
+                   target: dict[int, Fraction], n_rows: int):
+    """Phase 1 of `solve_exact`: (tableau, basis) of a basic feasible
+    solution of the split LP whose basis holds no artificial.  The tableau
+    has the columns [x+ | x-], one artificial per row and the right-hand
+    side.  An artificial still basic after phase 1 sits at level 0; it is
+    pivoted out on the first real column its row touches, and a row that
+    touches none is a combination of the others and is dropped.  Raises
+    Infeasible when no x solves the rows."""
     ncols = 2 * len(columns)
     rhs = [target.get(i, Fraction(0)) for i in range(n_rows)]
     rows: list[list[Fraction]] = []
@@ -144,56 +163,62 @@ def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
         if rhs[i] < 0:
             rhs[i] = -rhs[i]
             rows[i] = [-v for v in rows[i]]
-    total = ncols + n_rows
     tableau = [rows[i] + [Fraction(1) if k == i else Fraction(0)
                           for k in range(n_rows)] + [rhs[i]]
                for i in range(n_rows)]
     basis = [ncols + i for i in range(n_rows)]
-
-    def pivot(tab, basis, costs, allowed):
-        while True:
-            # reduced costs under current basis
-            red = list(costs)
-            offset = Fraction(0)
-            for i, bi in enumerate(basis):
-                cb = costs[bi]
-                if cb:
-                    offset += cb * tab[i][-1]
-                    for j in range(allowed):
-                        red[j] -= cb * tab[i][j]
-            enter = next((j for j in range(allowed) if red[j] < 0), None)
-            if enter is None:
-                return offset
-            best = None
-            for i in range(n_rows):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best[0] or \
-                            (ratio == best[0] and basis[i] < basis[best[1]]):
-                        best = (ratio, i)
-            if best is None:
-                raise Infeasible("unbounded filling LP (should not happen)")
-            _, row = best
-            piv = tab[row][enter]
-            tab[row] = [v / piv for v in tab[row]]
-            for i in range(n_rows):
-                if i != row and tab[i][enter]:
-                    f = tab[i][enter]
-                    tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
-            basis[row] = enter
-
     phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * n_rows
-    if pivot(tableau, basis, phase1_cost, total) != 0:
+    if _simplex(tableau, basis, phase1_cost) != 0:
         raise Infeasible("no filling within the window")
-    # artificials may no longer enter the basis
-    phase2_cost = [Fraction(1)] * ncols + [Fraction(0)] * n_rows
-    pivot(tableau, basis, phase2_cost, ncols)
-    x = [Fraction(0)] * ncols
-    for i, bi in enumerate(basis):
-        if bi < ncols:
-            x[bi] = tableau[i][-1]
-    return [x[2 * j] - x[2 * j + 1] for j in range(len(columns))]
+    for i in reversed(range(n_rows)):
+        if basis[i] >= ncols:
+            enter = next((j for j in range(ncols) if tableau[i][j]), None)
+            if enter is None:
+                del tableau[i], basis[i]
+            else:
+                _pivot(tableau, basis, i, enter)
+    return tableau, basis
+
+
+def _simplex(tab, basis, costs):
+    """Bland's-rule simplex on the tableau until no reduced cost is
+    negative, entering only the columns that `costs` prices (phase 2 prices
+    the real ones); returns the objective."""
+    while True:
+        # reduced costs under current basis
+        red = list(costs)
+        offset = Fraction(0)
+        for i, bi in enumerate(basis):
+            cb = costs[bi]
+            if cb:
+                offset += cb * tab[i][-1]
+                for j in range(len(red)):
+                    red[j] -= cb * tab[i][j]
+        enter = next((j for j, r in enumerate(red) if r < 0), None)
+        if enter is None:
+            return offset
+        best = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best[0] or \
+                        (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise Infeasible("unbounded filling LP (should not happen)")
+        _pivot(tab, basis, best[1], enter)
+
+
+def _pivot(tab, basis, row, enter):
+    """Make column `enter` basic in `row`."""
+    piv = tab[row][enter]
+    tab[row] = [v / piv for v in tab[row]]
+    for i in range(len(tab)):
+        if i != row and tab[i][enter]:
+            f = tab[i][enter]
+            tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
+    basis[row] = enter
 
 
 def representative(chain, key):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,9 @@ from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
                                random_gamma0_word, vertex_key)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
 from cuspedforms.words import COMM, GroupElem, gamma_mul, word_pow
+
+from _pins import (LP_NEAR_CAP_FILL, LP_NEAR_CAP_SIMPLICES,
+                   LP_NEAR_CAP_TRIANGLE, LP_WINDOW_FILLS)
 
 
 def sample_triple(graph, rng, idx):
@@ -207,13 +212,13 @@ def test_lp_fill_matches_boundary_and_norm(engine, graph):
 
 
 def lp_spy(monkeypatch):
-    """A list that grows by one for every LP solved."""
+    """A list that grows by the column count of every LP solved."""
     solved = []
     solve = lp.solve_float_then_verify
 
-    def spy(*args):
-        solved.append(1)
-        return solve(*args)
+    def spy(columns, target, n_rows):
+        solved.append(len(columns))
+        return solve(columns, target, n_rows)
 
     monkeypatch.setattr(lp, "solve_float_then_verify", spy)
     return solved
@@ -280,7 +285,7 @@ def test_lp_fill_is_equivariant_and_solved_once_per_orbit(monkeypatch):
     for z, radius, extra in instances:
         solved.clear()
         res = engine.fill_cycle_lp(z, radius, extra)
-        assert solved == [1]
+        assert len(solved) == 1
         assert res.chain.boundary() == z
         for _ in range(2):
             g = GroupElem(random_gamma0_word(rng, 6),
@@ -310,6 +315,46 @@ def test_lp_cache_keys_the_window_and_the_seeds(monkeypatch):
         with pytest.raises(Infeasible, match="no candidate simplices"):
             fresh.fill_cycle_lp(z, 0)
     assert len(engine._lp_cache) == 2
+
+
+def chain_sha256(chain):
+    """sha256 of the chain's terms as sorted (vertex strings, coefficient)
+    pairs: which certified optimum the LP returned, not only its norm."""
+    terms = sorted((tuple(map(str, sx)), str(c))
+                   for sx, c in chain.terms.items())
+    return hashlib.sha256(
+        json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_lp_window_fills_are_pinned():
+    # a window LP can have more than one optimal filling; these pins name
+    # the one returned, so a solver change that returns another shows here
+    # even when the norm holds
+    graph = CuspedGraph()
+    engine = FillEngine(graph, kappa=2)
+    instances = lp_instances(graph, engine)
+    assert len(instances) == len(LP_WINDOW_FILLS)
+    for (z, radius, extra), pin in zip(instances, LP_WINDOW_FILLS):
+        res = FillEngine(CuspedGraph(), kappa=2).fill_cycle_lp(
+            z, radius, extra)
+        assert res.chain.boundary() == z
+        assert (res.norm, chain_sha256(res.chain)) == pin
+
+
+def test_lp_fill_of_a_window_near_the_cap(monkeypatch):
+    # a kappa = 3 window at radius 1 holds LP_NEAR_CAP_SIMPLICES Rips
+    # triangles, close to LP_SIMPLEX_CAP: the LP size the cap admits
+    sizes = lp_spy(monkeypatch)
+    engine = FillEngine(CuspedGraph(), kappa=3)
+    pts = [parse_vertex(s) for s in LP_NEAR_CAP_TRIANGLE]
+    z = engine.triangle_cycle(*pts)
+    cone = engine.fill_triangle(*pts)
+    res = engine.fill_cycle_lp(z, 1, cone.chain.support())
+    assert sizes == [LP_NEAR_CAP_SIMPLICES]
+    assert LP_NEAR_CAP_SIMPLICES > 0.85 * fill.LP_SIMPLEX_CAP
+    assert res.method == "lp"
+    assert res.chain.boundary() == z
+    assert (res.norm, chain_sha256(res.chain)) == LP_NEAR_CAP_FILL
 
 
 def oracle_rips_triangles(window, kappa, balls):

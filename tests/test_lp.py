@@ -11,7 +11,7 @@ from cuspedforms import lp
 from cuspedforms.errors import Infeasible
 from cuspedforms.lp import certify, solve_float_then_verify
 
-from _oracles import solve_exact
+from _oracles import feasible_basis, solve_exact
 
 # min |x0| + |x1| + |x2| s.t. x0 (1, 1) + x1 (1, 0) + x2 (0, 1) = (1, 1):
 # the optimum is x = (1, 0, 0), proved by the dual y = (1/2, 1/2);
@@ -54,6 +54,27 @@ def test_exact_prefers_cheap_combination():
 def test_exact_infeasible():
     with pytest.raises(Infeasible):
         solve_exact([{0: Fraction(1)}], {0: Fraction(0), 1: Fraction(1)}, 2)
+
+
+# min |x0| + |x1| s.t. -x0 = -1, x1 = 0, -x0 = -1, -x1 = 0: rows 2 and 3
+# repeat rows 0 and 1, so phase 1 ends with artificials basic at level 0
+# on rows 1 and 3, which touch x1, and on row 2, which is then zero on
+# every real column; y = (-1, 0, 0, 0) proves |x|_1 = 1 minimal
+REDUNDANT_COLS = [{0: Fraction(-1), 2: Fraction(-1)},
+                  {1: Fraction(1), 3: Fraction(-1)}]
+REDUNDANT_TARGET = {0: Fraction(-1), 2: Fraction(-1)}
+
+
+def test_exact_oracle_starts_phase_two_without_artificials():
+    # a zero-level artificial left in the basis is pivoted out on a real
+    # column, or its row is dropped when no real column touches it
+    tableau, basis = feasible_basis(REDUNDANT_COLS, REDUNDANT_TARGET, 4)
+    assert len(tableau) == 2
+    assert all(b < 2 * len(REDUNDANT_COLS) for b in basis)
+    # A x = b, and y certifies |x|_1 minimal
+    certify(REDUNDANT_COLS, REDUNDANT_TARGET,
+            solve_exact(REDUNDANT_COLS, REDUNDANT_TARGET, 4),
+            [Fraction(-1), Fraction(0), Fraction(0), Fraction(0)])
 
 
 def test_exact_random_consistency():
@@ -170,7 +191,9 @@ def test_float_path_is_certified_and_matches_exact_oracle(monkeypatch):
         x = solve_float_then_verify(cols, target, n_rows)
         assert len(certified) == k + 1 and certified[-1] == x
         check_solution(cols, target, n_rows, x)
-        assert l1(x) == l1(solve_exact(cols, target, n_rows))
+        oracle_x = solve_exact(cols, target, n_rows)
+        check_solution(cols, target, n_rows, oracle_x)
+        assert l1(x) == l1(oracle_x)
 
 
 def test_certificate_accepts_the_optimum():
