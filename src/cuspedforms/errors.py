@@ -30,9 +30,9 @@ class FillDepthExceeded(CuspedFormsError):
 
 class Infeasible(CuspedFormsError):
     """The windowed filling LP has no solution that could be certified: the
-    float solve failed (grow the window), or its answer failed exact
-    reconstruction or the exact optimality certificate (the message names
-    the failed check)."""
+    float solve found no optimal basis (grow the window), or the exact
+    primal and dual read off that basis failed the optimality certificate
+    (the message names the failed check)."""
 
 
 class WindowTooLarge(CuspedFormsError):

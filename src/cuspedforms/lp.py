@@ -1,39 +1,36 @@
 """l1-minimal chain fillings by linear programming, certified exactly.
 
-Every LP takes one path, `solve_float_then_verify`.  HiGHS's simplex
-(through scipy) solves it in floats on the LP as assembled: one CSC matrix
-of the split columns, x_j+ and x_j- side by side, and no presolve, which
-cost more than it saved (median linprog 6.2 -> 3.8 ms on the 27 LPs of a
-seed-1 `lpfill` cold pass, 13.2 -> 8.0 ms on kappa = 3 windows of up to
-1,930 columns).  The primal x is rebuilt exactly by rational row reduction
-on the columns the float answer uses, over the rows that those columns or
-b touch (every other row is zero there), and HiGHS's row duals,
-rationalised, give a dual vector y.  x is returned only when the
-certificate holds exactly: A x = b, |A^T y|_inf <= 1 and b.y = |x|_1,
-which by weak duality makes x an l1-minimal solution.  The certificate is
-the only gate: a float answer that fails it raises Infeasible.
+Every LP takes one path, `solve_float_then_verify`.  HiGHS's simplex, driven
+through scipy's binding of its model API with presolve and log off, solves
+the LP as assembled (one CSC matrix of the split columns x_j+, x_j-) in
+floats.  Only its optimal basis is read: the basic split columns B and the
+nonbasic rows R form a square system, and one rational row reduction of
+[B | b | I] gives x_B = B^-1 b and the dual y_R = 1^T B^-1; every other x_j
+and y_i is 0.  x is returned only when the certificate holds exactly:
+A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, which by weak duality makes x
+l1-minimal.  That certificate is the only gate: a basis that fails it
+raises Infeasible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .errors import Infeasible
-
-#: largest denominator a rationalised dual may have; the duals of filling
-#: LPs are integers, and those of small random LPs have small denominators
-DUAL_DENOMINATOR = 10 ** 6
 
 
 def solve_float_then_verify(columns: list[dict[int, Fraction]],
                             target: dict[int, Fraction],
                             n_rows: int) -> list[Fraction]:
-    """min sum |x_j| s.t. sum_j x_j * col_j = target: HiGHS float solve,
-    exact primal on the float support, exact dual certificate."""
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_matrix
+    """min sum |x_j| s.t. sum_j x_j * col_j = target: HiGHS's optimal
+    basis, the exact primal and dual on it, and their certificate."""
+    try:
+        from scipy.optimize._highspy._core import (
+            HighsBasisStatus, HighsModelStatus, MatrixFormat, ObjSense, _Highs)
+    except ImportError as exc:
+        raise ImportError("the filling LP needs scipy >= 1.17, whose "
+                          "scipy.optimize._highspy._core it drives") from exc
 
     data, indices, indptr = [], [], [0]
     for col in columns:
@@ -41,28 +38,31 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
         data += vals + [-v for v in vals]
         indices += [*col, *col]
         indptr += (indptr[-1] + len(vals), indptr[-1] + 2 * len(vals))
-    A = csc_matrix((data, indices, indptr), shape=(n_rows, 2 * len(columns)))
-    b = np.array([float(target.get(i, 0)) for i in range(n_rows)])
-    res = linprog(np.ones(2 * len(columns)), A_eq=A, b_eq=b, bounds=(0, None),
-                  method="highs", options={"presolve": False})
-    if not res.success:
-        raise Infeasible(f"float LP failed: {res.message}")
-    signed = res.x[0::2] - res.x[1::2]
-    support = [j for j in range(len(columns)) if abs(signed[j]) > 1e-9]
-    # a row that neither the support nor b touches is zero: it holds no
-    # pivot and cannot show b outside the span
-    touched = set(target).union(*(columns[j] for j in support))
-    mat = [[Fraction(columns[j].get(i, 0)) for j in support]
-           + [Fraction(target.get(i, 0))] for i in sorted(touched)]
-    pivots = row_reduce(mat, len(support))
-    if any(row[-1] for row in mat[len(pivots):]):
-        raise Infeasible("exact reconstruction on the float support "
-                         "failed: its columns do not span b")
-    x = [Fraction(0)] * len(columns)
-    for row, k in zip(mat, pivots):
-        x[support[k]] = row[-1]
-    y = [Fraction(v).limit_denominator(DUAL_DENOMINATOR)
-         for v in res.eqlin.marginals]
+    n = 2 * len(columns)
+    b = [float(target.get(i, 0)) for i in range(n_rows)]
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.passModel(n, n_rows, len(data), MatrixFormat.kColwise,
+                    ObjSense.kMinimize, 0., [1.] * n, [0.] * n, [inf] * n,
+                    b, b, indptr, indices, data, [0] * n)
+    highs.run()
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        raise Infeasible("float LP failed: " + highs.modelStatusToString(
+            highs.getModelStatus()))
+    basis, basic = highs.getBasis(), HighsBasisStatus.kBasic
+    cols = [k for k, s in enumerate(basis.col_status) if s == basic]
+    rows = [i for i, s in enumerate(basis.row_status) if s != basic]
+    # split column k is (-1)^k columns[k // 2]
+    mat = [[Fraction((-1) ** k * columns[k // 2].get(i, 0)) for k in cols]
+           + [Fraction(target.get(i, 0))]
+           + [Fraction(r == i) for r in rows] for i in rows]
+    row_reduce(mat, len(cols))
+    x, y = [Fraction(0)] * len(columns), [Fraction(0)] * n_rows
+    for k, row in zip(cols, mat):
+        x[k // 2] = (-1) ** k * row[len(cols)]
+        for i, v in zip(rows, row[len(cols) + 1:]):
+            y[i] += v
     certify(columns, target, x, y)
     return x
 

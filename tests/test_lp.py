@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspedforms import lp
 from cuspedforms.errors import Infeasible
@@ -146,8 +147,13 @@ def random_lp(rng):
 
 def feasible_target(rng, cols):
     """b = A m for a random rational mix m of the columns."""
-    mix = [Fraction(rng.randrange(-2, 3), rng.choice((1, 1, 2, 3)))
-           for _ in cols]
+    return combination(cols, [Fraction(rng.randrange(-2, 3),
+                                       rng.choice((1, 1, 2, 3)))
+                              for _ in cols])
+
+
+def combination(cols, mix):
+    """b = A m, without zero rows."""
     target = {}
     for col, c in zip(cols, mix):
         for r, val in col.items():
@@ -158,7 +164,7 @@ def feasible_target(rng, cols):
 def sparse_lp(rng):
     """A feasible LP whose rows include some that no column touches, spread
     among the others, and some that are a combination of two other rows:
-    the rows the exact reconstruction skips or finds dependent."""
+    rows that stay basic, with y_i = 0."""
     cols, _, n_rows = random_lp(rng)
     for _ in range(rng.randrange(0, 3)):
         i, j = rng.randrange(n_rows), rng.randrange(n_rows)
@@ -215,19 +221,65 @@ def test_certificate_rejects(x, y, failed):
 
 
 def test_float_path_rejects_a_non_optimal_float_answer(monkeypatch):
-    import numpy as np
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    from types import SimpleNamespace
 
-    def feasible_not_optimal(*args, **kwargs):
-        # x = (0, 1, 1) split into positive and negative parts
-        return OptimizeResult(
-            success=True, x=np.array([0., 0., 1., 0., 1., 0.]),
-            eqlin=OptimizeResult(marginals=np.array([0.5, 0.5])))
+    from scipy.optimize._highspy._core import HighsBasisStatus, _Highs
 
-    monkeypatch.setattr(scipy.optimize, "linprog", feasible_not_optimal)
-    with pytest.raises(Infeasible, match=r"b\.y != \|x\|_1"):
+    def feasible_not_optimal(self):
+        # x1+ and x2+ basic: x = (0, 1, 1) and y = (1, 1).  A basic solution
+        # always has b.y = |x|_1, so a non-optimal basis shows up as an
+        # infeasible dual, not as a duality gap
+        low, basic = HighsBasisStatus.kLower, HighsBasisStatus.kBasic
+        return SimpleNamespace(col_status=[low, low, basic, low, basic, low],
+                               row_status=[low, low])
+
+    monkeypatch.setattr(_Highs, "getBasis", feasible_not_optimal)
+    with pytest.raises(Infeasible, match=r"\|A\^T y\| > 1 on column 0"):
         solve_float_then_verify(CHEAP_COLS, CHEAP_TARGET, 2)
+
+
+def test_float_path_reads_a_large_denominator_off_the_basis():
+    # the optimal dual is y = (1/1000003, 0); no denominator bound on the
+    # duals may round it
+    cols = [{0: Fraction(1000003)}, {0: Fraction(1), 1: Fraction(1)},
+            {1: Fraction(1)}]
+    target = {0: Fraction(1)}
+    x = solve_float_then_verify(cols, target, 2)
+    assert x == [Fraction(1, 1000003), 0, 0]
+    certify(cols, target, x, [Fraction(1, 1000003), Fraction(0)])
+
+
+def test_float_path_writes_nothing(capfd):
+    # HiGHS logs to fd 1 unless told not to, which would corrupt the CLI's
+    # JSON lines
+    solve_float_then_verify(CHEAP_COLS, CHEAP_TARGET, 2)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_float_path_names_the_scipy_it_needs(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.17"):
+        solve_float_then_verify(CHEAP_COLS, CHEAP_TARGET, 2)
+
+
+small_lps = st.integers(1, 4).flatmap(lambda n_rows: st.tuples(
+    st.lists(st.dictionaries(st.integers(0, n_rows - 1),
+                             st.integers(-2, 2).filter(bool).map(Fraction)),
+             min_size=1, max_size=6),
+    st.just(n_rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps, st.data())
+def test_float_path_certifies_random_lps(lp_and_rows, data):
+    cols, n_rows = lp_and_rows
+    target = combination(cols, data.draw(st.lists(
+        st.fractions(-2, 2, max_denominator=3),
+        min_size=len(cols), max_size=len(cols))))
+    # solve_float_then_verify returns only a certified x
+    x = solve_float_then_verify(cols, target, n_rows)
+    check_solution(cols, target, n_rows, x)
+    assert l1(x) == l1(solve_exact(cols, target, n_rows))
 
 
 def test_build_imports_neither_numpy_nor_scipy():
