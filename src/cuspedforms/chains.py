@@ -75,13 +75,6 @@ class Chain:
     def __neg__(self) -> "Chain":
         return self._new(self.dim, {s: -c for s, c in self.terms.items()})
 
-    def scale(self, factor: Fraction | int) -> "Chain":
-        factor = Fraction(factor)
-        if factor == 0:
-            return self._new(self.dim)
-        return self._new(self.dim,
-                         {s: c * factor for s, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Chain) and self.terms == other.terms
 

@@ -6,6 +6,7 @@ one line {"error": <exception type>, "message": ...}."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -94,9 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (CuspedFormsError, ValueError) as e:
+    except (CuspedFormsError, ValueError, OSError) as e:
         # the package raises ValueError only to reject an input: a vertex,
-        # word, f spec, m or config value
+        # word, f spec, m or config value; OSError names a file the input
+        # names that cannot be read
         emit({"error": type(e).__name__, "message": str(e)})
         return 2
 
@@ -139,7 +141,8 @@ def run(args: argparse.Namespace) -> int:
             emit({"value": qc.alpha(f, *pts), "fill_method": fill.method,
                   "fill_norm": fill.norm})
         elif args.sub == "defect":
-            emit(qcm.defect_scan(qc, f, args.n, args.seed).to_json())
+            emit(dataclasses.asdict(qcm.defect_scan(qc, f, args.n,
+                                                    args.seed)))
         elif args.sub == "am":
             value = qcm.evaluate_on_Am(qc, f, args.m)
             expected = 2 * (f(args.m) - f(0))
@@ -166,12 +169,12 @@ def run(args: argparse.Namespace) -> int:
 
     elif args.command == "cycles":
         m = args.m
+        K = qcm.depth_of(graph, m)
         psi = graph.psi
         c = qcm.build_c(psi)
         d = qcm.build_d(m, psi)
         e = qcm.build_e(m, psi)
         A = qcm.build_A(graph, m)
-        K = qcm.k_of(m)
         aK = qcm.build_aK(K, psi)
         boundary = qcm.boundary_class(psi)
         checks = {

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, fields
 
 from .fill import FillEngine
 from .graph import CuspedGraph
-from .moebius import Hyperbolization
 from .quasicocycle import QuasiCocycle
 from .words import Automorphism, DEFAULT_PSI
 
@@ -31,26 +30,21 @@ class RunConfig:
         return Automorphism(self.psi_images) if self.psi_images \
             else DEFAULT_PSI
 
-    def hyperbolization(self) -> Hyperbolization:
-        return Hyperbolization()
-
     def selfcheck(self) -> dict:
         """Startup invariants; every command runs these first."""
-        return self._selfcheck(self.psi())
-
-    def _selfcheck(self, psi: Automorphism) -> dict:
-        psi.check()
-        self.hyperbolization().check()
+        self.build()
         return {"psi_fixes_commutator": True, "psi_inverse_ok": True,
                 "commutator_trace": -2, "ok": True}
 
     def build(self) -> QuasiCocycle:
-        psi = self.psi()
-        self._selfcheck(psi)
-        graph = CuspedGraph(psi, depth_cap=self.depth_cap,
+        """The engine, after checking the twist and the hyperbolization
+        that it wires in."""
+        graph = CuspedGraph(self.psi(), depth_cap=self.depth_cap,
                             distance_cap=self.distance_cap)
-        engine = FillEngine(graph, kappa=self.kappa)
-        return QuasiCocycle(engine)
+        qc = QuasiCocycle(FillEngine(graph, kappa=self.kappa))
+        graph.psi.check()
+        qc.eps.hyp.check()
+        return qc
 
     # -- parsing ---------------------------------------------------------
 

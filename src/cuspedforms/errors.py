@@ -16,8 +16,9 @@ class NotParabolic(CuspedFormsError):
 
 class DegreeOverflow(CuspedFormsError):
     """A vertex deeper than the configured depth cap was reached, by
-    neighbor enumeration or by a distance search, or `neighbors` was asked
-    for a vertex with more than graph.MAX_NEIGHBORS horoball neighbours."""
+    neighbor enumeration, by a distance search or by a cycle A_m, or
+    `neighbors` was asked for a vertex with more than graph.MAX_NEIGHBORS
+    horoball neighbours."""
 
 
 class CapExceeded(CuspedFormsError):

@@ -49,9 +49,9 @@ class FillResult:
     norm: Fraction
 
 
-# relabelings that move each unordered side to positions (0, 1)
-_SIDE_PERMS = {(0, 1): ((0, 1, 2), 1), (0, 2): ((0, 2, 1), -1),
-               (1, 2): ((1, 2, 0), 1)}
+# cyclic relabelings, which keep the orientation, that move each unordered
+# side to positions (0, 1)
+_SIDE_PERMS = {(0, 1): (0, 1, 2), (0, 2): (2, 0, 1), (1, 2): (1, 2, 0)}
 
 
 #: nested cone-split fills allowed before FillDepthExceeded
@@ -134,12 +134,10 @@ class FillEngine:
             out = Chain(2)
             out.add(tri, 1)
             return out, "unit-simplex"
-        perm, sign = _SIDE_PERMS[longest]
-        y0, y1, y2 = (tri[i] for i in perm)
+        y0, y1, y2 = (tri[i] for i in _SIDE_PERMS[longest])
         m = self.graph.geodesic_midpoint(y0, y1)
-        part = (self.fill_triangle(y0, m, y2).chain
-                + self.fill_triangle(m, y1, y2).chain)
-        return (part if sign > 0 else -part), "cone-split"
+        return (self.fill_triangle(y0, m, y2).chain
+                + self.fill_triangle(m, y1, y2).chain), "cone-split"
 
     # -- LP fillings -----------------------------------------------------
 
@@ -259,23 +257,20 @@ class FillEngine:
     # -- relative filling diagnostics -------------------------------------
 
     def relative_fill_check(self, x0: Vertex, x1: Vertex, x2: Vertex,
-                            x3: Vertex, window_radius: int = 2) -> dict:
-        """Fill the 2-cycle phi(boundary of [x0..x3]) and report its norm."""
+                            x3: Vertex, window_radius: int = 2) -> FillResult:
+        """Fill the 2-cycle phi(boundary of [x0..x3])."""
         pts = (x0, x1, x2, x3)
         if len(set(pts)) < 4:
-            return {"B": Chain(3), "norm": Fraction(0), "method": "degenerate"}
+            return FillResult(Chain(3), "degenerate", Fraction(0))
         z = Chain(2)
         for i in range(4):
             face = pts[:i] + pts[i + 1:]
             part = self.fill_triangle(*face).chain
             z = z + part if i % 2 == 0 else z - part
-        if not z:
-            return {"B": Chain(3), "norm": Fraction(0), "method": "lp"}
         if all(self.graph.distance(pts[i], pts[j]) <= self.kappa
                for i in range(4) for j in range(i + 1, 4)):
             b = Chain(3)
             b.add(pts, 1)
             if b.boundary() == z:
-                return {"B": b, "norm": b.l1_norm(), "method": "unit-simplex"}
-        res = self.fill_cycle_lp(z, window_radius=window_radius)
-        return {"B": res.chain, "norm": res.norm, "method": "lp"}
+                return FillResult(b, "unit-simplex", b.l1_norm())
+        return self.fill_cycle_lp(z, window_radius=window_radius)

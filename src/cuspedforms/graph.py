@@ -154,8 +154,8 @@ def anchor_simplex(verts: Simplex, psi: Automorphism
     over every vertex order, translate the front vertex to (e, 0, depth)
     and keep the lex-least tuple s; g is the group element of the vertex
     moved to the front.  The vertices must be distinct.  This is the one
-    canonical form of a pair (geodesic midpoints, combing paths) and of a
-    triple (fillings, coinvariant keys).
+    canonical form of a pair (geodesic midpoints) and of a triple
+    (fillings, coinvariant keys).
 
     It is `anchor_face` of all the vertices, read off their
     `relative_table`.  `QuasiCocycle` calls `anchor_face` itself: it builds
@@ -329,11 +329,6 @@ class CuspedGraph:
         h = gamma_mul(g, v.elem, self.psi)
         return Vertex(h.base, h.texp, v.depth)
 
-    def anchor(self, u: Vertex, v: Vertex) -> Vertex:
-        """v in the coordinates that move u to (e, depth(u))."""
-        rel = gamma_rel(u, v, self.psi)
-        return Vertex(rel.base, rel.texp, v.depth)
-
     # -- adjacency -----------------------------------------------------
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
@@ -396,7 +391,9 @@ class CuspedGraph:
         if u == v:
             return 0, True
         cap = max(cap, 1)
-        va = self.anchor(u, v)
+        # v in the coordinates that move u to (e, 0, depth(u))
+        rel = gamma_rel(u, v, self.psi)
+        va = Vertex(rel.base, rel.texp, v.depth)
         key = (u.depth, va)
         fact = self._dist_cache.get(key)
         if fact is None or (not fact[1] and cap > fact[0]):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import LipschitzViolation
 
-#: how far past n `lip_tail` probes the slope of f_n
+#: how far past n `lip_tail` probes the slope of f_n at least
 TAIL_PROBE_SPAN = 256
 
 
@@ -36,13 +36,19 @@ class LipFn:
     The constant is checked lazily: every queried point is recorded, and each
     new query is compared against its neighbours among the points seen so far
     (consecutive checks imply the bound on all queried pairs).
+
+    `lip_tail` probes the truncation f_n at every x in (n, n + reach] and
+    at every knot past n.  A periodic function repeats after its period,
+    its reach; a table is linear between its keys, its knots, and constant
+    past the outermost one, so its slope from n peaks at n + 1 or a knot.
     """
 
     def __init__(self, kind: str, evaluate, declared_lip: Fraction,
-                 params: dict | None = None):
+                 reach: int = 0, knots: tuple[int, ...] = ()):
         self.kind = kind
         self.declared_lip = Fraction(declared_lip)
-        self.params = params or {}
+        self.reach = reach
+        self.knots = knots
         self._evaluate = evaluate
         self._seen_x: list[int] = []
         self._seen_y: dict[int, Fraction] = {}
@@ -65,24 +71,24 @@ class LipFn:
         return y
 
     def __repr__(self) -> str:
-        return f"LipFn({self.kind}, {self.params}, lip={self.declared_lip})"
+        return f"LipFn({self.kind}, lip={self.declared_lip})"
 
     def scale(self, factor: Fraction | int) -> "LipFn":
         factor = Fraction(factor)
         return LipFn(f"scaled({factor})*{self.kind}",
                      lambda x: factor * self(x),
-                     abs(factor) * self.declared_lip,
-                     {"factor": factor, "inner": self.kind})
+                     abs(factor) * self.declared_lip, self.reach,
+                     self.knots)
 
     def shift(self, const: Fraction | int) -> "LipFn":
         const = Fraction(const)
         return LipFn(f"{self.kind}+{const}", lambda x: self(x) + const,
-                     self.declared_lip, {"const": const, "inner": self.kind})
+                     self.declared_lip, self.reach, self.knots)
 
 
 def linear(slope: Fraction | int) -> LipFn:
     slope = Fraction(slope)
-    return LipFn("linear", lambda x: slope * x, abs(slope), {"slope": slope})
+    return LipFn("linear", lambda x: slope * x, abs(slope))
 
 
 def power_floor(num: int, den: int) -> LipFn:
@@ -96,14 +102,14 @@ def power_floor(num: int, den: int) -> LipFn:
         sign = -1 if x < 0 else 1
         return sign * _nth_root_floor(abs(x) ** num, den)
 
-    return LipFn("power_floor", ev, Fraction(1), {"num": num, "den": den})
+    return LipFn("power_floor", ev, Fraction(1))
 
 
 def table(values: dict[int, Fraction]) -> LipFn:
     """Piecewise function backed by a finite table, clamped to the nearest
     key outside its range; the empty table is the zero function."""
     if not values:
-        return LipFn("table", lambda x: Fraction(0), Fraction(0), {"size": 0})
+        return LipFn("table", lambda x: Fraction(0), Fraction(0))
     keys = sorted(values)
     vals = {k: Fraction(values[k]) for k in keys}
     lip = Fraction(0)
@@ -122,7 +128,7 @@ def table(values: dict[int, Fraction]) -> LipFn:
         k1, k2 = keys[pos - 1], keys[pos]
         return vals[k1] + (vals[k2] - vals[k1]) * Fraction(x - k1, k2 - k1)
 
-    return LipFn("table", ev, lip, {"size": len(keys)})
+    return LipFn("table", ev, lip, knots=tuple(map(abs, keys)))
 
 
 def bounded_periodic(values: list[Fraction]) -> LipFn:
@@ -132,13 +138,12 @@ def bounded_periodic(values: list[Fraction]) -> LipFn:
     vals = [Fraction(v) for v in values]
     lip = max((abs(vals[(i + 1) % period] - vals[i]) for i in range(period)),
               default=Fraction(0))
-    return LipFn("bounded_periodic", lambda x: vals[x % period], lip,
-                 {"period": period})
+    return LipFn("bounded_periodic", lambda x: vals[x % period], lip, period)
 
 
 def constant(value: Fraction | int) -> LipFn:
     value = Fraction(value)
-    return LipFn("constant", lambda x: value, Fraction(0), {"value": value})
+    return LipFn("constant", lambda x: value, Fraction(0))
 
 
 def truncate(f: LipFn, n: int) -> LipFn:
@@ -154,8 +159,10 @@ def truncate(f: LipFn, n: int) -> LipFn:
             return f(x) - bot
         return Fraction(0)
 
-    return LipFn(f"trunc({f.kind},{n})", ev, f.declared_lip,
-                 {"n": n, "inner": f.kind})
+    # f_n is f less a constant past n: its period starts there, and it
+    # turns at f's knots and at n
+    return LipFn(f"trunc({f.kind},{n})", ev, f.declared_lip, n + f.reach,
+                 f.knots + (n,))
 
 
 def lip_on_window(f: LipFn, lo: int, hi: int) -> Fraction:
@@ -167,11 +174,13 @@ def lip_on_window(f: LipFn, lo: int, hi: int) -> Fraction:
 
 def lip_tail(f: LipFn, n: int) -> Fraction:
     """Worst slope of the truncation f_n measured from the edge of its
-    vanishing plateau: max over n < x <= n + TAIL_PROBE_SPAN of
-    max(|f_n(x)|, |f_n(-x)|) / (x - n)."""
+    vanishing plateau: max over n < x <= n + span of
+    max(|f_n(x)|, |f_n(-x)|) / (x - n), span the larger of f's reach and
+    TAIL_PROBE_SPAN, and at f's knots past n + span."""
     fn = truncate(f, n)
+    span = n + max(f.reach, TAIL_PROBE_SPAN)
     best = Fraction(0)
-    for x in range(n + 1, n + TAIL_PROBE_SPAN + 1):
+    for x in [*range(n + 1, span + 1), *(k for k in f.knots if k > span)]:
         best = max(best, abs(fn(x)) / (x - n), abs(fn(-x)) / (x - n))
     return best
 
@@ -194,6 +203,10 @@ def parse_spec(spec: str) -> LipFn:
             with open(arg) as fh:
                 data = json.load(fh)
         if kind == "table":
+            if not isinstance(data, dict):
+                raise ValueError("table: expected a JSON object x -> f(x)")
             return table({int(k): Fraction(v) for k, v in data.items()})
+        if not isinstance(data, list):
+            raise ValueError("periodic: expected a JSON list, one period")
         return bounded_periodic([Fraction(v) for v in data])
     raise ValueError(f"unknown f spec {spec!r}")

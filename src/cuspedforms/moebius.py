@@ -138,8 +138,8 @@ class OrientationCocycle:
     the cyclic order of the boundary images of the free-group parts.
     """
 
-    def __init__(self, hyp: Hyperbolization | None = None):
-        self.hyp = hyp if hyp is not None else Hyperbolization()
+    def __init__(self):
+        self.hyp = Hyperbolization()
 
     def on_words(self, w0: str, w1: str, w2: str) -> int:
         return cyclic_orientation(self.hyp.orbit_point(w0),

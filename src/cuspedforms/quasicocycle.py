@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .chains import CoinvariantChain
+from .errors import DegreeOverflow
 from .fill import FillEngine
 from .graph import (CuspedGraph, Simplex, Vertex, anchor_face,
                     random_gamma0_word, relative_table)
@@ -181,6 +182,15 @@ def k_of(m: int) -> int:
     return m.bit_length()
 
 
+def depth_of(graph: CuspedGraph, m: int) -> int:
+    """K_m, the depth of A_m's horoball vertices, checked against the
+    graph's depth cap before any word of A_m is built."""
+    K = k_of(m)
+    if K > graph.depth_cap:
+        raise DegreeOverflow(f"depth {K} exceeds cap {graph.depth_cap}")
+    return K
+
+
 def build_aK(K: int, psi: Automorphism) -> CoinvariantChain:
     out = CoinvariantChain(1, psi=psi)
     out.add((_v("", 0, K), _v(word_pow(COMM, 2 ** K), 0, K)),
@@ -214,6 +224,7 @@ def build_e(m: int, psi: Automorphism) -> CoinvariantChain:
 def build_A(graph: CuspedGraph, m: int) -> CoinvariantChain:
     """A_m = t^m (c + d_m) - (c + d_m) + e_m; the t^m-translate only shifts
     the keys, and e_m holds psi-fixed commutator words only."""
+    depth_of(graph, m)
     psi = graph.psi
     cd = build_c(psi) + build_d(m, psi)
     return cd.translate(graph, GroupElem("", m)) - cd + build_e(m, psi)
@@ -274,15 +285,6 @@ class DefectReport:
     ratio_to_lip: Fraction
     argmax: tuple[str, ...]
     theta_window: tuple[int, int]
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "count": self.count,
-                "strata": list(self.strata),
-                "max_abs_delta": str(self.max_abs_delta),
-                "lip_window": str(self.lip_window),
-                "ratio_to_lip": str(self.ratio_to_lip),
-                "argmax": list(self.argmax),
-                "theta_window": list(self.theta_window)}
 
 
 def _check_count(count: int) -> None:
@@ -423,7 +425,8 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
                               ms: list[int]) -> list[dict]:
     """Rows (m, |alpha_f(A_m)| / ||A_m||_1): any bounded invariant primitive
     of delta alpha_f has sup norm at least the ratio."""
-    _check_ms(ms)
+    for m in ms:
+        depth_of(qc.graph, m)
     rows = []
     for m in ms:
         chain, form = _am(qc, m)
@@ -434,13 +437,9 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
     return rows
 
 
-def _check_ms(ms: list[int]) -> None:
-    """Every A_m needs m >= 1; checked before the first row is built."""
+def independence_rank(fs: list[LipFn], ms: list[int]) -> int:
+    """Rank over Q of the matrix [f_j(m_i) - f_j(0)]; every m, as for
+    A_m, must be at least 1."""
     for m in ms:
         k_of(m)
-
-
-def independence_rank(fs: list[LipFn], ms: list[int]) -> int:
-    """Rank over Q of the matrix [f_j(m_i) - f_j(0)]."""
-    _check_ms(ms)
     return len(row_reduce([[f(m) - f(0) for f in fs] for m in ms], len(fs)))

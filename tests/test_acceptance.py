@@ -31,7 +31,7 @@ def test_criterion_01_startup_selfchecks():
     assert psi.apply(COMM, 1) == COMM
     for gen in "ab":
         assert psi.apply(psi.apply(gen, -1), 1) == gen
-    hyp = cfg.hyperbolization()
+    hyp = cfg.build().eps.hyp
     ra, rb = hyp.rho("a"), hyp.rho("b")
     comm = mat_mul(mat_mul(ra, rb), mat_mul(mat_inv(ra), mat_inv(rb)))
     assert trace(comm) == -2
@@ -92,7 +92,7 @@ def test_criterion_06_defect_suite(qc):
     f = L.linear(1)
     report = Q.defect_scan(qc, f, DEFECT_COUNT, DEFECT_SEED)
     rerun = Q.defect_scan(qc, L.linear(1), DEFECT_COUNT, DEFECT_SEED)
-    assert report.to_json() == rerun.to_json()
+    assert report == rerun
     assert report.ratio_to_lip == KHAT
     assert report.theta_window == KHAT_THETA_WINDOW
 

@@ -120,7 +120,6 @@ def test_chain_arithmetic():
         a.add(random_simplex(rng, 1), rng.randrange(1, 4))
         b.add(random_simplex(rng, 1), rng.randrange(1, 4))
     assert a + b - b == a
-    assert (a.scale(3)).l1_norm() == 3 * a.l1_norm()
     assert -(-a) == a
     assert (a - a).l1_norm() == 0
 

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import fields
 from fractions import Fraction
 
@@ -159,6 +160,75 @@ def test_out_of_range_counts_and_radii_are_rejected(capsys, argv, message):
     code, lines = run(capsys, *argv)
     assert code == 2
     assert lines == [{"error": "ValueError", "message": message}]
+
+
+BAD_INPUTS = {
+    "config-missing": (("--config", "/nonexistent", "selfcheck"),
+                       "FileNotFoundError",
+                       "[Errno 2] No such file or directory: '/nonexistent'"),
+    "table-missing": (("alpha", "am", "--f", "table:/nonexistent.json",
+                       "--m", "2"), "FileNotFoundError",
+                      "[Errno 2] No such file or directory: "
+                      "'/nonexistent.json'"),
+    "periodic-not-json": (("alpha", "am", "--f", "periodic:5", "--m", "2"),
+                          "FileNotFoundError",
+                          "[Errno 2] No such file or directory: '5'"),
+    "table-list": (("alpha", "am", "--f", "table:[1,2]", "--m", "2"),
+                   "ValueError", "table: expected a JSON object x -> f(x)"),
+    "periodic-object": (("alpha", "am", "--f", 'periodic:{"1":1}', "--m",
+                         "2"), "ValueError",
+                        "periodic: expected a JSON list, one period"),
+}
+
+
+@pytest.mark.parametrize("argv, error, message", BAD_INPUTS.values(),
+                         ids=list(BAD_INPUTS))
+def test_bad_inputs_are_json_lines(capsys, argv, error, message):
+    # a file that cannot be read or a spec of the wrong shape is a rejected
+    # input: one JSON error line and exit code 2, not a traceback
+    code, lines = run(capsys, *argv)
+    assert code == 2
+    assert lines == [{"error": error, "message": message}]
+
+
+AM_PAST_DEPTH_CAP = {
+    "am": (("alpha", "am", "--f", "linear:1", "--m", "16777216"), 25),
+    "certify": (("alpha", "certify", "--f", "linear:1", "--ms",
+                 "2,16777216"), 25),
+    "cycles": (("cycles", "--m", "1048576"), 21),
+}
+
+
+@pytest.mark.parametrize("argv, depth", AM_PAST_DEPTH_CAP.values(),
+                         ids=list(AM_PAST_DEPTH_CAP))
+def test_am_past_the_depth_cap_is_refused_at_once(capsys, argv, depth):
+    # K_m > depth_cap is refused before a commutator word is built
+    start = time.perf_counter()
+    code, lines = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == [{"error": "DegreeOverflow",
+                      "message": f"depth {depth} exceeds cap 12"}]
+
+
+def test_depth_cap_override_reaches_further_am(capsys):
+    # m = 4096 has K_m = 13
+    code, lines = run(capsys, "--set", "depth_cap=13", "alpha", "am",
+                      "--f", "linear:1", "--m", "4096")
+    assert code == 0
+    assert lines[0]["value"] == "8192"
+    code, lines = run(capsys, "--set", "depth_cap=13", "cycles",
+                      "--m", "4096")
+    assert code == 0
+    assert lines[0]["K_m"] == 13 and lines[0]["boundary_A_zero"] is True
+
+
+def test_certify_bound_sees_a_far_table_key(capsys):
+    code, lines = run(capsys, "alpha", "certify", "--f",
+                      'table:{"0":0,"300":0,"301":1}', "--radii", "1",
+                      "--ms", "2")
+    assert code == 0
+    assert lines[0]["bound"] == "1/301"
 
 
 def test_cap_errors_are_json_lines(capsys):

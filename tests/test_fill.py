@@ -427,15 +427,15 @@ def test_rips_simplices_match_bfs_oracle(monkeypatch):
 def test_relative_fill_unit_simplex(engine):
     out = engine.relative_fill_check(Vertex("", 0, 0), Vertex("b", 0, 0),
                                      Vertex("ba", 0, 0), Vertex("ab", 0, 0))
-    assert out["method"] == "unit-simplex"
-    assert out["norm"] == 1
+    assert out.method == "unit-simplex"
+    assert out.norm == 1
 
 
 def test_relative_fill_degenerate(engine):
     v = Vertex("", 0, 0)
     out = engine.relative_fill_check(v, v, Vertex("a", 0, 0),
                                      Vertex("b", 0, 0))
-    assert out["norm"] == 0
+    assert out.norm == 0
 
 
 def test_fill_in_horoball_annulus(engine):

@@ -81,6 +81,23 @@ def test_lip_tail_sequences():
     assert lip_tail(constant(4), 2) == 0
 
 
+def test_lip_tail_reaches_past_the_probe_span():
+    # the slope from the plateau's edge peaks past 256 points: at a table's
+    # outermost key, and inside a period longer than 256
+    f = table({0: 0, 300: 0, 301: 1})
+    assert lip_tail(f, 0) == Fraction(1, 301)
+    g = bounded_periodic([0] * 300 + [1] + [0] * 299)
+    assert lip_tail(g, 0) == Fraction(1, 300)
+    # scaling, shifting and truncating keep the reach
+    assert lip_tail(f.scale(2).shift(5), 0) == Fraction(2, 301)
+    assert lip_tail(truncate(f, 2), 0) == Fraction(1, 301)
+    assert lip_tail(truncate(g, 400), 0) == Fraction(1, 900)
+    assert lip_tail(table({0: 0, -300: 0, -301: 1}), 0) == Fraction(1, 301)
+    # a far key is probed, not the stretch before it
+    far = table({0: 0, 10 ** 9: 0, 10 ** 9 + 1: 1})
+    assert lip_tail(far, 3) == Fraction(1, 10 ** 9 - 2)
+
+
 def test_parse_spec():
     assert parse_spec("linear:1")(7) == 7
     assert parse_spec("linear:-2")(3) == -6

@@ -89,6 +89,23 @@ def test_degenerate_hyperbolization_rejected():
         Hyperbolization(mat_a=(1, 0, 0, 1), mat_b=(1, -1, -1, 2)).check()
 
 
+def test_build_checks_the_hyperbolization_it_wires_in(monkeypatch):
+    # build() checks the engine's own hyperbolization, not a fresh one
+    from cuspedforms import quasicocycle
+    from cuspedforms.config import RunConfig
+
+    class Reflected(OrientationCocycle):
+        def __init__(self):
+            self.hyp = Hyperbolization(mat_a=(-1, 0, 0, 1),
+                                       mat_b=(1, 1, 0, 1))
+
+    monkeypatch.setattr(quasicocycle, "OrientationCocycle", Reflected)
+    with pytest.raises(ValueError, match="determinant 1"):
+        RunConfig().build()
+    with pytest.raises(ValueError, match="determinant 1"):
+        RunConfig().selfcheck()
+
+
 def test_boundary_point_is_projective():
     assert boundary_point(2, 4) == boundary_point(1, 2)
     assert boundary_point(-3, -6) == boundary_point(1, 2)
