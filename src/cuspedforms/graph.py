@@ -312,8 +312,6 @@ class CuspedGraph:
     holds (d, True) and the query raises CapExceeded.
     """
 
-    GENERATOR_WORDS = ("a", "A", "b", "B", COMM, COMM_INV)
-
     def __init__(self, psi: Automorphism = DEFAULT_PSI, depth_cap: int = 12,
                  distance_cap: int = 24):
         self.psi = psi
@@ -332,34 +330,33 @@ class CuspedGraph:
     # -- adjacency -----------------------------------------------------
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
+        """v's neighbours in `vertex_key` order.  One rule gives the
+        horizontal edges at every depth n: the lattice points of v's coset
+        within l1-distance 2^n, [a,b]^+-1 and t^+-1 at n = 0.  Depth 0 adds
+        the four letters twisted by psi^texp; vertical edges go up, and
+        down at n >= 1."""
         if v.depth > self.depth_cap:
             raise DegreeOverflow(
                 f"depth {v.depth} exceeds cap {self.depth_cap}")
-        out: set[Vertex] = set()
-        if v.depth == 0:
-            for x in self.GENERATOR_WORDS:
+        reach = 2 ** v.depth
+        if 2 * reach * (reach + 1) > MAX_NEIGHBORS:
+            raise DegreeOverflow(
+                f"depth {v.depth} has {2 * reach * (reach + 1)} "
+                f"neighbours, more than {MAX_NEIGHBORS}")
+        out = {Vertex(v.base, v.texp, v.depth + 1)}
+        if v.depth:
+            out.add(Vertex(v.base, v.texp, v.depth - 1))
+        else:
+            for x in words.LETTERS:
                 out.add(Vertex(mul(v.base, self.psi.apply(x, v.texp)),
                                v.texp, 0))
-            out.add(Vertex(v.base, v.texp + 1, 0))
-            out.add(Vertex(v.base, v.texp - 1, 0))
-            out.add(Vertex(v.base, v.texp, 1))
-        else:
-            reach = 2 ** v.depth
-            if 2 * reach * (reach + 1) > MAX_NEIGHBORS:
-                raise DegreeOverflow(
-                    f"depth {v.depth} has {2 * reach * (reach + 1)} "
-                    f"neighbours, more than {MAX_NEIGHBORS}")
-            out.add(Vertex(v.base, v.texp, v.depth + 1))
-            out.add(Vertex(v.base, v.texp, v.depth - 1))
-            for alpha in range(-reach, reach + 1):
-                # [a,b] is cyclically reduced, so its powers are repeats
-                word = mul(v.base, (COMM if alpha > 0 else COMM_INV)
-                           * abs(alpha))
-                bmax = reach - abs(alpha)
-                for beta in range(-bmax, bmax + 1):
-                    if alpha == 0 and beta == 0:
-                        continue
-                    out.add(Vertex(word, v.texp + beta, v.depth))
+        for alpha in range(-reach, reach + 1):
+            # psi fixes [a,b], which is cyclically reduced: powers repeat it
+            word = mul(v.base, (COMM if alpha > 0 else COMM_INV)
+                       * abs(alpha))
+            bmax = reach - abs(alpha)
+            out.update(Vertex(word, v.texp + beta, v.depth)
+                       for beta in range(-bmax, bmax + 1))
         out.discard(v)
         return sorted(out, key=vertex_key)
 

@@ -38,13 +38,15 @@ class LipFn:
     (consecutive checks imply the bound on all queried pairs).
 
     `lip_tail` probes the truncation f_n at every x in (n, n + reach] and
-    at every knot past n.  A periodic function repeats after its period,
-    its reach; a table is linear between its keys, its knots, and constant
-    past the outermost one, so its slope from n peaks at n + 1 or a knot.
+    at every point of knots(n) past that.  A periodic function repeats
+    after its period, its reach; a table is linear between its keys, its
+    knots, and constant past the outermost one, so its slope from n peaks
+    at n + 1 or a knot; a power_floor's knots(n) are the jumps of f_n that
+    can hold its steepest slope.
     """
 
     def __init__(self, kind: str, evaluate, declared_lip: Fraction,
-                 reach: int = 0, knots: tuple[int, ...] = ()):
+                 reach: int = 0, knots=lambda n: ()):
         self.kind = kind
         self.declared_lip = Fraction(declared_lip)
         self.reach = reach
@@ -92,7 +94,16 @@ def linear(slope: Fraction | int) -> LipFn:
 
 
 def power_floor(num: int, den: int) -> LipFn:
-    """x -> sign(x) * floor(|x| ** (num/den)), exact via integer roots."""
+    """x -> sign(x) * floor(|x| ** (num/den)), exact via integer roots.
+
+    Its tail is exact: f_n is odd and steps up by one, so its slope from
+    n peaks at a jump x_j, the least x with x^num >= (m + j)^den for
+    m = f(n), where f_n = j.  g(t) = t^(den/num) is convex with g(m) <= n,
+    so j / (g(m + j) - n) >= j / (x_j - n) falls with j, and no jump past
+    the first j with (m + j)^den >= (n + j / best)^num beats the best
+    slope so far; knots(n) lists the jumps up to there.  A truncation f_k
+    keeps these knots, exact at levels n >= k, where its tail is f's;
+    below k it has the probe of any f."""
     if num <= 0 or den <= 0:
         raise ValueError("exponent must be a positive rational")
     if num > den:
@@ -102,7 +113,18 @@ def power_floor(num: int, den: int) -> LipFn:
         sign = -1 if x < 0 else 1
         return sign * _nth_root_floor(abs(x) ** num, den)
 
-    return LipFn("power_floor", ev, Fraction(1))
+    def jumps(n: int) -> tuple[int, ...]:
+        m = _nth_root_floor(n ** num, den)
+        out: list[int] = []
+        best, j = Fraction(0), 1
+        while not best or (m + j) ** den < (n + j / best) ** num:
+            # the least x with x^num >= (m + j)^den
+            x = _nth_root_floor((m + j) ** den - 1, num) + 1
+            out.append(x)
+            best, j = max(best, Fraction(j, x - n)), j + 1
+        return tuple(out)
+
+    return LipFn("power_floor", ev, Fraction(1), knots=jumps)
 
 
 def table(values: dict[int, Fraction]) -> LipFn:
@@ -128,7 +150,8 @@ def table(values: dict[int, Fraction]) -> LipFn:
         k1, k2 = keys[pos - 1], keys[pos]
         return vals[k1] + (vals[k2] - vals[k1]) * Fraction(x - k1, k2 - k1)
 
-    return LipFn("table", ev, lip, knots=tuple(map(abs, keys)))
+    knots = tuple(map(abs, keys))
+    return LipFn("table", ev, lip, knots=lambda n: knots)
 
 
 def bounded_periodic(values: list[Fraction]) -> LipFn:
@@ -162,7 +185,7 @@ def truncate(f: LipFn, n: int) -> LipFn:
     # f_n is f less a constant past n: its period starts there, and it
     # turns at f's knots and at n
     return LipFn(f"trunc({f.kind},{n})", ev, f.declared_lip, n + f.reach,
-                 f.knots + (n,))
+                 lambda m: (*f.knots(m), n))
 
 
 def lip_on_window(f: LipFn, lo: int, hi: int) -> Fraction:
@@ -174,20 +197,38 @@ def lip_on_window(f: LipFn, lo: int, hi: int) -> Fraction:
 
 def lip_tail(f: LipFn, n: int) -> Fraction:
     """Worst slope of the truncation f_n measured from the edge of its
-    vanishing plateau: max over n < x <= n + span of
-    max(|f_n(x)|, |f_n(-x)|) / (x - n), span the larger of f's reach and
-    TAIL_PROBE_SPAN, and at f's knots past n + span."""
+    vanishing plateau: max of |f_n(x)| / (|x| - n) over n < |x| <= n + span,
+    span the larger of f's reach and TAIL_PROBE_SPAN, and at the points of
+    f.knots(n) past n + span and their negatives.  The points are probed in
+    increasing order, so each lands at the end of f's sorted seen points."""
     fn = truncate(f, n)
     span = n + max(f.reach, TAIL_PROBE_SPAN)
+    xs = [*range(n + 1, span + 1),
+          *sorted({k for k in f.knots(n) if k > span})]
     best = Fraction(0)
-    for x in [*range(n + 1, span + 1), *(k for k in f.knots if k > span)]:
-        best = max(best, abs(fn(x)) / (x - n), abs(fn(-x)) / (x - n))
+    for x in [*(-x for x in reversed(xs)), *xs]:
+        best = max(best, abs(fn(x)) / (abs(x) - n))
     return best
+
+
+#: the JSON values that are not numbers, as `parse_spec` names them
+_NOT_NUMBERS = {type(None): "null", bool: "a boolean", list: "an array",
+                dict: "an object", float: "NaN or an infinity"}
+
+
+def _number(kind: str, entry, value) -> Fraction:
+    """A JSON value of a table or a period: a number, read exactly, or a
+    string such as "1/3"."""
+    what = _NOT_NUMBERS.get(type(value))
+    if what:
+        raise ValueError(f"{kind}: entry {entry} must be a number, not {what}")
+    return Fraction(value)
 
 
 def parse_spec(spec: str) -> LipFn:
     """f specs: linear:<slope>, powfloor:<num>/<den>, const:<q>,
-    table:<path-or-inline-json>, periodic:<path-or-inline-json>."""
+    table:<path-or-inline-json>, periodic:<path-or-inline-json>.  JSON
+    decimals are read from their text, so 0.1 is 1/10."""
     kind, _, arg = spec.partition(":")
     if kind == "linear":
         return linear(Fraction(arg))
@@ -197,16 +238,17 @@ def parse_spec(spec: str) -> LipFn:
     if kind == "const":
         return constant(Fraction(arg) if arg else 0)
     if kind in ("table", "periodic"):
-        if arg.lstrip().startswith(("{", "[")):
-            data = json.loads(arg)
-        else:
+        if not arg.lstrip().startswith(("{", "[")):
             with open(arg) as fh:
-                data = json.load(fh)
+                arg = fh.read()
+        data = json.loads(arg, parse_float=Fraction)
         if kind == "table":
             if not isinstance(data, dict):
                 raise ValueError("table: expected a JSON object x -> f(x)")
-            return table({int(k): Fraction(v) for k, v in data.items()})
+            return table({int(k): _number(kind, json.dumps(k), v)
+                          for k, v in data.items()})
         if not isinstance(data, list):
             raise ValueError("periodic: expected a JSON list, one period")
-        return bounded_periodic([Fraction(v) for v in data])
+        return bounded_periodic([_number(kind, i, v)
+                                 for i, v in enumerate(data)])
     raise ValueError(f"unknown f spec {spec!r}")

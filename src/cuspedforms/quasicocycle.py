@@ -1,8 +1,9 @@
 """Volume-form quasi-cocycles alpha_f, the explicit cycles c, d_m, e_m, A_m,
 and the defect / certificate machinery built on top of them.
 
-alpha_f is linear in f.  A raw triple gets one cached `LinearForm`, and so
-does a raw 4-tuple: delta alpha_f, the alternating sum of its faces' forms."""
+alpha_f is linear in f.  Every simplex read, a raw triple, a canonical triple
+or a raw 4-tuple, gets one cached `LinearForm`; a 4-tuple's is delta alpha_f,
+the alternating sum of its faces' forms."""
 
 from __future__ import annotations
 
@@ -58,20 +59,20 @@ class QuasiCocycle:
     which is linear in the values of f: `form` reads it once per triple as
     a `LinearForm`, and every value of alpha is that form evaluated.
 
-    Two caches hold it.  `_form_cache` maps a canonical triple of
-    `graph.anchor_simplex` to the form of its filling, so a triple whose
-    orbit has been read before costs no eps and no Fraction work.
-    `_anchor_cache` maps a raw triple or 4-tuple to its form at its own
-    t-exponents, the canonical forms of its faces with the anchorings'
-    signs and t-shifts folded in, so a simplex seen before costs one
-    lookup.  A face with a repeated vertex adds nothing."""
+    One cache holds it: `_anchor_cache` maps every simplex read (a raw
+    triple or 4-tuple, or a canonical triple of `graph.anchor_simplex`) to
+    its form at its own t-exponents, the canonical forms of its faces with
+    the anchorings' signs and t-shifts folded in.  A canonical triple
+    anchors to itself with sign +1 and shift 0, so its one entry is the
+    form of its filling, read raw or as a face, and a simplex or an orbit
+    seen before costs one lookup.  A face with a repeated vertex adds
+    nothing."""
 
     def __init__(self, engine: FillEngine):
         self.engine = engine
         self.graph = engine.graph
         self.eps = OrientationCocycle()
         self._anchor_cache: dict[Simplex, LinearForm] = {}
-        self._form_cache: dict[Triple, LinearForm] = {}
         self._am_cache: dict[int, tuple[CoinvariantChain, LinearForm]] = {}
         self.theta_lo: int | None = None  # theta window touched since reset
         self.theta_hi: int | None = None
@@ -106,8 +107,8 @@ class QuasiCocycle:
 
     def _read(self, canon: Triple) -> LinearForm:
         """The form of the filling of a canonical triple, cached in
-        `_form_cache`."""
-        form = self._form_cache.get(canon)
+        `_anchor_cache` under the triple: its form as a raw simplex too."""
+        form = self._anchor_cache.get(canon)
         if form is None:
             chain, _ = self.engine.canonical_fill(canon)
             weights: dict[int, Fraction] = {}
@@ -117,7 +118,7 @@ class QuasiCocycle:
                     for v in face:
                         weights[v.texp] = weights.get(v.texp, 0) + c * e
             xs = [v.texp for face in chain.terms for v in face]
-            form = self._form_cache[canon] = (
+            form = self._anchor_cache[canon] = (
                 tuple((x, w / 3) for x, w in sorted(weights.items()) if w),
                 (min(xs), max(xs)) if xs else ())
         return form

@@ -178,6 +178,25 @@ BAD_INPUTS = {
     "periodic-object": (("alpha", "am", "--f", 'periodic:{"1":1}', "--m",
                          "2"), "ValueError",
                         "periodic: expected a JSON list, one period"),
+    "table-null": (("alpha", "am", "--f", 'table:{"0":null}', "--m", "2"),
+                   "ValueError",
+                   'table: entry "0" must be a number, not null'),
+    "table-array": (("alpha", "am", "--f", 'table:{"0":0,"1":[1]}', "--m",
+                     "2"), "ValueError",
+                    'table: entry "1" must be a number, not an array'),
+    "table-infinity": (("alpha", "am", "--f", 'table:{"0":Infinity}', "--m",
+                        "2"), "ValueError", 'table: entry "0" must be a '
+                       "number, not NaN or an infinity"),
+    "periodic-boolean": (("alpha", "am", "--f", "periodic:[true,0]", "--m",
+                          "2"), "ValueError",
+                         "periodic: entry 0 must be a number, not a boolean"),
+    "periodic-object-entry": (("alpha", "am", "--f", 'periodic:[0,{"a":1}]',
+                               "--m", "2"), "ValueError",
+                              "periodic: entry 1 must be a number, not an "
+                              "object"),
+    "psi-moves-commutator": (("--set", "psi_images=a:b,b:a", "selfcheck"),
+                             "ValueError",
+                             "configured automorphism does not fix [a,b]"),
 }
 
 
@@ -229,6 +248,15 @@ def test_certify_bound_sees_a_far_table_key(capsys):
                       "--ms", "2")
     assert code == 0
     assert lines[0]["bound"] == "1/301"
+
+
+def test_certify_bound_of_a_slow_powfloor(capsys):
+    # floor(x^(1/10)) next jumps at 1024, past the probe span
+    code, lines = run(capsys, "alpha", "certify", "--f", "powfloor:1/10",
+                      "--radii", "1,2", "--ms", "2")
+    assert code == 0
+    assert [(ln["n"], ln["bound"]) for ln in lines[:2]] == [(0, "1"),
+                                                           (1, "1/1023")]
 
 
 def test_cap_errors_are_json_lines(capsys):

@@ -7,13 +7,13 @@ import pytest
 
 from cuspedforms import fill, lp
 from cuspedforms.chains import Chain
-from cuspedforms.errors import FillDepthExceeded, Infeasible
+from cuspedforms.errors import FillDepthExceeded, Infeasible, WindowTooLarge
 from cuspedforms.fill import FillEngine
 from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
                                anchor_simplex, key_vertex, parse_vertex,
                                random_gamma0_word, vertex_key)
 from cuspedforms.quasicocycle import STRATA, sample_tuple
-from cuspedforms.words import COMM, GroupElem, gamma_mul, word_pow
+from cuspedforms.words import COMM, GroupElem, gamma_mul, parse_word, word_pow
 
 from _pins import (LP_NEAR_CAP_FILL, LP_NEAR_CAP_SIMPLICES,
                    LP_NEAR_CAP_TRIANGLE, LP_WINDOW_FILLS)
@@ -447,3 +447,47 @@ def test_fill_in_horoball_annulus(engine):
     res = engine.fill_triangle(Vertex(w1, 0, 0), Vertex("", 0, 1),
                                Vertex(w2, 0, 1))
     assert res.method == "unit-simplex"
+
+
+#: 4-tuples whose relative fill reaches the LP at kappa = 2, window radius
+#: 1: (vertices, norm).  The second one's faces' fillings cancel, so its
+#: cycle z is empty.
+RELATIVE_LP = {
+    "lp": (("aBaa@2:0", "aBaaBAba@3:0", "aBaaBAba@2:0", "aBaBab@3:0"), 2),
+    "empty-cycle": (("e@3:0", "BAba@3:0", "ABBABBABABBAB@3:0",
+                     "BAbaBAba@3:0"), 0),
+}
+
+
+def face_cycle(engine, pts):
+    """z = the alternating sum of the fillings of the four faces."""
+    z = Chain(2)
+    for i in range(4):
+        part = engine.fill_triangle(*pts[:i], *pts[i + 1:]).chain
+        z = z + part if i % 2 == 0 else z - part
+    return z
+
+
+@pytest.mark.parametrize("verts, norm", RELATIVE_LP.values(),
+                         ids=list(RELATIVE_LP))
+def test_relative_fill_reaches_the_lp(verts, norm):
+    # a 4-tuple that is no Rips simplex, or whose unit simplex does not
+    # bound z, is filled by the LP; an empty z needs no LP at all
+    engine = FillEngine(CuspedGraph(), kappa=2)
+    g = GroupElem(parse_word("abA"), 1)
+    pts = [parse_vertex(s) for s in verts]
+    for quad in (pts, [engine.graph.left_mul(g, v) for v in pts]):
+        z = face_cycle(engine, quad)
+        assert bool(z) == bool(norm)
+        out = engine.relative_fill_check(*quad, window_radius=1)
+        assert (out.method, out.norm) == ("lp", norm)
+        assert out.chain.boundary() == z
+
+
+def test_a_window_past_the_simplex_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(fill, "LP_SIMPLEX_CAP", 5)
+    engine = FillEngine(CuspedGraph(), kappa=2)
+    pts = [parse_vertex(s) for s in RELATIVE_LP["lp"][0]]
+    with pytest.raises(WindowTooLarge,
+                       match="more than 5 Rips simplices in the window"):
+        engine.relative_fill_check(*pts, window_radius=1)

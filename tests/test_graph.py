@@ -107,7 +107,8 @@ def test_pair_past_depth_cap_raises_even_when_adjacent():
 
 
 def test_depth0_vertex_degree(graph):
-    # 6 generator moves (4 letters + commutator both ways), t+-1, one down
+    # 4 letters, the radius-1 lattice fan ([a,b]^+-1, t^+-1) and 1 vertical
+    # edge
     assert len(graph.neighbors(Vertex("", 0, 0))) == 9
 
 

@@ -98,6 +98,37 @@ def test_lip_tail_reaches_past_the_probe_span():
     assert lip_tail(far, 3) == Fraction(1, 10 ** 9 - 2)
 
 
+def test_lip_tail_of_a_power_floor_is_exact():
+    # floor(x^(1/10)) next jumps at 1024, past the probe span
+    assert lip_tail(power_floor(1, 10), 1) == Fraction(1, 1023)
+    # floor(x^(2/3)) from n = 3: 1/3 at 6, then 2/5 at 8
+    assert lip_tail(power_floor(2, 3), 3) == Fraction(2, 5)
+    # scaling, shifting and a truncation at a level at most n keep the jumps
+    f = power_floor(1, 10)
+    assert lip_tail(f.scale(-3).shift(2), 1) == Fraction(3, 1023)
+    assert lip_tail(truncate(f, 1), 1) == Fraction(1, 1023)
+
+
+def test_lip_tail_probes_in_increasing_order():
+    # each new point lands at the end of f's sorted list of points seen
+    for f in (bounded_periodic([0] * 300 + [1]),
+              table({0: 0, -900: 0, 300: 1, 1000: 1}), power_floor(1, 10)):
+        seen = []
+        evaluate = f._evaluate
+        f._evaluate = lambda x: seen.append(x) or evaluate(x)
+        lip_tail(f, 5)
+        assert seen[:2] == [5, -5]
+        assert seen[2:] == sorted(set(seen[2:]))
+
+
+def test_parse_spec_reads_json_decimals_exactly(tmp_path):
+    assert parse_spec('table:{"0": 0.1, "5": 1}')(0) == Fraction(1, 10)
+    path = tmp_path / "period.json"
+    path.write_text("[0.1, 2.5e-1]")
+    f = parse_spec(f"periodic:{path}")
+    assert (f(0), f(1)) == (Fraction(1, 10), Fraction(1, 4))
+
+
 def test_parse_spec():
     assert parse_spec("linear:1")(7) == 7
     assert parse_spec("linear:-2")(3) == -6
