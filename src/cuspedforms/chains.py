@@ -2,8 +2,9 @@
 reduction to coinvariants under the free-group action.
 
 A `Chain` stores a simplex as a tuple of vertices sorted by the global vertex
-order; the sign of the sorting permutation is absorbed into the coefficient,
-and simplices with a repeated vertex die on construction.
+order; the sign of the sorting permutation, from the package's one sign rule
+`graph.sort_with_sign`, is absorbed into the coefficient, and simplices with
+a repeated vertex die on construction.
 
 A `CoinvariantChain` is a chain modulo F = F(a,b) acting on the left.  Its
 terms are keyed by (k, s): s is the anchored simplex (the vertex order whose
@@ -12,27 +13,19 @@ anchored tuple is lex-least, translated so that its first vertex is
 Since t^k F t^-k = F, the F-orbit of a simplex is exactly {g . s : theta(g)
 = k}, so the key determines the orbit and the orbit the key.  Left
 translation by g in G moves (k, s) to (k + theta(g), s); a t-translate of a
-coinvariant chain never writes out a psi-power of a word.
+coinvariant chain never writes out a psi-power of a word.  Each s is already
+canonical, so `QuasiCocycle.linear_form` reads it without anchoring again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph import Simplex, Vertex, _parity, anchor_simplex, vertex_key
+from .graph import Simplex, Vertex, anchor_simplex, sort_with_sign, vertex_key
 from .words import Automorphism, GroupElem
 
 #: (t-exponent of the front vertex, anchored simplex): one F-orbit
 OrbitKey = tuple[int, Simplex]
-
-
-def _sort_with_sign(verts: Simplex) -> tuple[Simplex | None, int]:
-    order = sorted(range(len(verts)), key=lambda i: vertex_key(verts[i]))
-    sorted_verts = tuple(verts[i] for i in order)
-    for i in range(len(sorted_verts) - 1):
-        if sorted_verts[i] == sorted_verts[i + 1]:
-            return None, 0
-    return sorted_verts, _parity(order)
 
 
 class Chain:
@@ -49,9 +42,9 @@ class Chain:
         return Chain(dim, terms)
 
     def add(self, verts: Simplex, coeff: Fraction | int) -> None:
-        canon, sign = _sort_with_sign(tuple(verts))
-        if canon is not None and coeff:
-            self._bump(canon, sign * Fraction(coeff))
+        order, sign = sort_with_sign([vertex_key(v) for v in verts])
+        if sign and coeff:
+            self._bump(tuple(verts[i] for i in order), sign * Fraction(coeff))
 
     def _bump(self, key, coeff: Fraction) -> None:
         new = self.terms.get(key, 0) + coeff
@@ -163,10 +156,6 @@ class CoinvariantChain(Chain):
                                     for (k, s), c in self.terms.items()})
 
 
-def _simplex_order(verts: Simplex) -> tuple:
-    return tuple(vertex_key(v) for v in verts)
-
-
 def chain_to_json(chain: CoinvariantChain) -> list[dict]:
     """Terms sorted by shift, then by the vertex order; a term (k, s) is
     written as {"shift": k, "simplex": s, "coeff": c}."""
@@ -174,4 +163,4 @@ def chain_to_json(chain: CoinvariantChain) -> list[dict]:
              "coeff": str(coeff)}
             for (k, verts), coeff in sorted(
                 chain.terms.items(),
-                key=lambda kv: (kv[0][0], _simplex_order(kv[0][1])))]
+                key=lambda kv: (kv[0][0], [vertex_key(v) for v in kv[0][1]]))]

@@ -16,7 +16,7 @@ from .chains import chain_to_json
 from .config import RunConfig
 from .errors import CuspedFormsError
 from .graph import parse_vertex
-from .lipschitz import parse_spec
+from .lipschitz import parse_spec, read_number
 from .words import GroupElem, parse_word
 
 
@@ -152,7 +152,7 @@ def run(args: argparse.Namespace) -> int:
         elif args.sub == "certify":
             radii = [int(x) for x in args.radii.split(",")]
             ms = [int(x) for x in args.ms.split(",")]
-            khat = Fraction(args.khat)
+            khat = read_number(args.khat)
             # both tables are built before either is printed, so a
             # rejected input prints its error line alone
             nontrivial = qcm.nontriviality_certificate(qc, f, ms)

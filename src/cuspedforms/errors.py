@@ -10,15 +10,12 @@ class PsiPowerCap(CuspedFormsError):
     words.MAX_WORD_LETTERS."""
 
 
-class NotParabolic(CuspedFormsError):
-    """Fixed-point extraction requested for a non-parabolic matrix."""
-
-
 class DegreeOverflow(CuspedFormsError):
     """A vertex deeper than the configured depth cap was reached, by
-    neighbor enumeration, by a distance search or by a cycle A_m, or
+    neighbor enumeration, by a distance search or by a cycle A_m;
     `neighbors` was asked for a vertex with more than graph.MAX_NEIGHBORS
-    horoball neighbours."""
+    horoball neighbours; or a `ball` would list more than
+    graph.BALL_LISTING_MAX neighbours over its layers."""
 
 
 class CapExceeded(CuspedFormsError):

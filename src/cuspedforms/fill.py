@@ -11,9 +11,9 @@ of the unordered pair (both cached in `CuspedGraph`), so Q is equivariant and
 antisymmetric by induction on the distance.  A fill is cached once per
 canonical anchored triple (`graph.anchor_simplex`) in `_fill_cache` and
 translated back with the permutation sign.  `canonical_fill` is that cached
-fill of a canonical triple; `fill_triangle` anchors a raw triple, reads it
-and translates it back, and a caller that anchors the triple itself
-(`QuasiCocycle`, which reads every face of a simplex off one
+`FillResult` of a canonical triple; `fill_triangle` anchors a raw triple,
+reads it and translates it back, and a caller that anchors the triple
+itself (`QuasiCocycle`, which reads every face of a simplex off one
 relative-element table) reads it directly.
 
 The certified l1-minimal LP filling of a cycle is anchored, equivariant and
@@ -44,9 +44,14 @@ from .graph import (CuspedGraph, Simplex, Vertex, anchor_cycle, anchor_simplex,
 
 @dataclass(frozen=True)
 class FillResult:
+    """The one encoding of a filling: its chain and the method that built
+    it (unit-simplex | cone-split | lp | degenerate); the norm is not kept."""
     chain: Chain
-    method: str  # unit-simplex | cone-split | lp | degenerate
-    norm: Fraction
+    method: str
+
+    @property
+    def norm(self) -> Fraction:
+        return self.chain.l1_norm()
 
 
 # cyclic relabelings, which keep the orientation, that move each unordered
@@ -66,7 +71,7 @@ class FillEngine:
             raise ValueError("kappa must be at least 2")
         self.graph = graph
         self.kappa = kappa
-        self._fill_cache: dict[Simplex, tuple[Chain, str]] = {}
+        self._fill_cache: dict[Simplex, FillResult] = {}
         self._filling: set[Simplex] = set()  # canonical triples in progress
         self._lp_cache: dict[tuple, Chain] = {}
 
@@ -94,17 +99,15 @@ class FillEngine:
         """The filling of a raw triple: sign * g . the cached fill of its
         canonical triple (`graph.anchor_simplex`)."""
         if len({x0, x1, x2}) < 3:
-            return FillResult(Chain(2), "degenerate", Fraction(0))
+            return FillResult(Chain(2), "degenerate")
         canon, sign, g = anchor_simplex((x0, x1, x2), self.graph.psi)
-        chain, method = self.canonical_fill(canon)
-        out = chain.translate(self.graph, g)
-        if sign < 0:
-            out = -out
-        return FillResult(out, method, out.l1_norm())
+        hit = self.canonical_fill(canon)
+        out = hit.chain.translate(self.graph, g)
+        return FillResult(out if sign > 0 else -out, hit.method)
 
-    def canonical_fill(self, canon: Simplex) -> tuple[Chain, str]:
-        """(chain, method): the filling of a canonical triple of
-        `graph.anchor_simplex`, cached in `_fill_cache`.  The fill is
+    def canonical_fill(self, canon: Simplex) -> FillResult:
+        """The filling of a canonical triple of `graph.anchor_simplex`,
+        cached in `_fill_cache` as its `FillResult`.  The fill is
         deterministic, so cone splits that reach a triple still being
         filled never terminate: that raises at once, naming the triple."""
         hit = self._fill_cache.get(canon)
@@ -126,18 +129,18 @@ class FillEngine:
             self._fill_cache[canon] = hit
         return hit
 
-    def _fill_canonical(self, tri: Simplex) -> tuple[Chain, str]:
+    def _fill_canonical(self, tri: Simplex) -> FillResult:
         dists = {side: self.graph.distance(tri[side[0]], tri[side[1]])
                  for side in ((0, 1), (0, 2), (1, 2))}
         longest = max(dists, key=lambda side: (dists[side], side))
         if dists[longest] <= self.kappa:
             out = Chain(2)
             out.add(tri, 1)
-            return out, "unit-simplex"
+            return FillResult(out, "unit-simplex")
         y0, y1, y2 = (tri[i] for i in _SIDE_PERMS[longest])
         m = self.graph.geodesic_midpoint(y0, y1)
-        return (self.fill_triangle(y0, m, y2).chain
-                + self.fill_triangle(m, y1, y2).chain), "cone-split"
+        return FillResult(self.fill_triangle(y0, m, y2).chain
+                          + self.fill_triangle(m, y1, y2).chain, "cone-split")
 
     # -- LP fillings -----------------------------------------------------
 
@@ -168,7 +171,7 @@ class FillEngine:
         columns, so the certificate holds in every frame and
         fill_cycle_lp(g z, g E) = g fill_cycle_lp(z, E) exactly."""
         if not z:
-            return FillResult(Chain(z.dim + 1), "lp", Fraction(0))
+            return FillResult(Chain(z.dim + 1), "lp")
         key, g = anchor_cycle(z.terms, extra_vertices or (), self.graph.psi)
         key = (window_radius, *key)
         canon = self._lp_cache.get(key)
@@ -177,7 +180,7 @@ class FillEngine:
         out = canon.translate(self.graph, g)
         if out.boundary() != z:
             raise Infeasible("LP result failed exact boundary verification")
-        return FillResult(out, "lp", out.l1_norm())
+        return FillResult(out, "lp")
 
     def _fill_canonical_lp(self, key: tuple) -> Chain:
         """The certified l1-minimal filling of the anchored cycle and seeds
@@ -261,7 +264,7 @@ class FillEngine:
         """Fill the 2-cycle phi(boundary of [x0..x3])."""
         pts = (x0, x1, x2, x3)
         if len(set(pts)) < 4:
-            return FillResult(Chain(3), "degenerate", Fraction(0))
+            return FillResult(Chain(3), "degenerate")
         z = Chain(2)
         for i in range(4):
             face = pts[:i] + pts[i + 1:]
@@ -272,5 +275,5 @@ class FillEngine:
             b = Chain(3)
             b.add(pts, 1)
             if b.boundary() == z:
-                return FillResult(b, "unit-simplex", b.l1_norm())
+                return FillResult(b, "unit-simplex")
         return self.fill_cycle_lp(z, window_radius=window_radius)

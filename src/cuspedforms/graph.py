@@ -58,6 +58,11 @@ BASEPOINT = Vertex("", 0, 0)
 #: DegreeOverflow.  A depth-n vertex has 2R(R + 1) of them, R = 2^n, so this
 #: stops depth 8: 131,584 neighbours, where depth 7 has 33,024.
 MAX_NEIGHBORS = 2 ** 16
+#: most neighbours one `ball` may list, summed over its layers; a ball that
+#: would list more raises DegreeOverflow before listing the layer.  Ten
+#: times the largest listing of the test suite and the benchmark workloads
+#: (394,835, for a geodesic midpoint's source ball).
+BALL_LISTING_MAX = 2 ** 22
 
 
 def parse_vertex(text: str) -> Vertex:
@@ -85,14 +90,12 @@ def key_vertex(key: tuple) -> Vertex:
 Simplex = tuple[Vertex, ...]
 
 
-def _parity(seq) -> int:
-    """Sign of the permutation that sorts distinct items, by inversions."""
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+def sort_with_sign(keys) -> tuple[list[int], int]:
+    """(order, sign): the positions of `keys` in increasing order and the
+    sign of that permutation, 0 if two keys are equal; the one sign rule."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1:])
+    return order, (-1) ** inversions if len(set(keys)) == len(keys) else 0
 
 
 @cache
@@ -101,8 +104,8 @@ def _orders(n: int, face: tuple[int, ...]
     """Every vertex order of the face at the increasing positions `face` of
     an n-tuple, as (front position i, table indices i * n + j of the other
     positions j in order, sign of the order within the face)."""
-    return tuple((p[0], tuple(p[0] * n + j for j in p[1:]), _parity(p))
-                 for p in permutations(face))
+    return tuple((p[0], tuple(p[0] * n + j for j in p[1:]),
+                  sort_with_sign(p)[1]) for p in permutations(face))
 
 
 def relative_table(verts: Simplex, psi: Automorphism,
@@ -192,8 +195,8 @@ def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
         cyc = []
         for sx, coeff in terms.items():
             ks = [moved[pos[v]] for v in sx]
-            order = sorted(range(len(ks)), key=ks.__getitem__)
-            cyc.append((tuple(ks[i] for i in order), _parity(order) * coeff))
+            order, sign = sort_with_sign(ks)
+            cyc.append((tuple(ks[i] for i in order), sign * coeff))
         key = (tuple(sorted(cyc)),
                tuple(sorted(moved[pos[v]] for v in extra)))
         if best_key is None or key < best_key:
@@ -329,20 +332,29 @@ class CuspedGraph:
 
     # -- adjacency -----------------------------------------------------
 
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        """v's neighbours in `vertex_key` order.  One rule gives the
-        horizontal edges at every depth n: the lattice points of v's coset
-        within l1-distance 2^n, [a,b]^+-1 and t^+-1 at n = 0.  Depth 0 adds
-        the four letters twisted by psi^texp; vertical edges go up, and
-        down at n >= 1."""
+    def degree(self, v: Vertex) -> int:
+        """How many neighbours `neighbors(v)` lists: 2R(R + 1) in v's
+        horoball, R = 2^depth, and 2 vertical ones; at depth 0 one vertical
+        one and the four letters, 9 in all.  DegreeOverflow past the depth
+        cap or above MAX_NEIGHBORS horoball neighbours."""
         if v.depth > self.depth_cap:
             raise DegreeOverflow(
                 f"depth {v.depth} exceeds cap {self.depth_cap}")
         reach = 2 ** v.depth
-        if 2 * reach * (reach + 1) > MAX_NEIGHBORS:
-            raise DegreeOverflow(
-                f"depth {v.depth} has {2 * reach * (reach + 1)} "
-                f"neighbours, more than {MAX_NEIGHBORS}")
+        horizontal = 2 * reach * (reach + 1)
+        if horizontal > MAX_NEIGHBORS:
+            raise DegreeOverflow(f"depth {v.depth} has {horizontal} "
+                                 f"neighbours, more than {MAX_NEIGHBORS}")
+        return horizontal + (2 if v.depth else 5)
+
+    def neighbors(self, v: Vertex) -> list[Vertex]:
+        """v's neighbours in `vertex_key` order, `degree(v)` of them.  One
+        rule gives the horizontal edges at every depth n: the lattice points
+        of v's coset within l1-distance 2^n, [a,b]^+-1 and t^+-1 at n = 0.
+        Depth 0 adds the four letters twisted by psi^texp; vertical edges go
+        up, and down at n >= 1."""
+        self.degree(v)
+        reach = 2 ** v.depth
         out = {Vertex(v.base, v.texp, v.depth + 1)}
         if v.depth:
             out.add(Vertex(v.base, v.texp, v.depth - 1))
@@ -497,12 +509,22 @@ class CuspedGraph:
 
     def ball(self, center: Vertex, radius: int,
              max_depth: int | None = None) -> dict[Vertex, int]:
-        """All vertices within the radius, with their distances."""
+        """All vertices within the radius, with their distances.  Before it
+        lists a layer, it adds up the `degree` of the layer's frontier, and
+        raises DegreeOverflow if the running total would pass
+        BALL_LISTING_MAX."""
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         dist = {center: 0}
         frontier = [center]
+        listed = 0
         for r in range(1, radius + 1):
+            listed += sum(map(self.degree, frontier))
+            if listed > BALL_LISTING_MAX:
+                raise DegreeOverflow(
+                    f"the ball of radius {radius} about {center} would list "
+                    f"{listed} neighbours by radius {r}, more than "
+                    f"{BALL_LISTING_MAX}")
             nxt = []
             for v in frontier:
                 for w in self.neighbors(v):

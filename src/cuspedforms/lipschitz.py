@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 
 from .errors import LipschitzViolation
@@ -216,32 +218,49 @@ _NOT_NUMBERS = {type(None): "null", bool: "a boolean", list: "an array",
                 dict: "an object", float: "NaN or an infinity"}
 
 
+def read_number(text: str) -> Fraction:
+    """The exact value of a numeral such as "3", "-0.1", "2.5e-3" or "1/3",
+    the one reader of numbers from outside the package.  A numeral with more
+    digits, or an exponent larger in size, than sys.get_int_max_str_digits()
+    (4300 by default; 0 lifts the limit, as for int) is refused with a
+    ValueError: Fraction would build 10^exponent exactly."""
+    limit = sys.get_int_max_str_digits()
+    exp = re.search(r"[eE]([-+]?\d[\d_]*)", text)
+    if limit and (sum(map(str.isdigit, text)) > limit
+                  or exp and abs(int(exp[1])) > limit):
+        raise ValueError(f"numeral {text[:40]!r} has more than {limit} "
+                         f"digits or an exponent beyond +-{limit}")
+    return Fraction(text)
+
+
 def _number(kind: str, entry, value) -> Fraction:
     """A JSON value of a table or a period: a number, read exactly, or a
-    string such as "1/3"."""
+    string such as "1/3" (`read_number`)."""
     what = _NOT_NUMBERS.get(type(value))
     if what:
         raise ValueError(f"{kind}: entry {entry} must be a number, not {what}")
-    return Fraction(value)
+    return read_number(value) if isinstance(value, str) else Fraction(value)
 
 
 def parse_spec(spec: str) -> LipFn:
     """f specs: linear:<slope>, powfloor:<num>/<den>, const:<q>,
-    table:<path-or-inline-json>, periodic:<path-or-inline-json>.  JSON
-    decimals are read from their text, so 0.1 is 1/10."""
+    table:<path-or-inline-json>, periodic:<path-or-inline-json>.  Every
+    value is read by `read_number`, JSON decimals from their text, so 0.1
+    is 1/10 and 1e1000000000 is refused; JSON integers keep Python's own
+    digit limit."""
     kind, _, arg = spec.partition(":")
     if kind == "linear":
-        return linear(Fraction(arg))
+        return linear(read_number(arg))
     if kind == "powfloor":
         num, _, den = arg.partition("/")
         return power_floor(int(num), int(den) if den else 1)
     if kind == "const":
-        return constant(Fraction(arg) if arg else 0)
+        return constant(read_number(arg) if arg else 0)
     if kind in ("table", "periodic"):
         if not arg.lstrip().startswith(("{", "[")):
             with open(arg) as fh:
                 arg = fh.read()
-        data = json.loads(arg, parse_float=Fraction)
+        data = json.loads(arg, parse_float=read_number)
         if kind == "table":
             if not isinstance(data, dict):
                 raise ValueError("table: expected a JSON object x -> f(x)")

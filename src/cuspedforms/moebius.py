@@ -11,12 +11,14 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import NotParabolic
 from .words import COMM
 
 Matrix = tuple[int, int, int, int]  # row-major (p, q; r, s)
 
 IDENTITY_MATRIX: Matrix = (1, 0, 0, 1)
+#: rho(a) and rho(b), the one hyperbolization; rho([a,b]) = (-1, 6; 0, -1)
+MAT_A: Matrix = (1, 1, 1, 2)
+MAT_B: Matrix = (1, -1, -1, 2)
 
 
 def mat_mul(m: Matrix, n: Matrix) -> Matrix:
@@ -59,34 +61,21 @@ def boundary_point(x: int, y: int) -> BoundaryPoint:
     return BoundaryPoint(x, y)
 
 
-def parabolic_fixed_point(m: Matrix) -> BoundaryPoint:
-    """The unique boundary fixed point of a parabolic matrix."""
-    p, q, r, s = m
-    if abs(p + s) != 2 or m in ((1, 0, 0, 1), (-1, 0, 0, -1)):
-        raise NotParabolic(f"matrix {m} is not parabolic")
-    if r != 0:
-        return boundary_point(p - s, 2 * r)
-    return INFINITY
-
-
 class Hyperbolization:
-    """A discrete faithful representation of F(a,b) into PSL(2,Z) whose
-    commutator [a,b] is parabolic, together with the induced boundary action.
+    """The discrete faithful representation of F(a,b) into PSL(2,Z) given
+    by MAT_A and MAT_B, whose commutator is parabolic and fixes qbar =
+    infinity (`check` verifies both), with the induced boundary action.
 
     The orientation sign of a triple of group elements is the cyclic order of
     their images of the commutator's fixed point on the boundary circle.
     """
 
-    def __init__(self, mat_a: Matrix = (1, 1, 1, 2), mat_b: Matrix = (1, -1, -1, 2)):
+    def __init__(self):
         self.letter_matrices: dict[str, Matrix] = {
-            "a": mat_a,
-            "A": mat_inv(mat_a),
-            "b": mat_b,
-            "B": mat_inv(mat_b),
-        }
+            "a": MAT_A, "A": mat_inv(MAT_A), "b": MAT_B, "B": mat_inv(MAT_B)}
         self._point_cache: dict[str, BoundaryPoint] = {}
         self.comm_matrix = self.rho(COMM)
-        self.qbar = parabolic_fixed_point(self.comm_matrix)
+        self.qbar = INFINITY
 
     def check(self) -> None:
         for m in (self.letter_matrices["a"], self.letter_matrices["b"]):
@@ -96,6 +85,10 @@ class Hyperbolization:
             raise ValueError(
                 "commutator of the generator matrices is not parabolic "
                 f"(trace {trace(self.comm_matrix)}, expected -2)")
+        if self.comm_matrix[2]:
+            raise ValueError(
+                "commutator of the generator matrices does not fix infinity "
+                f"(lower-left entry {self.comm_matrix[2]}, expected 0)")
 
     def rho(self, word: str) -> Matrix:
         m = IDENTITY_MATRIX

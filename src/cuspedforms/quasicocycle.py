@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .chains import CoinvariantChain
@@ -32,6 +33,9 @@ Weights = tuple[tuple[int, Fraction], ...]
 LinearForm = tuple[Weights, tuple[int, ...]]
 #: the largest truncation level `bah_upper_bound_certificate` tries
 CERTIFICATE_N_MAX = 16
+#: the largest radius `bah_upper_bound_certificate` takes: radius 4 has
+#: 682,640 triples, radius 5 has 18,896,570
+CERTIFICATE_RADIUS_MAX = 4
 #: the positions of the faces of a simplex: a triple is its own face, and
 #: face i of a 4-tuple leaves out vertex i
 _TRIPLE = ((0, 1, 2),)
@@ -110,7 +114,7 @@ class QuasiCocycle:
         `_anchor_cache` under the triple: its form as a raw simplex too."""
         form = self._anchor_cache.get(canon)
         if form is None:
-            chain, _ = self.engine.canonical_fill(canon)
+            chain = self.engine.canonical_fill(canon).chain
             weights: dict[int, Fraction] = {}
             for face, c in chain.terms.items():
                 e = self.eps.on_words(*(v.base for v in face))
@@ -128,9 +132,9 @@ class QuasiCocycle:
 
     def linear_form(self, chain: CoinvariantChain) -> LinearForm:
         """alpha_f on a coinvariant 2-chain, for every f at once: the sum of
-        the forms of its keys.  A key (k, s) is moved up by k, since
-        alpha_f(t^k . s) = alpha_{f(. + k)}(s)."""
-        return _sum_forms((self.form(*sx), k, coeff)
+        the forms of its canonical keys, read as they stand (`_read`).  A key
+        (k, s) is moved up by k: alpha_f(t^k . s) = alpha_{f(. + k)}(s)."""
+        return _sum_forms((self._read(sx), k, coeff)
                           for (k, sx), coeff in chain.terms.items())
 
     def evaluate(self, f: LipFn, form: LinearForm) -> Fraction:
@@ -390,10 +394,22 @@ def bah_upper_bound_certificate(qc: QuasiCocycle, f: LipFn,
     vanishing on S_i^3 and (when possible) strictly improves the defect bound
     khat * lip_tail(f, n_i); the bound column witnesses the vanishing of the
     seminorm for sublinear f.  Each level n is checked on the distinct
-    forms of the ball, read once per radius."""
+    forms of the ball, read once per radius.
+
+    Every radius is checked before any form is built: a negative one, or
+    one past CERTIFICATE_RADIUS_MAX, raises ValueError, the latter naming
+    its triple count."""
     for radius in radii:
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
+        if radius > CERTIFICATE_RADIUS_MAX:
+            # the ball has 2 * 3^radius - 1 vertices; past radius 20 only
+            # a lower bound is named, so a huge radius is refused at once
+            size = 2 * 3 ** min(radius, 20) - 1
+            raise ValueError(
+                f"radius {radius} has {'over ' * (radius > 20)}"
+                f"{comb(size, 3)} triples; at most radius "
+                f"{CERTIFICATE_RADIUS_MAX} is certified")
     rows = []
     prev_bound: Fraction | None = None
     for radius in radii:

@@ -228,3 +228,19 @@ def representative(chain, key):
     return tuple(Vertex(chain.psi.apply(v.base, k), v.texp + k, v.depth)
                  for v in verts)
 
+
+
+def permutation_sign_oracle(perm) -> int:
+    """(-1)^(n - number of cycles) of a permutation of range(n), by
+    walking its cycles: the oracle for `graph.sort_with_sign`, which counts
+    inversions."""
+    seen: set[int] = set()
+    cycles = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)

@@ -210,6 +210,54 @@ def test_bad_inputs_are_json_lines(capsys, argv, error, message):
     assert lines == [{"error": error, "message": message}]
 
 
+NUMERAL = ("numeral '{}' has more than 4300 digits or an exponent beyond "
+           "+-4300")
+
+#: inputs that ran for seconds to minutes, each now refused within the
+#: time allowed: (argv, error, message, seconds allowed)
+REFUSED_AT_ONCE = {
+    "ball-deep": (("graph", "ball", "e@0:6", "--r", "2"), "DegreeOverflow",
+                  "the ball of radius 2 about e@0:6 would list 69282502 "
+                  "neighbours by radius 2, more than 4194304", 2),
+    "ball-wide": (("graph", "ball", "e@0:0", "--r", "8"), "DegreeOverflow",
+                  "the ball of radius 8 about e@0:0 would list 9145573 "
+                  "neighbours by radius 7, more than 4194304", 2),
+    "ball-depth-5": (("graph", "ball", "e@0:5", "--r", "2"),
+                     "DegreeOverflow", "the ball of radius 2 about e@0:5 "
+                     "would list 4475750 neighbours by radius 2, more than "
+                     "4194304", 2),
+    "certify-radius": (("alpha", "certify", "--f", "linear:1", "--radii",
+                        "5"), "ValueError", "radius 5 has 18896570 "
+                       "triples; at most radius 4 is certified", 2),
+    "linear-exponent": (("alpha", "am", "--f", "linear:1e1000000000", "--m",
+                         "2"), "ValueError", NUMERAL.format("1e1000000000"),
+                        1),
+    "const-exponent": (("alpha", "am", "--f", "const:-1e1000000000", "--m",
+                        "2"), "ValueError", NUMERAL.format("-1e1000000000"),
+                       1),
+    "table-exponent": (("alpha", "am", "--f", 'table:{"0":1e1000000000}',
+                        "--m", "2"), "ValueError",
+                       NUMERAL.format("1e1000000000"), 1),
+    "periodic-exponent": (("alpha", "am", "--f",
+                           'periodic:["1e1000000000"]', "--m", "2"),
+                          "ValueError", NUMERAL.format("1e1000000000"), 1),
+    "khat-exponent": (("alpha", "certify", "--f", "linear:1", "--radii", "1",
+                       "--ms", "2", "--khat", "1e1000000000"), "ValueError",
+                      NUMERAL.format("1e1000000000"), 1),
+}
+
+
+@pytest.mark.parametrize("argv, error, message, seconds",
+                         REFUSED_AT_ONCE.values(), ids=list(REFUSED_AT_ONCE))
+def test_unbounded_work_is_refused_at_once(capsys, argv, error, message,
+                                           seconds):
+    start = time.perf_counter()
+    code, lines = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    assert code == 2
+    assert lines == [{"error": error, "message": message}]
+
+
 AM_PAST_DEPTH_CAP = {
     "am": (("alpha", "am", "--f", "linear:1", "--m", "16777216"), 25),
     "certify": (("alpha", "certify", "--f", "linear:1", "--ms",
@@ -287,13 +335,14 @@ DEAD_KEYS = {"filler": "lp", "rng_seed": "3", "rho_a": "1,1,1,2",
 def test_dead_keys_are_unknown_config_keys(capsys, tmp_path, key, value):
     # `filler` never reached FillEngine (the LP filler is reached through
     # FillEngine.fill_cycle_lp only), no module read `rng_seed`, no run
-    # ever set the generator matrices `rho_a`/`rho_b` (Hyperbolization
-    # still takes them), and no run set the fill depth cap, the LP window
-    # radius or the LP simplex cap (now constants or per-call defaults of
-    # cuspedforms.fill), the psi power cap guarded no power that could
-    # run (words.MAX_WORD_LETTERS bounds the word built instead), and psi's
-    # inverse images are derived from its images; a config
-    # that sets any of them fails instead of silently changing nothing
+    # ever set the generator matrices `rho_a`/`rho_b` (now the constants
+    # moebius.MAT_A and MAT_B), and no run set the fill depth cap, the LP
+    # window radius or the LP simplex cap (now constants or per-call
+    # defaults of cuspedforms.fill), the psi power cap guarded no power
+    # that could run (words.MAX_WORD_LETTERS bounds the word built
+    # instead), and psi's inverse images are derived from its images; a
+    # config that sets any of them fails instead of silently changing
+    # nothing
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         RunConfig.from_dict({key: value})
     cfgfile = tmp_path / "run.cfg"

@@ -123,12 +123,12 @@ def test_fill_triangle_is_the_anchored_canonical_fill(engine, graph):
         if len(set(pts)) < 3:
             continue
         canon, sign, g = anchor_simplex(pts, graph.psi)
-        chain, method = engine.canonical_fill(canon)
-        rebuilt = chain.translate(graph, g)
+        hit = engine.canonical_fill(canon)
+        rebuilt = hit.chain.translate(graph, g)
         if sign < 0:
             rebuilt = -rebuilt
         res = engine.fill_triangle(*pts)
-        assert (res.chain, res.method) == (rebuilt, method)
+        assert (res.chain, res.method) == (rebuilt, hit.method)
 
 
 def test_cone_split_cycle_fails_fast(graph, monkeypatch):

@@ -1,19 +1,24 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cuspedforms import graph as graph_module
 from cuspedforms.errors import CapExceeded, DegreeOverflow, PsiPowerCap
 from cuspedforms.graph import (CuspedGraph, Vertex, _Side, anchor_simplex,
                                horoball_distance, parse_vertex,
-                               random_gamma0_word)
+                               random_gamma0_word, sort_with_sign,
+                               vertex_key)
 from cuspedforms.words import COMM, GroupElem, mul, word_pow
 
-from _oracles import bfs_oracle, meet_point_oracle
+from _oracles import bfs_oracle, meet_point_oracle, permutation_sign_oracle
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
 
 
@@ -612,3 +617,67 @@ def test_psi_enters_through_the_graph_only():
                       for p in inspect.signature(f).parameters.values()
                       if isinstance(p.default, Automorphism))
     assert defaults == ["cuspedforms.graph.CuspedGraph.__init__(psi)"]
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a rule owned by one module is imported under its public name; an
+    # underscore name stays inside the module that defines it
+    import cuspedforms
+    private = []
+    for path in sorted(Path(cuspedforms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.stem} <- {node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
+
+
+vertex_keys = st.builds(lambda base, texp, depth: vertex_key(
+    Vertex(base, texp, depth)), st.text("aAbB", max_size=4),
+    st.integers(-3, 3), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(), unique=True, max_size=6),
+                 st.lists(vertex_keys, unique=True, max_size=6)))
+def test_sort_with_sign_matches_the_cycle_count(keys):
+    order, sign = sort_with_sign(keys)
+    assert sorted(order) == list(range(len(keys)))
+    assert [keys[i] for i in order] == sorted(keys)
+    assert sign == permutation_sign_oracle(order)
+
+
+def test_sort_with_sign_of_a_repeated_key_is_zero():
+    assert sort_with_sign([3, 1, 3]) == ([1, 0, 2], 0)
+    v = vertex_key(Vertex("ab", 1, 0))
+    assert sort_with_sign([v, vertex_key(Vertex("", 0, 0)), v])[1] == 0
+
+
+def test_degree_counts_what_neighbors_lists(graph):
+    rng = random.Random(41)
+    for depth in range(4):
+        for _ in range(10):
+            v = Vertex(random_gamma0_word(rng, 5), rng.randrange(-3, 4),
+                       depth)
+            assert graph.degree(v) == len(graph.neighbors(v)), v
+    assert graph.degree(Vertex("", 0, 0)) == 9
+    assert graph.degree(Vertex("", 0, 2)) == 2 * 4 * 5 + 2
+
+
+def test_ball_refuses_a_listing_past_the_bound(monkeypatch):
+    # the bound is checked on the running total of the degrees of each
+    # layer's frontier, before the layer is listed
+    g = CuspedGraph()
+    center = Vertex("", 0, 0)
+    first = g.degree(center)
+    second = first + sum(map(g.degree, g.neighbors(center)))
+    monkeypatch.setattr(graph_module, "BALL_LISTING_MAX", second)
+    assert max(g.ball(center, 2).values()) == 2
+    monkeypatch.setattr(graph_module, "BALL_LISTING_MAX", second - 1)
+    with pytest.raises(DegreeOverflow, match=f"would list {second} neighbours "
+                       f"by radius 2, more than {second - 1}"):
+        g.ball(center, 2)
+    monkeypatch.setattr(graph_module, "BALL_LISTING_MAX", first - 1)
+    with pytest.raises(DegreeOverflow, match="by radius 1"):
+        g.ball(center, 1)

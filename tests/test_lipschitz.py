@@ -5,7 +5,8 @@ import pytest
 from cuspedforms.errors import LipschitzViolation
 from cuspedforms.lipschitz import (bounded_periodic, constant, linear,
                                    lip_on_window, lip_tail,
-                                   parse_spec, power_floor, table, truncate)
+                                   parse_spec, power_floor, read_number,
+                                   table, truncate)
 
 
 def test_linear():
@@ -127,6 +128,19 @@ def test_parse_spec_reads_json_decimals_exactly(tmp_path):
     path.write_text("[0.1, 2.5e-1]")
     f = parse_spec(f"periodic:{path}")
     assert (f(0), f(1)) == (Fraction(1, 10), Fraction(1, 4))
+
+
+def test_read_number_refuses_only_past_the_digit_limit():
+    # Python's limit on int() digits, 4300 by default, bounds the digits
+    # and the exponent of a numeral from outside
+    assert read_number("1" * 4300) == int("1" * 4300)
+    assert read_number("1e-4300") == Fraction(1, 10 ** 4300)
+    assert read_number("-2.5e-3") == Fraction(-1, 400)
+    assert parse_spec('periodic:["1/3", 0.1]')(0) == Fraction(1, 3)
+    for text in ("1" * 4301, "1e4301", "0.5E-4301", "1e1000000000"):
+        with pytest.raises(ValueError, match="more than 4300 digits or an "
+                           "exponent beyond"):
+            read_number(text)
 
 
 def test_parse_spec():

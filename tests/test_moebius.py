@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspedforms import moebius
 from cuspedforms.moebius import (Hyperbolization, OrientationCocycle,
                                  boundary_point, cyclic_orientation, det,
                                  mat_mul, trace)
@@ -83,23 +84,34 @@ def test_eps_left_invariance_on_samples():
         assert eps(*(mul(g, w) for w in ws)) == eps(*ws)
 
 
-def test_degenerate_hyperbolization_rejected():
-    from cuspedforms.errors import CuspedFormsError
-    with pytest.raises(CuspedFormsError):
-        Hyperbolization(mat_a=(1, 0, 0, 1), mat_b=(1, -1, -1, 2)).check()
+def test_degenerate_hyperbolization_rejected(monkeypatch):
+    # rho(a) = 1 makes rho([a,b]) = 1, which is not parabolic
+    monkeypatch.setattr(moebius, "MAT_A", (1, 0, 0, 1))
+    with pytest.raises(ValueError, match="not parabolic"):
+        Hyperbolization().check()
+
+
+def test_check_asserts_the_commutator_fixes_infinity(monkeypatch):
+    hyp = Hyperbolization()
+    hyp.check()
+    assert hyp.comm_matrix == (-1, 6, 0, -1)
+    assert hyp.qbar == boundary_point(1, 0)
+    # conjugating by (1, 0; 1, 1) keeps the traces but moves the
+    # commutator's fixed point off infinity
+    conj = (1, 0, 1, 1)
+    for name in ("MAT_A", "MAT_B"):
+        monkeypatch.setattr(moebius, name, mat_mul(
+            mat_mul(conj, getattr(moebius, name)), moebius.mat_inv(conj)))
+    with pytest.raises(ValueError, match="does not fix infinity"):
+        Hyperbolization().check()
 
 
 def test_build_checks_the_hyperbolization_it_wires_in(monkeypatch):
-    # build() checks the engine's own hyperbolization, not a fresh one
-    from cuspedforms import quasicocycle
+    # build() and selfcheck() check the hyperbolization they wire in
     from cuspedforms.config import RunConfig
 
-    class Reflected(OrientationCocycle):
-        def __init__(self):
-            self.hyp = Hyperbolization(mat_a=(-1, 0, 0, 1),
-                                       mat_b=(1, 1, 0, 1))
-
-    monkeypatch.setattr(quasicocycle, "OrientationCocycle", Reflected)
+    monkeypatch.setattr(moebius, "MAT_A", (-1, 0, 0, 1))
+    monkeypatch.setattr(moebius, "MAT_B", (1, 1, 0, 1))
     with pytest.raises(ValueError, match="determinant 1"):
         RunConfig().build()
     with pytest.raises(ValueError, match="determinant 1"):

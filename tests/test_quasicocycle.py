@@ -361,6 +361,29 @@ def test_build_A_matches_materialised_construction(graph):
         assert reduced == materialised_A(graph, m)
 
 
+def test_linear_form_reads_keys_without_anchoring_them(monkeypatch):
+    # a coinvariant key is already anchor_simplex's canonical triple:
+    # linear_form reads it as it stands, so every relative table is one
+    # that CoinvariantChain.add built while anchoring
+    from cuspedforms import graph as graph_module
+    from cuspedforms import quasicocycle
+    calls = []
+    real = graph_module.relative_table
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "relative_table", spy)
+    monkeypatch.setattr(quasicocycle, "relative_table", spy)
+    qc = RunConfig().build()
+    chain = build_A(qc.graph, 8)
+    added = len(calls)
+    assert added > 0
+    assert qc.linear_form(chain)[0] == ((0, -2), (8, 2))
+    assert len(calls) == added
+
+
 def test_growth_on_A_32(qc, graph):
     # far past what a written-out t^m-translate could hold (|psi^32(ba)|
     # is the Fibonacci number F_67); only psi-fixed commutator words are
