@@ -11,11 +11,10 @@ class PsiPowerCap(CuspedFormsError):
 
 
 class DegreeOverflow(CuspedFormsError):
-    """A vertex deeper than the configured depth cap was reached, by
-    neighbor enumeration, by a distance search or by a cycle A_m;
-    `neighbors` was asked for a vertex with more than graph.MAX_NEIGHBORS
-    horoball neighbours; or a `ball` would list more than
-    graph.BALL_LISTING_MAX neighbours over its layers."""
+    """A vertex past the depth cap was named to `neighbors`, to a distance
+    or by a cycle A_m (`CuspedGraph.check_depth`); `neighbors` was asked
+    for a vertex with more than graph.MAX_NEIGHBORS horoball neighbours;
+    or a `ball` would list more than graph.BALL_LISTING_MAX neighbours."""
 
 
 class CapExceeded(CuspedFormsError):

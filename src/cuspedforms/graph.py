@@ -204,32 +204,30 @@ def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
     return best_key, seeds[best].elem
 
 
-def horoball_distance(load: int, n1: int, n2: int, depth_cap: int) -> int:
+def horoball_distance(load: int, n1: int, n2: int) -> int:
     """Distance inside one horoball between its vertices at depths n1 and
     n2 whose lattice points are `load` apart in l1: a geodesic descends to
     some level, takes ceil(load / 2^level) horizontal steps there and
     ascends (Groves-Manning, Dehn filling in relatively hyperbolic groups,
-    section 3).  Levels run from max(n1, n2) to depth_cap; past
-    load.bit_length() one step suffices, so deeper levels only cost more."""
+    section 3).  Levels run from max(n1, n2); past load.bit_length() one
+    step suffices, so deeper levels only cost more."""
     top = max(n1, n2)
-    deepest = min(max(top, load.bit_length()), depth_cap)
     return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
-               for lvl in range(top, deepest + 1))
+               for lvl in range(top, max(top, load.bit_length()) + 1))
 
 
-def _reach(depth: int, k: int, depth_cap: int) -> int:
+def _reach(depth: int, k: int) -> int:
     """The largest load with horoball_distance(load, depth, 0) <= k, or -1:
-    at level lvl, k - (lvl - depth) - lvl horizontal steps of 2^lvl."""
+    at level lvl <= (k + depth) / 2, k + depth - 2 lvl steps of 2^lvl."""
     return max((2 ** lvl * (k + depth - 2 * lvl)
-                for lvl in range(depth, depth_cap + 1)
-                if k + depth - 2 * lvl >= 0), default=-1)
+                for lvl in range(depth, (k + depth) // 2 + 1)), default=-1)
 
 
 @lru_cache(maxsize=256)
-def _ring(depth: int, k: int, depth_cap: int) -> tuple[tuple[int, int], ...]:
+def _ring(depth: int, k: int) -> tuple[tuple[int, int], ...]:
     """Lattice offsets of the depth-0 points at horoball distance exactly
     k from a vertex at the given depth: an l1 annulus."""
-    lo, hi = _reach(depth, k - 1, depth_cap) + 1, _reach(depth, k, depth_cap)
+    lo, hi = _reach(depth, k - 1) + 1, _reach(depth, k)
     out = []
     for da in range(-hi, hi + 1):
         for b in range(max(lo - abs(da), 0), hi - abs(da) + 1):
@@ -240,13 +238,12 @@ def _ring(depth: int, k: int, depth_cap: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=256)
-def _ring_size(depth: int, k: int, depth_cap: int) -> int:
-    """len(_ring(depth, k, depth_cap)), without listing the ring: the l1
-    ball of radius R holds 2R(R + 1) + 1 lattice points."""
+def _ring_size(depth: int, k: int) -> int:
+    """len(_ring(depth, k)), without listing the ring: the l1 ball of
+    radius R holds 2R(R + 1) + 1 lattice points."""
     def ball(radius: int) -> int:
         return 2 * radius * (radius + 1) + 1 if radius >= 0 else 0
-    return (ball(_reach(depth, k, depth_cap))
-            - ball(_reach(depth, k - 1, depth_cap)))
+    return ball(_reach(depth, k)) - ball(_reach(depth, k - 1))
 
 
 class _Side:
@@ -267,12 +264,12 @@ class _Side:
         self.dist = {p: 0} if v.depth == 0 else {}
         self.frontier = [p] if v.depth == 0 else []
 
-    def next_layer_cost(self, depth_cap: int) -> int:
+    def next_layer_cost(self) -> int:
         """The points the next layer generates: four edges per vertex of
         the last layer, and the ring of every entry."""
         k = self.radius + 1
         return 4 * len(self.frontier) + sum(
-            count * _ring_size(depth, k - r, depth_cap)
+            count * _ring_size(depth, k - r)
             for (depth, r), count in self.shapes.items())
 
 
@@ -332,14 +329,22 @@ class CuspedGraph:
 
     # -- adjacency -----------------------------------------------------
 
+    def check_depth(self, n: int) -> None:
+        """DegreeOverflow if depth n is past `depth_cap`, the deepest depth
+        a caller may name or list; no distance depends on the cap."""
+        if n > self.depth_cap:
+            raise DegreeOverflow(f"depth {n} exceeds cap {self.depth_cap}")
+
     def degree(self, v: Vertex) -> int:
         """How many neighbours `neighbors(v)` lists: 2R(R + 1) in v's
         horoball, R = 2^depth, and 2 vertical ones; at depth 0 one vertical
         one and the four letters, 9 in all.  DegreeOverflow past the depth
-        cap or above MAX_NEIGHBORS horoball neighbours."""
-        if v.depth > self.depth_cap:
-            raise DegreeOverflow(
-                f"depth {v.depth} exceeds cap {self.depth_cap}")
+        cap or above MAX_NEIGHBORS horoball neighbours; from the depth where
+        R alone is above it, the count is neither built nor named."""
+        self.check_depth(v.depth)
+        if v.depth >= MAX_NEIGHBORS.bit_length():
+            raise DegreeOverflow(f"depth {v.depth} has more than "
+                                 f"{MAX_NEIGHBORS} neighbours")
         reach = 2 ** v.depth
         horizontal = 2 * reach * (reach + 1)
         if horizontal > MAX_NEIGHBORS:
@@ -443,10 +448,8 @@ class CuspedGraph:
         queries grew it.  A new destination side starts with one check of
         its endpoint against the shared entries of its coset; `_grow`
         checks every later pair when its second entry arrives."""
-        for n in (depth, dst.depth):
-            if n > self.depth_cap:
-                raise DegreeOverflow(
-                    f"depth {n} exceeds cap {self.depth_cap}")
+        self.check_depth(depth)
+        self.check_depth(dst.depth)
         s = self._sides.get(depth)
         if s is None:
             s = self._sides[depth] = _Side(Vertex("", 0, depth))
@@ -457,8 +460,7 @@ class CuspedGraph:
                 return s.radius + t.radius, False
             # grow the cheaper side: a deep entry's first ring can hold
             # millions of points while its side's last layer is one vertex
-            if (s.next_layer_cost(self.depth_cap)
-                    <= t.next_layer_cost(self.depth_cap)):
+            if s.next_layer_cost() <= t.next_layer_cost():
                 best = self._grow(s, t, best)
             else:
                 best = self._grow(t, s, best)
@@ -471,7 +473,7 @@ class CuspedGraph:
         horoball to an entry of `far`."""
         for a2, b2, n2, r2 in far.entries.get(key, ()):
             c = r + r2 + horoball_distance(
-                abs(alpha - a2) + abs(beta - b2), depth, n2, self.depth_cap)
+                abs(alpha - a2) + abs(beta - b2), depth, n2)
             if best is None or c < best:
                 best = c
         return best
@@ -480,12 +482,12 @@ class CuspedGraph:
         """Grow `near` by one layer; the least candidate seen so far.  Reads
         `far` and writes `near` only."""
         r = near.radius + 1
-        dist, entries, depth_cap = near.dist, near.entries, self.depth_cap
+        dist, entries = near.dist, near.entries
         apply = self.psi.apply
         layer = []
         for key, ents in entries.items():
             for alpha, beta, depth, r0 in ents:
-                for da, db in _ring(depth, r - r0, depth_cap):
+                for da, db in _ring(depth, r - r0):
                     p = (key, alpha + da, beta + db)
                     if p not in dist:
                         dist[p] = r

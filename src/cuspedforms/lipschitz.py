@@ -13,6 +13,19 @@ from .errors import LipschitzViolation
 
 #: how far past n `lip_tail` probes the slope of f_n at least
 TAIL_PROBE_SPAN = 256
+#: most bits of the powers |x|^num and (m + j)^den of `power_floor`, read
+#: as num * bits(x) and den * bits(m + j); a root's r^(den - 1) has at most
+#: den bits more.  A larger denominator, or an x past it, is refused
+POWER_BITS_MAX = 2 ** 16
+
+
+def _power(base: int, exp: int) -> int:
+    """base ** exp for base >= 0, refused with a ValueError when
+    exp * base.bit_length() passes POWER_BITS_MAX."""
+    if exp * base.bit_length() > POWER_BITS_MAX:
+        raise ValueError(f"power_floor: a {base.bit_length()}-bit number to "
+                         f"the power {exp} passes {POWER_BITS_MAX} bits")
+    return base ** exp
 
 
 def _nth_root_floor(x: int, n: int) -> int:
@@ -105,21 +118,26 @@ def power_floor(num: int, den: int) -> LipFn:
     the first j with (m + j)^den >= (n + j / best)^num beats the best
     slope so far; knots(n) lists the jumps up to there.  A truncation f_k
     keeps these knots, exact at levels n >= k, where its tail is f's;
-    below k it has the probe of any f."""
+    below k it has the probe of any f.
+
+    Every power it builds is bounded by POWER_BITS_MAX: a denominator past
+    it is refused here, and an x with |x|^num past it when f(x) is asked."""
     if num <= 0 or den <= 0:
         raise ValueError("exponent must be a positive rational")
     if num > den:
         raise ValueError("superlinear power_floor is not Lipschitz")
+    if den > POWER_BITS_MAX:
+        raise ValueError(f"power_floor: denominator past {POWER_BITS_MAX}")
 
     def ev(x: int) -> int:
         sign = -1 if x < 0 else 1
-        return sign * _nth_root_floor(abs(x) ** num, den)
+        return sign * _nth_root_floor(_power(abs(x), num), den)
 
     def jumps(n: int) -> tuple[int, ...]:
-        m = _nth_root_floor(n ** num, den)
+        m = ev(n)
         out: list[int] = []
         best, j = Fraction(0), 1
-        while not best or (m + j) ** den < (n + j / best) ** num:
+        while not best or _power(m + j, den) < (n + j / best) ** num:
             # the least x with x^num >= (m + j)^den
             x = _nth_root_floor((m + j) ** den - 1, num) + 1
             out.append(x)
@@ -223,14 +241,19 @@ def read_number(text: str) -> Fraction:
     the one reader of numbers from outside the package.  A numeral with more
     digits, or an exponent larger in size, than sys.get_int_max_str_digits()
     (4300 by default; 0 lifts the limit, as for int) is refused with a
-    ValueError: Fraction would build 10^exponent exactly."""
+    ValueError: Fraction would build 10^exponent exactly.  So is a zero
+    denominator, such as "1/0"."""
     limit = sys.get_int_max_str_digits()
     exp = re.search(r"[eE]([-+]?\d[\d_]*)", text)
     if limit and (sum(map(str.isdigit, text)) > limit
                   or exp and abs(int(exp[1])) > limit):
         raise ValueError(f"numeral {text[:40]!r} has more than {limit} "
                          f"digits or an exponent beyond +-{limit}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"numeral {text[:40]!r} has a zero "
+                         "denominator") from None
 
 
 def _number(kind: str, entry, value) -> Fraction:
@@ -245,15 +268,15 @@ def _number(kind: str, entry, value) -> Fraction:
 def parse_spec(spec: str) -> LipFn:
     """f specs: linear:<slope>, powfloor:<num>/<den>, const:<q>,
     table:<path-or-inline-json>, periodic:<path-or-inline-json>.  Every
-    value is read by `read_number`, JSON decimals from their text, so 0.1
-    is 1/10 and 1e1000000000 is refused; JSON integers keep Python's own
-    digit limit."""
+    value is read by `read_number`, the powfloor exponent and JSON decimals
+    from their text, so 0.1 is 1/10, 2/4 is 1/2, and 1e1000000000 and 1/0
+    are refused; JSON integers keep Python's own digit limit."""
     kind, _, arg = spec.partition(":")
     if kind == "linear":
         return linear(read_number(arg))
     if kind == "powfloor":
-        num, _, den = arg.partition("/")
-        return power_floor(int(num), int(den) if den else 1)
+        q = read_number(arg)
+        return power_floor(q.numerator, q.denominator)
     if kind == "const":
         return constant(read_number(arg) if arg else 0)
     if kind in ("table", "periodic"):

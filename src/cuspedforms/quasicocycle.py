@@ -15,7 +15,6 @@ from math import comb
 from typing import Iterable
 
 from .chains import CoinvariantChain
-from .errors import DegreeOverflow
 from .fill import FillEngine
 from .graph import (CuspedGraph, Simplex, Vertex, anchor_face,
                     random_gamma0_word, relative_table)
@@ -191,8 +190,7 @@ def depth_of(graph: CuspedGraph, m: int) -> int:
     """K_m, the depth of A_m's horoball vertices, checked against the
     graph's depth cap before any word of A_m is built."""
     K = k_of(m)
-    if K > graph.depth_cap:
-        raise DegreeOverflow(f"depth {K} exceeds cap {graph.depth_cap}")
+    graph.check_depth(K)
     return K
 
 

@@ -52,6 +52,14 @@ def bfs_oracle(graph, src, dst, cap):
     return None
 
 
+def transit_oracle(load, n1, n2):
+    """The Groves-Manning transit between depths n1 and n2 of one
+    horoball, `load` apart in l1, as the minimum over every level from
+    max(n1, n2) to 64, with no shortcut on where the minimum can lie."""
+    return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
+               for lvl in range(max(n1, n2), 65))
+
+
 def meet_point_oracle(graph, src, dst, d):
     """The `vertex_key`-least vertex at distance ceil(d/2) from src and
     floor(d/2) from dst, d = d(src, dst), from two explicit balls about

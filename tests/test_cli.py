@@ -162,6 +162,8 @@ def test_out_of_range_counts_and_radii_are_rejected(capsys, argv, message):
     assert lines == [{"error": "ValueError", "message": message}]
 
 
+ZERO_DENOMINATOR = "numeral '1/0' has a zero denominator"
+
 BAD_INPUTS = {
     "config-missing": (("--config", "/nonexistent", "selfcheck"),
                        "FileNotFoundError",
@@ -197,6 +199,21 @@ BAD_INPUTS = {
     "psi-moves-commutator": (("--set", "psi_images=a:b,b:a", "selfcheck"),
                              "ValueError",
                              "configured automorphism does not fix [a,b]"),
+    "linear-zero-denominator": (("alpha", "am", "--f", "linear:1/0", "--m",
+                                 "2"), "ValueError", ZERO_DENOMINATOR),
+    "const-zero-denominator": (("alpha", "am", "--f", "const:1/0", "--m",
+                                "2"), "ValueError", ZERO_DENOMINATOR),
+    "table-zero-denominator": (("alpha", "am", "--f", 'table:{"0":"1/0"}',
+                                "--m", "2"), "ValueError", ZERO_DENOMINATOR),
+    "periodic-zero-denominator": (("alpha", "am", "--f", 'periodic:["1/0"]',
+                                   "--m", "2"), "ValueError",
+                                  ZERO_DENOMINATOR),
+    "powfloor-zero-denominator": (("alpha", "am", "--f", "powfloor:1/0",
+                                   "--m", "2"), "ValueError",
+                                  ZERO_DENOMINATOR),
+    "khat-zero-denominator": (("alpha", "certify", "--f", "linear:1",
+                               "--radii", "1", "--ms", "2", "--khat", "1/0"),
+                              "ValueError", ZERO_DENOMINATOR),
 }
 
 
@@ -244,6 +261,18 @@ REFUSED_AT_ONCE = {
     "khat-exponent": (("alpha", "certify", "--f", "linear:1", "--radii", "1",
                        "--ms", "2", "--khat", "1e1000000000"), "ValueError",
                       NUMERAL.format("1e1000000000"), 1),
+    "powfloor-denominator": (("alpha", "am", "--f",
+                              "powfloor:99999999/100000000", "--m", "3"),
+                             "ValueError",
+                             "power_floor: denominator past 65536", 1),
+    "powfloor-argument": (("alpha", "rank", "--f", "powfloor:999/1000",
+                           "--ms", "1" + "0" * 1000), "ValueError",
+                          "power_floor: a 3322-bit number to the power 999 "
+                          "passes 65536 bits", 1),
+    "ball-past-count-digits": (("--set", "depth_cap=1000000000", "graph",
+                                "ball", "e@0:100000000", "--r", "1"),
+                               "DegreeOverflow", "depth 100000000 has more "
+                               "than 65536 neighbours", 1),
 }
 
 
@@ -276,6 +305,16 @@ def test_am_past_the_depth_cap_is_refused_at_once(capsys, argv, depth):
     assert code == 2
     assert lines == [{"error": "DegreeOverflow",
                       "message": f"depth {depth} exceeds cap 12"}]
+
+
+def test_a_huge_depth_cap_costs_a_distance_nothing(capsys):
+    # the cap bounds the vertices named, not the levels the search descends
+    start = time.perf_counter()
+    code, lines = run(capsys, "--set", "depth_cap=1000000000", "graph",
+                      "dist", "e@0:0", "a@0:0")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert lines == [{"d": 1}]
 
 
 def test_depth_cap_override_reaches_further_am(capsys):

@@ -5,6 +5,7 @@ import pkgutil
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from cuspedforms.graph import (CuspedGraph, Vertex, _Side, anchor_simplex,
                                vertex_key)
 from cuspedforms.words import COMM, GroupElem, mul, word_pow
 
-from _oracles import bfs_oracle, meet_point_oracle, permutation_sign_oracle
+from _oracles import (bfs_oracle, meet_point_oracle, permutation_sign_oracle,
+                      transit_oracle)
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
 
 
@@ -268,7 +270,8 @@ def test_reverse_distance_needs_no_search(monkeypatch, cap, known):
 
 
 def test_deep_peripheral_query_past_depth_cap():
-    # the closed-form bound has no level to descend to past depth_cap
+    # an endpoint past depth_cap is refused before the search starts, as
+    # neighbors() refuses it; the search itself descends to any level
     graph = CuspedGraph()
     with pytest.raises(DegreeOverflow, match="depth 13 exceeds cap 12"):
         graph.distance(Vertex("", 0, 13), Vertex(COMM * 9000, 0, 13))
@@ -482,9 +485,72 @@ def test_side_points_are_priced_by_their_entries():
         assert side.radius >= 3
         for (key, alpha, beta), r in side.dist.items():
             assert r == min(
-                r0 + horoball_distance(abs(alpha - a0) + abs(beta - b0),
-                                       n0, 0, graph.depth_cap)
+                r0 + horoball_distance(abs(alpha - a0) + abs(beta - b0), n0, 0)
                 for a0, b0, n0, r0 in side.entries[key])
+
+
+@pytest.mark.parametrize("depth_cap", [1, 2, 3, 12])
+def test_distance_does_not_depend_on_the_depth_cap(depth_cap):
+    # a geodesic from e to [a,b]^32 descends to level 3, past caps 1 and
+    # 2; the cap bounds the vertices named, never the metric
+    graph = CuspedGraph(depth_cap=depth_cap)
+    assert graph.distance(Vertex("", 0, 0), Vertex(COMM * 32, 0, 0)) == 10
+
+
+#: every load with transit at most TRANSIT_K from depth <= 12 to depth 0
+#: is below TRANSIT_LOADS: there the transit is at least 12
+TRANSIT_K, TRANSIT_LOADS = 10, 2 ** 11
+
+
+@cache
+def _transits_to_depth_zero(depth: int) -> tuple[int, ...]:
+    return tuple(transit_oracle(load, depth, 0)
+                 for load in range(TRANSIT_LOADS + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 20 - 1), st.integers(0, 12), st.integers(0, 12),
+       st.integers(-1, TRANSIT_K))
+def test_horoball_transit_matches_brute_force(load, n1, n2, k):
+    assert horoball_distance(load, n1, n2) == transit_oracle(load, n1, n2)
+    # the largest load within k of a depth-n1 vertex, and the lattice
+    # points at exactly k, counted load by load: 4L points at l1 norm L > 0
+    transits = _transits_to_depth_zero(n1)
+    assert transits[-1] > TRANSIT_K
+    assert graph_module._reach(n1, k) == max(
+        (load for load, h in enumerate(transits) if h <= k), default=-1)
+    assert graph_module._ring_size(n1, k) == sum(
+        4 * load or 1 for load, h in enumerate(transits) if h == k)
+
+
+def _package_functions() -> set:
+    """Every function and method the package defines, with lru_cache and
+    cache wrappers unwrapped."""
+    import cuspedforms
+    modules = [importlib.import_module(m.name) for m in
+               pkgutil.iter_modules(cuspedforms.__path__, "cuspedforms.")]
+    functions = set()
+    for mod in modules:
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = ([f for _, f in inspect.getmembers(obj)]
+                       if inspect.isclass(obj) else [obj])
+            functions.update(
+                f for f in map(inspect.unwrap, members)
+                if inspect.isfunction(f) and f.__module__ == mod.__name__)
+    return functions
+
+
+def test_only_the_constructors_take_depth_cap():
+    # depth_cap bounds the vertices a caller may name or list, checked by
+    # CuspedGraph.check_depth; no function below the constructors takes
+    # it, so no distance can depend on it
+    takers = sorted(f"{f.__module__}.{f.__qualname__}"
+                    for f in _package_functions()
+                    if "depth_cap" in inspect.signature(f).parameters)
+    assert takers == ["cuspedforms.config.RunConfig.__init__",
+                      "cuspedforms.graph.CuspedGraph.__init__"]
 
 
 def test_ball_contains_sphere_counts(graph):
@@ -597,23 +663,9 @@ def test_psi_enters_through_the_graph_only():
     # below the config, the default twist enters only as CuspedGraph's
     # default; every other function takes psi from its caller, so a call
     # site that forgets psi fails instead of computing under the default
-    import cuspedforms
     from cuspedforms.words import Automorphism
-    modules = [importlib.import_module(m.name) for m in
-               pkgutil.iter_modules(cuspedforms.__path__, "cuspedforms.")]
-    functions = set()
-    for mod in modules:
-        for obj in vars(mod).values():
-            if getattr(obj, "__module__", None) != mod.__name__:
-                continue
-            if inspect.isfunction(obj):
-                functions.add(obj)
-            elif inspect.isclass(obj):
-                functions.update(f for _, f in
-                                 inspect.getmembers(obj, inspect.isfunction)
-                                 if f.__module__ == mod.__name__)
     defaults = sorted(f"{f.__module__}.{f.__qualname__}({p.name})"
-                      for f in functions
+                      for f in _package_functions()
                       for p in inspect.signature(f).parameters.values()
                       if isinstance(p.default, Automorphism))
     assert defaults == ["cuspedforms.graph.CuspedGraph.__init__(psi)"]

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from cuspedforms.errors import LipschitzViolation
-from cuspedforms.lipschitz import (bounded_periodic, constant, linear,
-                                   lip_on_window, lip_tail,
+from cuspedforms.lipschitz import (POWER_BITS_MAX, bounded_periodic,
+                                   constant, linear, lip_on_window, lip_tail,
                                    parse_spec, power_floor, read_number,
                                    table, truncate)
 
@@ -141,6 +142,42 @@ def test_read_number_refuses_only_past_the_digit_limit():
         with pytest.raises(ValueError, match="more than 4300 digits or an "
                            "exponent beyond"):
             read_number(text)
+
+
+@pytest.mark.parametrize("spec, num, den", [
+    ("powfloor:1/2", 1, 2), ("powfloor:2/3", 2, 3), ("powfloor:3/4", 3, 4),
+    ("powfloor:1/10", 1, 10), ("powfloor:2/4", 1, 2), ("powfloor:1", 1, 1),
+    ("powfloor:0.5", 1, 2)])
+def test_powfloor_exponent_is_read_as_a_number(spec, num, den):
+    # the exponent is reduced, so 2/4 and 0.5 are 1/2; every value is the
+    # floor of |x|^(num/den), checked against integer powers
+    f = parse_spec(spec)
+    for x in (*range(300), 10 ** 6 + 1, 2 ** 40, 3 ** 30):
+        y = f(x)
+        assert y ** den <= x ** num < (y + 1) ** den
+        assert f(-x) == -y
+
+
+def test_power_floor_bounds_every_power_it_builds():
+    # a denominator past the bound is refused when f is made; an x whose
+    # |x|^num would pass it when f(x) is asked, before any power is built
+    for num, den in ((1, 10 ** 11), (99999999, 10 ** 8),
+                     (1, POWER_BITS_MAX + 1)):
+        with pytest.raises(ValueError, match=f"^power_floor: denominator "
+                           f"past {POWER_BITS_MAX}$"):
+            power_floor(num, den)
+    power_floor(1, POWER_BITS_MAX)
+    start = time.perf_counter()
+    f = power_floor(999, 1000)
+    assert int(f(2 ** 65 - 1)).bit_length() == 65
+    with pytest.raises(ValueError, match=f"passes {POWER_BITS_MAX} bits$"):
+        f(2 ** 65)
+    with pytest.raises(ValueError, match=f"passes {POWER_BITS_MAX} bits$"):
+        power_floor(1, 2)(10 ** 20000)
+    # its jumps from n = 3 reach m + j = 2^6, where (m + j)^10000 passes it
+    with pytest.raises(ValueError, match=f"passes {POWER_BITS_MAX} bits$"):
+        lip_tail(power_floor(9999, 10000), 3)
+    assert time.perf_counter() - start < 2
 
 
 def test_parse_spec():
