@@ -18,9 +18,6 @@ class RunConfig:
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
 
     def __post_init__(self):
-        for name in ("kappa", "depth_cap", "distance_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         self.psi()  # rejects images that are not a basis of F(a,b)
 
     # -- construction ---------------------------------------------------
@@ -31,20 +28,16 @@ class RunConfig:
             else DEFAULT_PSI
 
     def selfcheck(self) -> dict:
-        """Startup invariants; every command runs these first."""
+        """Startup invariants, which `build`'s constructors check."""
         self.build()
         return {"psi_fixes_commutator": True, "psi_inverse_ok": True,
                 "commutator_trace": -2, "ok": True}
 
     def build(self) -> QuasiCocycle:
-        """The engine, after checking the twist and the hyperbolization
-        that it wires in."""
+        """The engine; each constructor checks what its object requires."""
         graph = CuspedGraph(self.psi(), depth_cap=self.depth_cap,
                             distance_cap=self.distance_cap)
-        qc = QuasiCocycle(FillEngine(graph, kappa=self.kappa))
-        graph.psi.check()
-        qc.eps.hyp.check()
-        return qc
+        return QuasiCocycle(FillEngine(graph, kappa=self.kappa))
 
     # -- parsing ---------------------------------------------------------
 

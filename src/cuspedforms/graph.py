@@ -274,7 +274,9 @@ class _Side:
 
 
 class CuspedGraph:
-    """Neighbours, capped exact distances and geodesic midpoints.
+    """Neighbours, capped exact distances and geodesic midpoints.  The
+    constructor refuses a cap that is not positive, and a psi that moves
+    [a,b], the depth-0 horizontal edge at every t-exponent.
 
     Queries are anchored: a pair (u, v) is translated so the first vertex's
     group element becomes the identity before searching, which keeps words
@@ -314,6 +316,12 @@ class CuspedGraph:
 
     def __init__(self, psi: Automorphism = DEFAULT_PSI, depth_cap: int = 12,
                  distance_cap: int = 24):
+        for name, cap in (("depth_cap", depth_cap),
+                          ("distance_cap", distance_cap)):
+            if cap <= 0:
+                raise ValueError(f"{name} must be positive")
+        if psi.apply_once(COMM) != COMM:
+            raise ValueError("configured automorphism does not fix [a,b]")
         self.psi = psi
         self.depth_cap = depth_cap
         self.distance_cap = distance_cap
@@ -442,6 +450,13 @@ class CuspedGraph:
         short of that has proved d > rs + rt, which a grown shared side can
         put past the cap.
 
+        It is exact too once it reaches a lower bound: the t-exponent and
+        depth map the graph 1-Lipschitz onto the horoball over Z, so d >=
+        `horoball_distance` of the t-exponent difference and the depths.
+        That ends a search along t (e@0:0 to e@14:0, d = 8) at once, not
+        one along [a,b], whose t-exponents agree, nor e@0:0 to a@12:0,
+        whose sides raise PsiPowerCap first.
+
         The source side is shared: `_sides[depth]` is kept across queries
         and grown further by any of them.  `_grow` writes its near side
         only, so a side is a function of its source and radius, whatever
@@ -454,8 +469,9 @@ class CuspedGraph:
         if s is None:
             s = self._sides[depth] = _Side(Vertex("", 0, depth))
         t = _Side(dst)
+        low = horoball_distance(abs(dst.texp), depth, dst.depth)
         best = self._via_entries(s, t.key, *t.point, dst.depth, 0, None)
-        while best is None or best > s.radius + t.radius:
+        while best is None or (best > s.radius + t.radius and best > low):
             if s.radius + t.radius >= cap:
                 return s.radius + t.radius, False
             # grow the cheaper side: a deep entry's first ring can hold

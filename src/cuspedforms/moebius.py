@@ -64,7 +64,7 @@ def boundary_point(x: int, y: int) -> BoundaryPoint:
 class Hyperbolization:
     """The discrete faithful representation of F(a,b) into PSL(2,Z) given
     by MAT_A and MAT_B, whose commutator is parabolic and fixes qbar =
-    infinity (`check` verifies both), with the induced boundary action.
+    infinity (the constructor checks both), with the induced boundary action.
 
     The orientation sign of a triple of group elements is the cyclic order of
     their images of the commutator's fixed point on the boundary circle.
@@ -76,11 +76,8 @@ class Hyperbolization:
         self._point_cache: dict[str, BoundaryPoint] = {}
         self.comm_matrix = self.rho(COMM)
         self.qbar = INFINITY
-
-    def check(self) -> None:
-        for m in (self.letter_matrices["a"], self.letter_matrices["b"]):
-            if det(m) != 1:
-                raise ValueError("generator matrices must have determinant 1")
+        if det(MAT_A) != 1 or det(MAT_B) != 1:
+            raise ValueError("generator matrices must have determinant 1")
         if trace(self.comm_matrix) != -2:
             raise ValueError(
                 "commutator of the generator matrices is not parabolic "

@@ -73,7 +73,7 @@ def format_word(w: str) -> str:
 
 class Automorphism:
     """An automorphism of F(a,b) given by the images of the generators; its
-    inverse is derived from them (`_invert`).  Iterated application reduces
+    inverse is derived (`_invert`) and checked.  Iterated application reduces
     at every step, so intermediate words never outgrow the reduced images.
 
     `apply` memoises psi^power(word) in `_apply_cache`, keyed by (word,
@@ -92,6 +92,9 @@ class Automorphism:
         for table in (self.images, self.inverse_images):
             table["A"] = inv(table["a"])
             table["B"] = inv(table["b"])
+        if any(self.apply_once(self.apply_once(g, fwd), not fwd) != g
+               for g in GENERATORS for fwd in (True, False)):
+            raise ValueError("derived inverse does not invert psi")
         self._apply_cache: dict[tuple[str, int], str] = {}
 
     def apply_once(self, w: str, forward: bool = True) -> str:
@@ -120,17 +123,6 @@ class Automorphism:
             w = out
         self._apply_cache[key] = w
         return w
-
-    def check(self) -> None:
-        """Startup self-checks: the commutator is fixed, and the derived
-        inverse really inverts on the generators."""
-        if self.apply_once(COMM) != COMM:
-            raise ValueError("configured automorphism does not fix [a,b]")
-        for g in GENERATORS:
-            if self.apply_once(self.apply_once(g), forward=False) != g:
-                raise ValueError("derived inverse does not invert psi")
-            if self.apply_once(self.apply_once(g, forward=False)) != g:
-                raise ValueError("derived inverse does not invert psi")
 
 
 def _invert(images: dict[str, str]) -> dict[str, str]:

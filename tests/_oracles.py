@@ -9,7 +9,8 @@ from cuspedforms.errors import Infeasible
 from cuspedforms.graph import Vertex, vertex_key
 from cuspedforms.lipschitz import truncate
 from cuspedforms.quasicocycle import _ball_forms, _witness
-from cuspedforms.words import COMM, COMM_INV, gamma_inv, gamma_mul
+from cuspedforms.words import (COMM, COMM_INV, GroupElem, gamma_inv,
+                               gamma_mul)
 
 
 class HCoord(NamedTuple):
@@ -130,7 +131,8 @@ def vanishing_certificate(qc, f, n, radius):
 
 def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
                 n_rows: int) -> list[Fraction]:
-    """min sum |x_j| s.t. sum_j x_j * col_j = target, exact rationals.
+    """min sum |x_j| s.t. sum_j x_j * col_j = target, exact rationals: the
+    entries may be ints or Fractions, and x holds Fractions only.
 
     Each signed variable is split into a positive and a negative part and the
     standard two-phase simplex method (Bland's rule, hence terminating) runs
@@ -156,12 +158,14 @@ def feasible_basis(columns: list[dict[int, Fraction]],
     touches none is a combination of the others and is dropped.  Raises
     Infeasible when no x solves the rows."""
     ncols = 2 * len(columns)
-    rhs = [target.get(i, Fraction(0)) for i in range(n_rows)]
+    # entries may be ints, as the filling LP's are: Fractions on entry keep
+    # every pivot exact
+    rhs = [Fraction(target.get(i, 0)) for i in range(n_rows)]
     rows: list[list[Fraction]] = []
     for i in range(n_rows):
         row = [Fraction(0)] * ncols
         for j, col in enumerate(columns):
-            v = col.get(i)
+            v = Fraction(col.get(i, 0))
             if v:
                 row[2 * j] = v
                 row[2 * j + 1] = -v
@@ -227,6 +231,72 @@ def _pivot(tab, basis, row, enter):
             f = tab[i][enter]
             tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
     basis[row] = enter
+
+
+# -- Gamma's holonomy over Z[omega] ------------------------------------------
+#
+# Gamma = F(a,b) x|_psi Z is the figure-eight knot group (Riley, "A quadratic
+# parabolic group", 1975), with a faithful representation into SL(2, Z[omega]),
+# omega^2 = -1 - omega.  An element x + y omega is the pair (x, y), and a
+# matrix the row-major 4-tuple of its entries.  (This is not `moebius`'s rho,
+# the representation of F(a,b) into SL(2, Z) that eps reads.)
+
+
+def zw_mul(u, v):
+    """(a + b omega)(c + d omega), with omega^2 = -1 - omega."""
+    (a, b), (c, d) = u, v
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def zw_mat_mul(m, n):
+    def dot(x, y, z, w):
+        (p, q), (r, s) = zw_mul(x, y), zw_mul(z, w)
+        return (p + r, q + s)
+    return (dot(m[0], n[0], m[1], n[2]), dot(m[0], n[1], m[1], n[3]),
+            dot(m[2], n[0], m[3], n[2]), dot(m[2], n[1], m[3], n[3]))
+
+
+def zw_mat_inv(m):
+    """The inverse of a matrix of determinant 1."""
+    p, q, r, s = m
+    return (s, (-q[0], -q[1]), (-r[0], -r[1]), p)
+
+
+def zw_det(m):
+    (p, q), (r, s) = zw_mul(m[0], m[3]), zw_mul(m[1], m[2])
+    return (p - r, q - s)
+
+
+ZW_IDENTITY = ((1, 0), (0, 0), (0, 0), (1, 0))
+#: rho(a) = [[2 + omega, -1], [1, 0]], rho(b) = [[-1, 4 + 3 omega],
+#: [omega, 2 - omega]] and their inverses; rho(t^k) is `holonomy_t(k)`
+HOLONOMY_LETTERS = {"a": ((2, 1), (-1, 0), (1, 0), (0, 0)),
+                    "b": ((-1, 0), (4, 3), (0, 1), (2, -1))}
+HOLONOMY_LETTERS.update({x.upper(): zw_mat_inv(m)
+                         for x, m in list(HOLONOMY_LETTERS.items())})
+
+
+def holonomy_t(k: int):
+    """rho(t)^k = [[1, k omega], [0, 1]]."""
+    return ((1, 0), (0, k), (0, 0), (1, 0))
+
+
+def holonomy(g):
+    """rho(g) of g = base t^texp (a GroupElem, or anything with a base and
+    a t-exponent), letter by letter: no psi-power, no word operation."""
+    m = ZW_IDENTITY
+    for x in g.base:
+        m = zw_mat_mul(m, HOLONOMY_LETTERS[x])
+    return zw_mat_mul(m, holonomy_t(g.texp))
+
+
+def holonomy_cusp(word: str):
+    """The first column of rho(word) up to sign, as a set of its two signs:
+    rho([a,b]) and rho(t) are upper triangular with diagonal +-1, so two
+    words of one coset of <[a,b], t> give one set."""
+    m = holonomy(GroupElem(word, 0))
+    col = (m[0], m[2])
+    return frozenset({col, tuple((-x, -y) for x, y in col)})
 
 
 def representative(chain, key):

@@ -199,6 +199,15 @@ BAD_INPUTS = {
     "psi-moves-commutator": (("--set", "psi_images=a:b,b:a", "selfcheck"),
                              "ValueError",
                              "configured automorphism does not fix [a,b]"),
+    "kappa-zero": (("--set", "kappa=0", "selfcheck"), "ValueError",
+                   "kappa must be at least 2"),
+    "kappa-one": (("--set", "kappa=1", "selfcheck"), "ValueError",
+                  "kappa must be at least 2"),
+    "depth-cap-zero": (("--set", "depth_cap=0", "graph", "dist", "e@0:0",
+                        "a@0:0"), "ValueError", "depth_cap must be positive"),
+    "distance-cap-negative": (("--set", "distance_cap=-1", "selfcheck"),
+                              "ValueError",
+                              "distance_cap must be positive"),
     "linear-zero-denominator": (("alpha", "am", "--f", "linear:1/0", "--m",
                                  "2"), "ValueError", ZERO_DENOMINATOR),
     "const-zero-denominator": (("alpha", "am", "--f", "const:1/0", "--m",
@@ -315,6 +324,16 @@ def test_a_huge_depth_cap_costs_a_distance_nothing(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert lines == [{"d": 1}]
+
+
+def test_a_distance_along_t_answers_at_once(capsys):
+    # the transit of the t-exponent difference is a lower bound on d, so
+    # the search ends at the horoball's candidate
+    start = time.perf_counter()
+    code, lines = run(capsys, "graph", "dist", "e@0:0", "e@14:0")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert lines == [{"d": 8}]
 
 
 def test_depth_cap_override_reaches_further_am(capsys):

@@ -17,10 +17,11 @@ from cuspedforms.graph import (CuspedGraph, Vertex, _Side, anchor_simplex,
                                horoball_distance, parse_vertex,
                                random_gamma0_word, sort_with_sign,
                                vertex_key)
-from cuspedforms.words import COMM, GroupElem, mul, word_pow
+from cuspedforms.words import (COMM, Automorphism, GroupElem, mul,
+                               reduce_word, word_pow)
 
-from _oracles import (bfs_oracle, meet_point_oracle, permutation_sign_oracle,
-                      transit_oracle)
+from _oracles import (bfs_oracle, holonomy, meet_point_oracle,
+                      permutation_sign_oracle, transit_oracle, zw_mat_mul)
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
 
 
@@ -34,6 +35,18 @@ def test_parse_vertex_round_trip():
 def test_parse_vertex_rejects_negative_depth():
     with pytest.raises(ValueError, match="'e@0:-1' has a negative depth"):
         parse_vertex("e@0:-1")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"psi": Automorphism({"a": "b", "b": "a"})}, r"does not fix \[a,b\]"),
+    ({"depth_cap": 0}, "^depth_cap must be positive$"),
+    ({"distance_cap": -1}, "^distance_cap must be positive$"),
+])
+def test_graph_refuses_what_its_methods_assume(kwargs, message):
+    # the depth-0 horizontal edges are [a,b]^+-1 at every t-exponent, so a
+    # psi that moves [a,b] would give a graph whose distances mean nothing
+    with pytest.raises(ValueError, match=message):
+        CuspedGraph(**kwargs)
 
 
 def test_neighbors_symmetric(graph):
@@ -497,6 +510,52 @@ def test_distance_does_not_depend_on_the_depth_cap(depth_cap):
     assert graph.distance(Vertex("", 0, 0), Vertex(COMM * 32, 0, 0)) == 10
 
 
+def test_a_search_along_t_ends_at_its_lower_bound():
+    # the transit h(14, 0, 0) = 8 is a candidate at once and a lower bound
+    # on d, so the search ends there; growing both sides until their radii
+    # sum to d would raise PsiPowerCap
+    origin = Vertex("", 0, 0)
+    assert CuspedGraph().distance(origin, Vertex("", 14, 0)) == 8
+    t0 = time.perf_counter()
+    assert CuspedGraph().distance(origin, Vertex("", 12, 0)) == 7
+    assert time.perf_counter() - t0 < 0.1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text("aAbB", max_size=3), st.integers(-2, 2), st.integers(0, 2),
+       st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4))
+def test_t_exponent_transit_never_exceeds_the_distance(base, texp, depth,
+                                                       steps):
+    # (g, n) -> (theta(g), n) is 1-Lipschitz onto the horoball over Z, so
+    # the transit of the t-exponent difference is a lower bound on d; v is
+    # a walk of at most four steps through depths <= 2
+    graph = CuspedGraph()
+    u = v = Vertex(reduce_word(base), texp, depth)
+    for i in steps:
+        nbrs = [w for w in graph.neighbors(v) if w.depth <= 2]
+        v = nbrs[i % len(nbrs)]
+    d = bfs_oracle(graph, u, v, len(steps))
+    assert horoball_distance(abs(v.texp - u.texp), u.depth, v.depth) <= d
+    assert graph.distance(u, v) == d
+
+
+vertices = st.builds(lambda base, texp, depth: Vertex(reduce_word(base),
+                                                      texp, depth),
+                     st.text("aAbB", max_size=5), st.integers(-3, 3),
+                     st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(vertices, min_size=2, max_size=4, unique=True))
+def test_anchor_simplex_agrees_with_the_holonomy(verts):
+    # g . s is the input up to order: rho(g) rho(s_i) runs over the rho of
+    # the input vertices, depth by depth
+    s, _, g = anchor_simplex(tuple(verts), CuspedGraph().psi)
+    assert sorted((zw_mat_mul(holonomy(g), holonomy(w)), w.depth)
+                  for w in s) == sorted((holonomy(v), v.depth)
+                                        for v in verts)
+
+
 #: every load with transit at most TRANSIT_K from depth <= 12 to depth 0
 #: is below TRANSIT_LOADS: there the transit is at least 12
 TRANSIT_K, TRANSIT_LOADS = 10, 2 ** 11
@@ -551,6 +610,52 @@ def test_only_the_constructors_take_depth_cap():
                     if "depth_cap" in inspect.signature(f).parameters)
     assert takers == ["cuspedforms.config.RunConfig.__init__",
                       "cuspedforms.graph.CuspedGraph.__init__"]
+
+
+#: refusals of what a constructor requires; each message is built in one
+#: function only
+PRECONDITIONS = ("does not fix [a,b]", "derived inverse does not invert psi",
+                 "kappa must be at least 2")
+
+
+def _defined_functions(tree):
+    """(qualified name, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_each_precondition_has_one_owner():
+    # each constructor checks what its object requires: no class keeps a
+    # separate check method to call after wiring, the config raises only
+    # while parsing, and each refusal's message is built in one function
+    import cuspedforms
+    offenders, owners = [], {msg: [] for msg in PRECONDITIONS}
+    for path in sorted(Path(cuspedforms.__file__).parent.glob("*.py")):
+        stem = path.stem
+        for name, fn in _defined_functions(ast.parse(path.read_text())):
+            nodes = list(ast.walk(fn))
+            if name.endswith(".check"):
+                offenders.append(f"{stem}.{name} is a check method")
+            if stem == "config" and any(
+                    isinstance(n, ast.Attribute) and n.attr == "check"
+                    for n in nodes):
+                offenders.append(f"{stem}.{name} calls check")
+            if stem == "config" and name not in (
+                    "RunConfig.from_dict", "_parse_words") and any(
+                    isinstance(n, ast.Raise) for n in nodes):
+                offenders.append(f"{stem}.{name} raises")
+            for msg, found in owners.items():
+                if any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                       and msg in n.value for n in nodes):
+                    found.append(f"{stem}.{name}")
+    assert offenders == []
+    assert {msg: len(found) for msg, found in owners.items()} == \
+        dict.fromkeys(PRECONDITIONS, 1), owners
 
 
 def test_ball_contains_sphere_counts(graph):

@@ -282,6 +282,32 @@ def test_float_path_certifies_random_lps(lp_and_rows, data):
     assert l1(x) == l1(solve_exact(cols, target, n_rows))
 
 
+integer_lps = st.integers(1, 6).flatmap(lambda n_rows: st.tuples(
+    st.lists(st.dictionaries(st.integers(0, n_rows - 1),
+                             st.sampled_from((-1, 1)), min_size=1),
+             min_size=1, max_size=10),
+    st.just(n_rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_lps, st.data())
+def test_float_path_matches_the_oracle_on_integer_lps(lp_and_rows, data):
+    # int entries, as the filling LP's (-1)^j are: the oracle stays exact
+    # (Fractions only), and the certified x has the oracle's l1 norm
+    cols, n_rows = lp_and_rows
+    mix = data.draw(st.lists(st.integers(-2, 2), min_size=len(cols),
+                             max_size=len(cols)))
+    target = {}
+    for col, c in zip(cols, mix):
+        for i, v in col.items():
+            target[i] = target.get(i, 0) + c * v
+    x = solve_float_then_verify(cols, target, n_rows)
+    check_solution(cols, target, n_rows, x)
+    oracle_x = solve_exact(cols, target, n_rows)
+    assert all(type(v) is Fraction for v in oracle_x)
+    assert l1(x) == l1(oracle_x)
+
+
 def test_build_imports_neither_numpy_nor_scipy():
     # only an LP solve imports them: importing scipy.optimize alone costs
     # about ten times the set-up of an engine that never fills by LP

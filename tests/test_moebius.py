@@ -88,12 +88,11 @@ def test_degenerate_hyperbolization_rejected(monkeypatch):
     # rho(a) = 1 makes rho([a,b]) = 1, which is not parabolic
     monkeypatch.setattr(moebius, "MAT_A", (1, 0, 0, 1))
     with pytest.raises(ValueError, match="not parabolic"):
-        Hyperbolization().check()
+        Hyperbolization()
 
 
 def test_check_asserts_the_commutator_fixes_infinity(monkeypatch):
     hyp = Hyperbolization()
-    hyp.check()
     assert hyp.comm_matrix == (-1, 6, 0, -1)
     assert hyp.qbar == boundary_point(1, 0)
     # conjugating by (1, 0; 1, 1) keeps the traces but moves the
@@ -103,11 +102,12 @@ def test_check_asserts_the_commutator_fixes_infinity(monkeypatch):
         monkeypatch.setattr(moebius, name, mat_mul(
             mat_mul(conj, getattr(moebius, name)), moebius.mat_inv(conj)))
     with pytest.raises(ValueError, match="does not fix infinity"):
-        Hyperbolization().check()
+        Hyperbolization()
 
 
 def test_build_checks_the_hyperbolization_it_wires_in(monkeypatch):
-    # build() and selfcheck() check the hyperbolization they wire in
+    # build() and selfcheck() construct the hyperbolization, whose
+    # constructor refuses these matrices
     from cuspedforms.config import RunConfig
 
     monkeypatch.setattr(moebius, "MAT_A", (-1, 0, 0, 1))

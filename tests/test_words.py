@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspedforms import words
 from cuspedforms.config import RunConfig
 from cuspedforms.errors import PsiPowerCap
 from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
@@ -10,7 +11,8 @@ from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
                                coset_key, gamma_rel, inv, mul,
                                parse_word, reduce_word, word_pow)
 
-from _oracles import h_coord
+from _oracles import (HOLONOMY_LETTERS, h_coord, holonomy, holonomy_cusp,
+                      holonomy_t, zw_det, zw_mat_inv, zw_mat_mul)
 
 
 def naive_reduce(letters):
@@ -150,7 +152,14 @@ def test_derived_inverse_reproduces_the_known_inverses():
     squared = Automorphism({"a": "babba", "b": "babbabab"})
     assert squared.inverse_images["a"] == "BaBaaBaa"
     assert squared.inverse_images["b"] == "AAbAb"
-    squared.check()
+
+
+def test_constructor_refuses_a_wrong_derived_inverse(monkeypatch):
+    # the constructor checks the inverse it derives, both ways on a and b
+    monkeypatch.setattr(words, "_invert", lambda images: {"a": "a", "b": "b"})
+    with pytest.raises(ValueError,
+                       match="derived inverse does not invert psi"):
+        Automorphism({"a": "ba", "b": "bab"})
 
 
 @pytest.mark.parametrize("images, message", [
@@ -361,3 +370,38 @@ def test_coset_key_is_the_least_word_of_the_coset():
         key, _ = coset_key(w)
         coset = [mul(w, word_pow(COMM, j)) for j in range(-6, 7)]
         assert key == min(coset, key=lambda x: (len(x), x))
+
+
+def test_holonomy_oracle_is_a_representation_of_gamma():
+    # determinant 1, and conjugation by rho(t) acts as psi on a and b
+    for x in "abAB":
+        assert zw_det(HOLONOMY_LETTERS[x]) == (1, 0)
+    assert zw_det(holonomy_t(1)) == (1, 0)
+    for x in "ab":
+        conj = zw_mat_mul(zw_mat_mul(holonomy_t(1), HOLONOMY_LETTERS[x]),
+                          holonomy_t(-1))
+        assert conj == holonomy(GroupElem(DEFAULT_PSI.images[x], 0))
+    # rho([a,b]) = [[-1, 4 + 2 omega], [0, -1]] is parabolic and fixes
+    # infinity, as rho(t) does
+    assert holonomy(GroupElem(COMM, 0)) == ((-1, 0), (4, 2), (0, 0), (-1, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, elements)
+def test_group_law_agrees_with_the_holonomy(g, h):
+    # the holonomy reads words letter by letter, with no psi-power
+    rg, rh = holonomy(g), holonomy(h)
+    assert holonomy(gmul(g, h)) == zw_mat_mul(rg, rh)
+    assert holonomy(gamma_inv(g, DEFAULT_PSI)) == zw_mat_inv(rg)
+    assert holonomy(gamma_rel(g, h, DEFAULT_PSI)) == \
+        zw_mat_mul(zw_mat_inv(rg), rh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced, st.integers(-5, 5), st.one_of(st.just(""), reduced))
+def test_coset_key_agrees_with_the_holonomy_cusp(u, alpha, w):
+    # two words share a coset of <[a,b], t> exactly when their images of
+    # infinity under the holonomy agree
+    v = mul(mul(u, word_pow(COMM, alpha)), w)
+    assert (coset_key(u)[0] == coset_key(v)[0]) == \
+        (holonomy_cusp(u) == holonomy_cusp(v))
