@@ -195,18 +195,17 @@ class FillEngine:
             raise Infeasible("window contains no candidate simplices")
         verts = list(window)
         index = {v: i for i, v in enumerate(verts)}
+        # rows are numbered in order of first appearance
         rows: dict[tuple[int, ...], int] = {}
-
-        def row(face: tuple[int, ...]) -> int:
-            return rows.setdefault(face, len(rows))
-
+        row = rows.setdefault
         # a Chain key is in vertex order, and so are the window's indices
-        target = {row(tuple(index[v] for v in sx)): c
+        target = {row(tuple(index[v] for v in sx), len(rows)): c
                   for sx, c in z.terms.items()}
         # cliques are increasing, so each face is too, and the boundary
         # signs are (-1)^j
-        columns = [{row(cl[:j] + cl[j + 1:]): (-1) ** j
-                    for j in range(len(cl))} for cl in cliques]
+        signs = [(-1) ** j for j in range(z.dim + 2)]
+        columns = [{row(cl[:j] + cl[j + 1:], len(rows)): s
+                    for j, s in enumerate(signs)} for cl in cliques]
         coeffs = lp.solve_float_then_verify(columns, target, len(rows))
         out = Chain(z.dim + 1)
         for cl, c in zip(cliques, coeffs):

@@ -2,14 +2,16 @@
 
 Every LP takes one path, `solve_float_then_verify`.  HiGHS's simplex, driven
 through scipy's binding of its model API with presolve and log off, solves
-the LP as assembled (one CSC matrix of the split columns x_j+, x_j-) in
-floats.  Only its optimal basis is read: the basic split columns B and the
+the LP as assembled (one CSC matrix of the split columns x_j+, x_j-, of
+the columns' own ints and Fractions) in floats.  Only its optimal basis is
+read, in one call (`read_basis`): the basic split columns B and the
 nonbasic rows R form a square system, and one rational row reduction of
 [B | b | I] gives x_B = B^-1 b and the dual y_R = 1^T B^-1; every other x_j
 and y_i is 0.  x is returned only when the certificate holds exactly:
 A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, which by weak duality makes x
-l1-minimal.  That certificate is the only gate: a basis that fails it
-raises Infeasible.
+l1-minimal; the dual check visits only the columns that meet y's support.
+That certificate is the only gate: a basis that fails it raises
+Infeasible.  A model without nonzeros never reaches HiGHS.
 """
 
 from __future__ import annotations
@@ -27,19 +29,31 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
     basis, the exact primal and dual on it, and their certificate."""
     try:
         from scipy.optimize._highspy._core import (
-            HighsBasisStatus, HighsModelStatus, MatrixFormat, ObjSense, _Highs)
+            HighsModelStatus, MatrixFormat, ObjSense, _Highs)
     except ImportError as exc:
         raise ImportError("the filling LP needs scipy >= 1.17, whose "
                           "scipy.optimize._highspy._core it drives") from exc
 
+    # ints and Fractions as they are: the binding converts each to the
+    # float that float() gives
     data, indices, indptr = [], [], [0]
     for col in columns:
-        vals = [float(v) for v in col.values()]
-        data += vals + [-v for v in vals]
-        indices += [*col, *col]
-        indptr += (indptr[-1] + len(vals), indptr[-1] + 2 * len(vals))
+        vals = col.values()
+        data += vals
+        data += [-v for v in vals]
+        indices += col
+        indices += col
+        end = indptr[-1] + len(col)
+        indptr += end, end + len(col)
+    if not any(data):
+        # HiGHS answers a model without nonzeros without factorizing, and
+        # reading its basis then crashes the interpreter; x = 0 is the only
+        # candidate
+        x = [Fraction(0)] * len(columns)
+        certify(columns, target, x, [Fraction(0)] * n_rows)
+        return x
     n = 2 * len(columns)
-    b = [float(target.get(i, 0)) for i in range(n_rows)]
+    b = [target.get(i, 0) for i in range(n_rows)]
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
@@ -50,9 +64,7 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         raise Infeasible("float LP failed: " + highs.modelStatusToString(
             highs.getModelStatus()))
-    basis, basic = highs.getBasis(), HighsBasisStatus.kBasic
-    cols = [k for k, s in enumerate(basis.col_status) if s == basic]
-    rows = [i for i, s in enumerate(basis.row_status) if s != basic]
+    cols, rows = read_basis(highs, n_rows)
     # split column k is (-1)^k columns[k // 2]
     mat = [[Fraction((-1) ** k * columns[k // 2].get(i, 0)) for k in cols]
            + [Fraction(target.get(i, 0))]
@@ -67,11 +79,26 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
     return x
 
 
+def read_basis(highs, n_rows: int) -> tuple[list[int], list[int]]:
+    """The basic split columns, increasing, and the nonbasic rows of a
+    solved `_Highs`: getBasicVariables names one per basis row, a split
+    column k >= 0 or the slack of row -1 - k."""
+    from scipy.optimize._highspy._core import HighsStatus
+    status, basic = highs.getBasicVariables()
+    if status != HighsStatus.kOk:
+        raise Infeasible("float LP failed: no basis to read")
+    basic = basic.tolist()
+    slack = {-1 - k for k in basic if k < 0}
+    return (sorted(k for k in basic if k >= 0),
+            [i for i in range(n_rows) if i not in slack])
+
+
 def certify(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
             x: list[Fraction], y: list[Fraction]) -> None:
     """Raise Infeasible unless y proves x l1-minimal: A x = b,
     |A^T y|_inf <= 1 and b.y = |x|_1.  The dual checks run in integers,
-    on y scaled by its common denominator."""
+    on y scaled by its common denominator, and visit only the columns that
+    meet y's support: A^T y is 0 on every other column."""
     got: dict[int, Fraction] = {}
     for col, c in zip(columns, x):
         if c:
@@ -81,12 +108,15 @@ def certify(columns: list[dict[int, Fraction]], target: dict[int, Fraction],
             {i: v for i, v in target.items() if v}:
         raise Infeasible("certificate: A x != b")
     scale = lcm(*(v.denominator for v in y))
-    ys = [v.numerator * (scale // v.denominator) for v in y]
+    ys = {i: v.numerator * (scale // v.denominator)
+          for i, v in enumerate(y) if v}
+    on = ys.keys()
     for j, col in enumerate(columns):
-        if abs(sum(v * ys[i] for i, v in col.items())) > scale:
+        if not on.isdisjoint(col) and abs(sum(
+                v * ys[i] for i, v in col.items() if i in on)) > scale:
             raise Infeasible(f"certificate: |A^T y| > 1 on column {j}")
     norm = sum((abs(c) for c in x if c), Fraction(0))
-    if sum(v * ys[i] for i, v in target.items()) != scale * norm:
+    if sum(v * ys[i] for i, v in target.items() if i in on) != scale * norm:
         raise Infeasible(f"certificate: b.y != |x|_1 = {norm}")
 
 

@@ -3,6 +3,7 @@ modules."""
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import NamedTuple
 
 from cuspedforms.errors import Infeasible
@@ -127,6 +128,38 @@ def vanishing_certificate(qc, f, n, radius):
     witness = _witness(qc, truncate(f, n), forms)
     return {"n": n, "radius": radius, "vanishes": witness is None,
             "witness": witness, "theta_span": theta_span}
+
+
+def basis_oracle(highs):
+    """(basic split columns, nonbasic rows) of a solved `_Highs`, each
+    increasing, by a status scan of getBasis(): the oracle for
+    `lp.read_basis`."""
+    from scipy.optimize._highspy._core import HighsBasisStatus
+    basis, basic = highs.getBasis(), HighsBasisStatus.kBasic
+    return ([k for k, s in enumerate(basis.col_status) if s == basic],
+            [i for i, s in enumerate(basis.row_status) if s != basic])
+
+
+def certify_oracle(columns, target, x, y) -> None:
+    """`lp.certify` summing |A^T y| over every column: raise Infeasible
+    unless A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, with the same
+    messages."""
+    got = {}
+    for col, c in zip(columns, x):
+        if c:
+            for i, v in col.items():
+                got[i] = got.get(i, 0) + c * v
+    if {i: v for i, v in got.items() if v} != \
+            {i: v for i, v in target.items() if v}:
+        raise Infeasible("certificate: A x != b")
+    scale = lcm(*(v.denominator for v in y))
+    ys = [v.numerator * (scale // v.denominator) for v in y]
+    for j, col in enumerate(columns):
+        if abs(sum(v * ys[i] for i, v in col.items())) > scale:
+            raise Infeasible(f"certificate: |A^T y| > 1 on column {j}")
+    norm = sum((abs(c) for c in x if c), Fraction(0))
+    if sum(v * ys[i] for i, v in target.items()) != scale * norm:
+        raise Infeasible(f"certificate: b.y != |x|_1 = {norm}")
 
 
 def solve_exact(columns: list[dict[int, Fraction]], target: dict[int, Fraction],

@@ -12,7 +12,8 @@ from cuspedforms import lp
 from cuspedforms.errors import Infeasible
 from cuspedforms.lp import certify, solve_float_then_verify
 
-from _oracles import feasible_basis, solve_exact
+from _oracles import (basis_oracle, certify_oracle, feasible_basis,
+                      solve_exact)
 
 # min |x0| + |x1| + |x2| s.t. x0 (1, 1) + x1 (1, 0) + x2 (0, 1) = (1, 1):
 # the optimum is x = (1, 0, 0), proved by the dual y = (1/2, 1/2);
@@ -202,6 +203,62 @@ def test_float_path_is_certified_and_matches_exact_oracle(monkeypatch):
         assert l1(x) == l1(oracle_x)
 
 
+def test_basis_reader_matches_the_status_scan(monkeypatch):
+    read, bases = lp.read_basis, []
+
+    def spy(highs, n_rows):
+        got = read(highs, n_rows)
+        assert got == basis_oracle(highs)
+        bases.append((got, n_rows))
+        return got
+
+    monkeypatch.setattr(lp, "read_basis", spy)
+    rng = random.Random(31)
+    with_nonzeros = 0
+    for k in range(450):
+        cols, target, n_rows = (random_lp if k % 3 else sparse_lp)(rng)
+        with_nonzeros += any(col for col in cols)
+        solve_float_then_verify(cols, target, n_rows)
+    # every LP with a nonzero entry reaches HiGHS, and some bases hold a
+    # row's slack
+    assert len(bases) == with_nonzeros
+    assert any(len(rows) < n_rows for (_, rows), n_rows in bases)
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports the package from
+    src/, so that a crash there fails one test instead of ending the run."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("cols, target, n_rows, out", [
+    # sparse_lp's LP k = 9 at seed 31
+    ([{}], {}, 5, "[Fraction(0, 1)]"),
+    # an explicit zero is no nonzero either
+    ([{0: Fraction(0)}], {1: Fraction(1)}, 2,
+     "Infeasible: certificate: A x != b"),
+], ids=["feasible", "infeasible"])
+def test_float_path_answers_a_model_without_nonzeros(cols, target, n_rows,
+                                                     out):
+    # HiGHS solves such a model without factorizing, and reading its basis
+    # crashes the interpreter: it must not get the model at all
+    proc = run_python(
+        "from fractions import Fraction\n"
+        "from cuspedforms.errors import Infeasible\n"
+        "from cuspedforms.lp import solve_float_then_verify\n"
+        "try:\n"
+        f"    print(solve_float_then_verify({cols!r}, {target!r}, {n_rows}))\n"
+        "except Infeasible as exc:\n"
+        "    print('Infeasible:', exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == out
+
+
 def test_certificate_accepts_the_optimum():
     certify(CHEAP_COLS, CHEAP_TARGET, [Fraction(1), 0, 0], [HALF, HALF])
 
@@ -221,19 +278,17 @@ def test_certificate_rejects(x, y, failed):
 
 
 def test_float_path_rejects_a_non_optimal_float_answer(monkeypatch):
-    from types import SimpleNamespace
-
-    from scipy.optimize._highspy._core import HighsBasisStatus, _Highs
+    import numpy as np
+    from scipy.optimize._highspy._core import HighsStatus, _Highs
 
     def feasible_not_optimal(self):
-        # x1+ and x2+ basic: x = (0, 1, 1) and y = (1, 1).  A basic solution
-        # always has b.y = |x|_1, so a non-optimal basis shows up as an
-        # infeasible dual, not as a duality gap
-        low, basic = HighsBasisStatus.kLower, HighsBasisStatus.kBasic
-        return SimpleNamespace(col_status=[low, low, basic, low, basic, low],
-                               row_status=[low, low])
+        # x1+ and x2+ basic, in the order HiGHS may list them, and no slack:
+        # x = (0, 1, 1) and y = (1, 1).  A basic solution always has
+        # b.y = |x|_1, so a non-optimal basis shows up as an infeasible
+        # dual, not as a duality gap
+        return HighsStatus.kOk, np.array([4, 2], dtype=np.int32)
 
-    monkeypatch.setattr(_Highs, "getBasis", feasible_not_optimal)
+    monkeypatch.setattr(_Highs, "getBasicVariables", feasible_not_optimal)
     with pytest.raises(Infeasible, match=r"\|A\^T y\| > 1 on column 0"):
         solve_float_then_verify(CHEAP_COLS, CHEAP_TARGET, 2)
 
@@ -260,6 +315,41 @@ def test_float_path_names_the_scipy_it_needs(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     with pytest.raises(ImportError, match=r"scipy >= 1\.17"):
         solve_float_then_verify(CHEAP_COLS, CHEAP_TARGET, 2)
+
+
+def outcome(check, *args):
+    """The message `check` raises Infeasible with, or None."""
+    try:
+        check(*args)
+    except Infeasible as exc:
+        return str(exc)
+    return None
+
+
+entries = st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def certificates(draw):
+    """Columns, a target, x and y, not only optimal ones: the target is
+    A x half of the time, so that the dual checks are reached, and y is
+    sparse."""
+    n_rows = draw(st.integers(1, 5))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, n_rows - 1),
+                                         entries), max_size=6))
+    x = draw(st.lists(entries | st.just(Fraction(0)), min_size=len(cols),
+                      max_size=len(cols)))
+    target = combination(cols, x) if draw(st.booleans()) else draw(
+        st.dictionaries(st.integers(0, n_rows - 1), entries))
+    y = draw(st.lists(st.just(Fraction(0)) | entries, min_size=n_rows,
+                      max_size=n_rows))
+    return cols, target, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificates())
+def test_certify_raises_as_the_dense_oracle_does(args):
+    assert outcome(certify, *args) == outcome(certify_oracle, *args)
 
 
 small_lps = st.integers(1, 4).flatmap(lambda n_rows: st.tuples(
@@ -311,13 +401,8 @@ def test_float_path_matches_the_oracle_on_integer_lps(lp_and_rows, data):
 def test_build_imports_neither_numpy_nor_scipy():
     # only an LP solve imports them: importing scipy.optimize alone costs
     # about ten times the set-up of an engine that never fills by LP
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys, cuspedforms; cuspedforms.RunConfig().build(); "
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(
+        "import sys, cuspedforms; cuspedforms.RunConfig().build(); "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
