@@ -28,6 +28,13 @@ from .words import Automorphism, GroupElem
 OrbitKey = tuple[int, Simplex]
 
 
+def _signed(coeff: Fraction | int, sign: int) -> Fraction:
+    """coeff as a Fraction, negated when sign < 0: no multiplication."""
+    if type(coeff) is not Fraction:
+        coeff = Fraction(coeff)
+    return coeff if sign > 0 else -coeff
+
+
 class Chain:
     """Sparse map simplex -> nonzero rational coefficient, fixed dimension."""
 
@@ -44,10 +51,14 @@ class Chain:
     def add(self, verts: Simplex, coeff: Fraction | int) -> None:
         order, sign = sort_with_sign([vertex_key(v) for v in verts])
         if sign and coeff:
-            self._bump(tuple(verts[i] for i in order), sign * Fraction(coeff))
+            self._bump(tuple(verts[i] for i in order), _signed(coeff, sign))
 
     def _bump(self, key, coeff: Fraction) -> None:
-        new = self.terms.get(key, 0) + coeff
+        """Add coeff to the term at key: a fresh key stores coeff itself, a
+        sum that cancels drops the key, and a zero on a fresh key stores
+        nothing."""
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
         if new:
             self.terms[key] = new
         else:
@@ -137,7 +148,7 @@ class CoinvariantChain(Chain):
         if not coeff or len(set(verts)) < len(verts):
             return
         k, canon, sign = orbit_canonical(verts, self.psi)
-        self._bump((k + shift, canon), sign * Fraction(coeff))
+        self._bump((k + shift, canon), _signed(coeff, sign))
 
     def boundary(self) -> "CoinvariantChain":
         out = self._new(self.dim - 1)

@@ -3,7 +3,11 @@
 The combing path Q(u, v) is a single Rips edge when d(u, v) <= kappa and
 otherwise splits at the geodesic midpoint.  fill_triangle splits its longest
 side at the same midpoint, so the boundary of a filling equals the combing
-triangle cycle identically, not just up to horoball terms.
+triangle cycle identically, not just up to horoball terms.  A triple is a
+unit simplex when its longest side is at most kappa; its two sides at the
+front vertex are read first, and when they sum to at most kappa the
+triangle inequality settles the third, which is never asked (the two-side
+rule; the LP window's seed-ball rule below is its analogue).
 
 Equivariance and alternation are exact by construction.  Q(u, v) is not
 cached: the distance and the midpoint it splits at are equivariant functions
@@ -25,9 +29,9 @@ back.
 The LP window is built once per orbit.  `rips_window` keeps, for each of
 its vertices, the distance to each seed whose ball holds it; two vertices
 u, v with d(u, s) + d(s, v) <= kappa for some seed s are Rips neighbours by
-the triangle inequality, and only the other pairs ask the graph.  Cliques,
-rows and columns are window indices, numbered in the order the vertices
-would give them, so the LP is the same one.
+the triangle inequality (the seed-ball rule), and only the other pairs ask
+the graph.  Cliques, rows and columns are window indices, numbered in the
+order the vertices would give them, so the LP is the same one.
 """
 
 from __future__ import annotations
@@ -130,8 +134,15 @@ class FillEngine:
         return hit
 
     def _fill_canonical(self, tri: Simplex) -> FillResult:
-        dists = {side: self.graph.distance(tri[side[0]], tri[side[1]])
-                 for side in ((0, 1), (0, 2), (1, 2))}
+        """The unit simplex when every side is at most kappa, else the
+        cone split of the longest side (the greater side on a tie) at its
+        midpoint.  The two sides at the front vertex (e, 0, depth) are
+        read first: when they sum to at most kappa, the triangle
+        inequality bounds the third and it is never asked."""
+        dist = self.graph.distance
+        dists = {(0, 1): dist(tri[0], tri[1]), (0, 2): dist(tri[0], tri[2])}
+        if dists[0, 1] + dists[0, 2] > self.kappa:
+            dists[1, 2] = dist(tri[1], tri[2])
         longest = max(dists, key=lambda side: (dists[side], side))
         if dists[longest] <= self.kappa:
             out = Chain(2)

@@ -11,7 +11,9 @@ and y_i is 0.  x is returned only when the certificate holds exactly:
 A x = b, |A^T y|_inf <= 1 and b.y = |x|_1, which by weak duality makes x
 l1-minimal; the dual check visits only the columns that meet y's support.
 That certificate is the only gate: a basis that fails it raises
-Infeasible.  A model without nonzeros never reaches HiGHS.
+Infeasible.  A model without nonzeros never reaches HiGHS, and a model
+that passModel does not take as passed (kWarning: it dropped entries of
+at most 1e-9) raises Infeasible before it is solved.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
     basis, the exact primal and dual on it, and their certificate."""
     try:
         from scipy.optimize._highspy._core import (
-            HighsModelStatus, MatrixFormat, ObjSense, _Highs)
+            HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs)
     except ImportError as exc:
         raise ImportError("the filling LP needs scipy >= 1.17, whose "
                           "scipy.optimize._highspy._core it drives") from exc
@@ -57,9 +59,13 @@ def solve_float_then_verify(columns: list[dict[int, Fraction]],
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    highs.passModel(n, n_rows, len(data), MatrixFormat.kColwise,
-                    ObjSense.kMinimize, 0., [1.] * n, [0.] * n, [inf] * n,
-                    b, b, indptr, indices, data, [0] * n)
+    status = highs.passModel(n, n_rows, len(data), MatrixFormat.kColwise,
+                             ObjSense.kMinimize, 0., [1.] * n, [0.] * n,
+                             [inf] * n, b, b, indptr, indices, data, [0] * n)
+    if status != HighsStatus.kOk:
+        # kWarning: HiGHS dropped entries of at most 1e-9, and reading the
+        # basis of what is left may crash the interpreter
+        raise Infeasible(f"float LP failed: passModel returned {status.name}")
     highs.run()
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
         raise Infeasible("float LP failed: " + highs.modelStatusToString(

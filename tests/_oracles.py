@@ -6,7 +6,9 @@ from itertools import permutations
 from math import lcm
 from typing import NamedTuple
 
-from cuspedforms.errors import Infeasible
+from cuspedforms.chains import Chain
+from cuspedforms.errors import FillDepthExceeded, Infeasible
+from cuspedforms.fill import FILL_DEPTH_CAP
 from cuspedforms.graph import Vertex, vertex_key
 from cuspedforms.lipschitz import truncate
 from cuspedforms.quasicocycle import _ball_forms, _witness
@@ -96,6 +98,45 @@ def anchor_oracle(verts, psi):
                         sign = -sign
             best = (key, cand, sign, front)
     return best[1:]
+
+
+def fill_oracle(graph, kappa, canon, memo, filling=()):
+    """(chain, method) of the filling of a canonical triple by the
+    longest-side rule with all three sides asked: the unit simplex when
+    the longest side is at most kappa, else the split of the longest side
+    (the greater side on a tie) at its geodesic midpoint, each half
+    anchored by `anchor_oracle`, filled the same way and translated back.
+    A split that returns to a triple of `filling`, the triples still being
+    filled, or nests past FILL_DEPTH_CAP of them raises FillDepthExceeded.
+    `memo` keeps the finished fills by canonical triple."""
+    if canon in memo:
+        return memo[canon]
+    if canon in filling or len(filling) > FILL_DEPTH_CAP:
+        raise FillDepthExceeded(f"the oracle's split cycles at {canon}")
+    dists = {(i, j): graph.distance(canon[i], canon[j])
+             for i, j in ((0, 1), (0, 2), (1, 2))}
+    longest = max(dists, key=lambda side: (dists[side], side))
+    chain = Chain(2)
+    if dists[longest] <= kappa:
+        chain.add(canon, 1)
+        method = "unit-simplex"
+    else:
+        i, j = longest
+        (k,) = {0, 1, 2} - {i, j}
+        # the cyclic relabeling that puts the side at (0, 1)
+        y0, y1, y2 = (canon[i], canon[j], canon[k]) if (j - i) % 3 == 1 \
+            else (canon[j], canon[i], canon[k])
+        m = graph.geodesic_midpoint(y0, y1)
+        for half in ((y0, m, y2), (m, y1, y2)):
+            if len(set(half)) < 3:
+                continue
+            sub, sign, g = anchor_oracle(half, graph.psi)
+            part = fill_oracle(graph, kappa, sub, memo,
+                               (*filling, canon))[0].translate(graph, g)
+            chain = chain + part if sign > 0 else chain - part
+        method = "cone-split"
+    memo[canon] = chain, method
+    return memo[canon]
 
 
 def alpha_oracle(qc, f, tri):

@@ -11,7 +11,7 @@ from cuspedforms.quasicocycle import build_c
 from cuspedforms.words import (DEFAULT_PSI, GroupElem, gamma_mul, inv, mul,
                                reduce_word)
 
-from _oracles import representative
+from _oracles import permutation_sign_oracle, representative
 
 
 def v(base, texp=0, depth=0):
@@ -255,3 +255,78 @@ def test_orbit_key_agrees_with_brute_force_oracle(sx, data):
     assert ((k1, c1) == (k2, c2)) == (f1 == f2)
     if f1 == f2:
         assert s1 * s2 == t1 * t2
+
+
+pool_vertices = st.sampled_from([v(""), v("a"), v("ab", 1), v("", 0, 1)])
+any_coefficients = st.one_of(st.integers(-2, 2),
+                             st.fractions(-2, 2, max_denominator=3))
+chain_steps = st.lists(st.tuples(
+    st.sampled_from(("add", "+", "-")),
+    st.lists(st.tuples(st.lists(pool_vertices, min_size=3, max_size=3)
+                       .map(tuple), any_coefficients), max_size=4)),
+    max_size=8)
+
+
+def naive_add(terms, key, coeff):
+    new = terms.get(key, Fraction(0)) + Fraction(coeff)
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+def naive_chain_terms(pairs):
+    terms = {}
+    for sx, coeff in pairs:
+        if len(set(sx)) == len(sx):
+            order = sorted(range(len(sx)), key=lambda i: vertex_key(sx[i]))
+            naive_add(terms, tuple(sx[i] for i in order),
+                      permutation_sign_oracle(order) * Fraction(coeff))
+    return terms
+
+
+def naive_orbit_terms(pairs, shift):
+    terms = {}
+    for sx, coeff in pairs:
+        if len(set(sx)) == len(sx):
+            k, canon, sign = orbit_canonical(sx, DEFAULT_PSI)
+            naive_add(terms, (k + shift, canon), sign * Fraction(coeff))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_steps, st.integers(-1, 1))
+def test_coefficients_are_nonzero_fractions(steps, shift):
+    # add, + and - against a naive dict, on chains and coinvariant chains:
+    # every stored coefficient is a nonzero Fraction, int inputs included,
+    # a cancelled key is absent, and a zero coefficient adds nothing
+    chain = Chain(2)
+    orbits = CoinvariantChain(2, psi=DEFAULT_PSI)
+    want, want_orbits = {}, {}
+    for op, pairs in steps:
+        if op == "add":
+            for sx, coeff in pairs:
+                chain.add(sx, coeff)
+                orbits.add(sx, coeff, shift=shift)
+            part, part_orbits = (naive_chain_terms(pairs),
+                                 naive_orbit_terms(pairs, shift))
+        else:
+            other = Chain(2)
+            other_orbits = CoinvariantChain(2, psi=DEFAULT_PSI)
+            for sx, coeff in pairs:
+                other.add(sx, coeff)
+                other_orbits.add(sx, coeff, shift=shift)
+            chain = chain + other if op == "+" else chain - other
+            orbits = orbits + other_orbits if op == "+" \
+                else orbits - other_orbits
+            sign = 1 if op == "+" else -1
+            part = {k: sign * c for k, c in naive_chain_terms(pairs).items()}
+            part_orbits = {k: sign * c for k, c
+                           in naive_orbit_terms(pairs, shift).items()}
+        for key, c in part.items():
+            naive_add(want, key, c)
+        for key, c in part_orbits.items():
+            naive_add(want_orbits, key, c)
+        for got, expect in ((chain, want), (orbits, want_orbits)):
+            assert got.terms == expect
+            assert all(type(c) is Fraction and c for c in got.terms.values())

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,14 +8,16 @@ import pytest
 
 from cuspedforms import fill, lp
 from cuspedforms.chains import Chain
-from cuspedforms.errors import FillDepthExceeded, Infeasible, WindowTooLarge
+from cuspedforms.errors import (CuspedFormsError, FillDepthExceeded,
+                                Infeasible, WindowTooLarge)
 from cuspedforms.fill import FillEngine
 from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
                                anchor_simplex, key_vertex, parse_vertex,
                                random_gamma0_word, vertex_key)
-from cuspedforms.quasicocycle import STRATA, sample_tuple
+from cuspedforms.quasicocycle import STRATA, free_ball, sample_tuple
 from cuspedforms.words import COMM, GroupElem, gamma_mul, parse_word, word_pow
 
+from _oracles import fill_oracle
 from _pins import (LP_NEAR_CAP_FILL, LP_NEAR_CAP_SIMPLICES,
                    LP_NEAR_CAP_TRIANGLE, LP_WINDOW_FILLS)
 
@@ -196,6 +199,84 @@ def test_far_triangle_cone_splits(engine):
     assert res.chain
     assert res.chain.boundary() == engine.triangle_cycle(
         Vertex("", 0, 0), far, Vertex("a", 0, 0))
+
+
+def fill_outcome(fill):
+    """(chain, method) of a fill, or the type of the error it raised."""
+    try:
+        res = fill()
+    except CuspedFormsError as exc:
+        return type(exc)
+    return res if isinstance(res, tuple) else (res.chain, res.method)
+
+
+def check_against_fill_oracle(engine, triples):
+    """canonical_fill equals the three-side oracle on each distinct triple,
+    or raises the same error type; the outcomes by method or error."""
+    graph, memo, seen = engine.graph, {}, {}
+    for tri in triples:
+        if len(set(tri)) < 3:
+            continue
+        canon = anchor_simplex(tri, graph.psi)[0]
+        want = fill_outcome(
+            lambda: fill_oracle(graph, engine.kappa, canon, memo))
+        assert fill_outcome(lambda: engine.canonical_fill(canon)) == want, \
+            canon
+        kind = want if isinstance(want, type) else want[1]
+        seen[kind] = seen.get(kind, 0) + 1
+    return seen
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 8])
+def test_canonical_fill_matches_the_three_side_oracle(graph, kappa):
+    rng = random.Random(50 + kappa)
+    seen = check_against_fill_oracle(
+        FillEngine(graph, kappa=kappa),
+        [sample_triple(graph, rng, i) for i in range(240)])
+    assert seen["unit-simplex"]
+    if kappa < 8:
+        assert seen["cone-split"]
+
+
+def test_canonical_fill_matches_the_oracle_on_the_free_ball(graph):
+    # every triple of the radius-2 free ball at kappa = 2: cone splits, and
+    # splits that cycle
+    ball = [Vertex(w, 0, 0) for w in free_ball(2)]
+    seen = check_against_fill_oracle(FillEngine(graph, kappa=2),
+                                     itertools.combinations(ball, 3))
+    assert seen["unit-simplex"] and seen["cone-split"]
+    assert seen[FillDepthExceeded]
+
+
+@pytest.mark.parametrize("kappa, words, asked, split", [
+    # d(e, A) + d(e, b) = 2 <= kappa, so d(A, b) <= 2 is never asked
+    (8, ("", "A", "b"), [(0, 1), (0, 2)], None),
+    # d = (1, 2, 1): the front sides sum past kappa, the third is short
+    (2, ("", "A", "AB"), [(0, 1), (0, 2), (1, 2)], None),
+    # d = (1, 9, 10): the third side is the longest, and it is split
+    (8, ("", "A", "b" + "ab" * 7), [(0, 1), (0, 2), (1, 2)], (1, 2)),
+], ids=["two-sides", "third-side", "split"])
+def test_the_third_side_is_asked_only_past_kappa(monkeypatch, kappa, words,
+                                                 asked, split):
+    graph = CuspedGraph()
+    engine = FillEngine(graph, kappa=kappa)
+    tri = tuple(Vertex(w, 0, 0) for w in words)
+    assert anchor_simplex(tri, graph.psi)[0] == tri
+    calls, mids = [], []
+    distance, midpoint = graph.distance, graph.geodesic_midpoint
+    monkeypatch.setattr(graph, "distance", lambda u, v, cap=None: (
+        calls.append((u, v)) or distance(u, v, cap)))
+    monkeypatch.setattr(graph, "geodesic_midpoint", lambda u, v: (
+        mids.append((u, v)) or midpoint(u, v)))
+    res = engine.canonical_fill(tri)
+    assert calls[:len(asked)] == [(tri[i], tri[j]) for i, j in asked]
+    if split is None:
+        assert res.method == "unit-simplex" and len(calls) == len(asked)
+    else:
+        assert res.method == "cone-split"
+        assert mids[0] == tuple(tri[i] for i in split)
+        assert (res.chain, res.method) == fill_oracle(
+            CuspedGraph(), kappa, tri, {})
 
 
 def test_lp_fill_matches_boundary_and_norm(engine, graph):

@@ -236,13 +236,20 @@ def run_python(code):
                           capture_output=True, text=True, timeout=120)
 
 
+TINY = Fraction(1, 10 ** 12)
+
+
 @pytest.mark.parametrize("cols, target, n_rows, out", [
     # sparse_lp's LP k = 9 at seed 31
     ([{}], {}, 5, "[Fraction(0, 1)]"),
     # an explicit zero is no nonzero either
     ([{0: Fraction(0)}], {1: Fraction(1)}, 2,
      "Infeasible: certificate: A x != b"),
-], ids=["feasible", "infeasible"])
+    # entries of 1e-12, which passModel drops, answering kWarning: the
+    # model HiGHS would solve has no nonzeros
+    ([{0: TINY, 1: TINY, 2: TINY}, {2: TINY, 3: TINY, 4: -TINY}], {0: TINY},
+     5, "Infeasible: float LP failed: passModel returned kWarning"),
+], ids=["feasible", "infeasible", "dropped"])
 def test_float_path_answers_a_model_without_nonzeros(cols, target, n_rows,
                                                      out):
     # HiGHS solves such a model without factorizing, and reading its basis
