@@ -48,7 +48,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="override a config key")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("selfcheck", help="run the startup invariants")
+    p = sub.add_parser("selfcheck", help="build the engine; its constructors "
+                       "check the startup invariants")
 
     p = sub.add_parser("graph", help="distances, balls, delta estimate")
     gsub = p.add_subparsers(dest="sub", required=True)

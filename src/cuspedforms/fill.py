@@ -29,7 +29,9 @@ back.
 The LP window is built once per orbit.  `rips_window` keeps, for each of
 its vertices, the distance to each seed whose ball holds it; two vertices
 u, v with d(u, s) + d(s, v) <= kappa for some seed s are Rips neighbours by
-the triangle inequality (the seed-ball rule), and only the other pairs ask
+the triangle inequality (the seed-ball rule).  Of the other pairs, those
+whose images in the Heisenberg quotient are farther than kappa apart are
+not (`CuspedGraph.shadow_at_most`, a lower bound), and only the rest ask
 the graph.  Cliques, rows and columns are window indices, numbered in the
 order the vertices would give them, so the LP is the same one.
 """
@@ -232,7 +234,9 @@ class FillEngine:
         a `rips_window`, as increasing tuples of window positions.  Two
         vertices u, v with d(u, s) + d(s, v) <= kappa for a seed s are
         adjacent by the triangle inequality, read off the seed distances
-        the window holds; every other pair asks the graph."""
+        the window holds; two whose shadows are farther apart are not, and
+        only the pairs the shadow admits ask the graph.  Each vertex's
+        shadow is computed once."""
         verts = list(window)
         n = len(verts)
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -245,11 +249,14 @@ class FillEngine:
                 for j, dj in ball[k + 1:]:
                     if di + dj <= self.kappa:
                         adj[i].add(j)
+        kappa, shadow_at_most = self.kappa, self.graph.shadow_at_most
+        shadow = [self.graph.shadow(v) for v in verts]
         for i in range(n):
-            near = adj[i]
+            near, si = adj[i], shadow[i]
             for j in range(i + 1, n):
-                if j not in near and self.graph.distance_at_most(
-                        verts[i], verts[j], self.kappa):
+                if (j not in near and shadow_at_most(si, shadow[j], kappa)
+                        and self.graph.distance_at_most(verts[i], verts[j],
+                                                        kappa)):
                     near.add(j)
         out: list[tuple[int, ...]] = []
 

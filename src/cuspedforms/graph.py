@@ -15,6 +15,15 @@ and `ball` enumerate them, for walks, LP windows and the source half of a
 geodesic midpoint.  The search's source half, the ball about (e, 0, n), is
 kept per source depth n and reused by every later query.
 
+The shadow is a lower bound on the distance that needs no word and no
+search.  Gamma / gamma_3(F) = H x| Z, H the Heisenberg group
+(`words.Heisenberg`), keeps the peripheral Z^2 = <c, t>, and the map onto
+its cusped graph (Groves-Manning) sends every edge to an edge, so it is
+1-Lipschitz.  `shadow` is a vertex's image and `shadow_at_most` reads the
+exact quotient distance off one side per source depth, grown by the
+search's own rings and entries (`_Side`); the letter step is the one part
+that differs between the two groups.
+
 A simplex is anchored by translating one vertex to (e, 0, depth), over
 every vertex order, and keeping the lex-least result (`anchor_simplex`).
 The translates come from one table of relative elements per vertex tuple
@@ -33,8 +42,8 @@ from typing import NamedTuple
 from . import words
 from .errors import CapExceeded, DegreeOverflow
 from .words import (COMM, COMM_INV, Automorphism, DEFAULT_PSI, GroupElem,
-                    coset_key, format_word, gamma_inv, gamma_mul, gamma_rel,
-                    mul, parse_word)
+                    Heisenberg, coset_key, format_word, gamma_inv, gamma_mul,
+                    gamma_rel, heis_image, mul, parse_word)
 
 
 class Vertex(NamedTuple):
@@ -247,22 +256,23 @@ def _ring_size(depth: int, k: int) -> int:
 
 
 class _Side:
-    """One side of `CuspedGraph._bidirectional`: its radius, the depth-0
-    vertices within it as lattice points (coset key, alpha, beta) with their
-    distances, the coset entries (alpha, beta, depth, r) by key, and the
-    lattice points of the last layer.  `shapes` counts the entries by
-    (depth, r), which fixes their rings in the next layer.  Every point is
-    an entry or on the ring of one, at exactly its distance."""
+    """One side of a distance search, in Gamma (`CuspedGraph._bidirectional`)
+    or in its Heisenberg quotient (`CuspedGraph.shadow_at_most`): its
+    radius, the depth-0 vertices within it as lattice points (coset key,
+    alpha, beta) with their distances, the coset entries (alpha, beta,
+    depth, r) by key, and the lattice points of the last layer.  `shapes`
+    counts the entries by (depth, r), which fixes their rings in the next
+    layer.  Every point is an entry or on the ring of one, at exactly its
+    distance."""
 
-    def __init__(self, v: Vertex):
-        self.key, alpha = coset_key(v.base)
-        self.point = (alpha, v.texp)
-        p = (self.key, alpha, v.texp)
+    def __init__(self, key, alpha: int, beta: int, depth: int):
+        self.key, self.point = key, (alpha, beta)
+        p = (key, alpha, beta)
         self.radius = 0
-        self.entries = {self.key: [(alpha, v.texp, v.depth, 0)]}
-        self.shapes = {(v.depth, 0): 1}
-        self.dist = {p: 0} if v.depth == 0 else {}
-        self.frontier = [p] if v.depth == 0 else []
+        self.entries = {key: [(alpha, beta, depth, 0)]}
+        self.shapes = {(depth, 0): 1}
+        self.dist = {p: 0} if depth == 0 else {}
+        self.frontier = [p] if depth == 0 else []
 
     def next_layer_cost(self) -> int:
         """The points the next layer generates: four edges per vertex of
@@ -271,6 +281,33 @@ class _Side:
         return 4 * len(self.frontier) + sum(
             count * _ring_size(depth, k - r)
             for (depth, r), count in self.shapes.items())
+
+    def grow(self, letters) -> list[tuple]:
+        """Add one layer and return its new entries (key, alpha, beta).
+        The rings are the horoball's and serve both groups; `letters` lists
+        the lattice points (key, alpha, beta) of the four letter neighbours
+        of each depth-0 point of a frontier, the one part that depends on
+        the group."""
+        r = self.radius + 1
+        dist, entries = self.dist, self.entries
+        layer = []
+        for key, ents in entries.items():
+            for alpha, beta, depth, r0 in ents:
+                for da, db in _ring(depth, r - r0):
+                    p = (key, alpha + da, beta + db)
+                    if p not in dist:
+                        dist[p] = r
+                        layer.append(p)
+        rings_end = len(layer)
+        for p in letters(self.frontier):
+            if p in dist:
+                continue
+            dist[p] = r
+            layer.append(p)
+            entries.setdefault(p[0], []).append((p[1], p[2], 0, r))
+        self.shapes[0, r] = len(layer) - rings_end
+        self.frontier, self.radius = layer, r
+        return layer[rings_end:]
 
 
 class CuspedGraph:
@@ -311,7 +348,8 @@ class CuspedGraph:
     of its source to the depth-0 points within its radius, a function of
     the source and radius alone, so what an earlier query grew stays
     valid.  It can answer a query exactly past its cap; `_dist_cache` then
-    holds (d, True) and the query raises CapExceeded.
+    holds (d, True) and the query raises CapExceeded.  `_shadow_sides`
+    keeps the Heisenberg quotient's sides the same way (`shadow_at_most`).
     """
 
     def __init__(self, psi: Automorphism = DEFAULT_PSI, depth_cap: int = 12,
@@ -328,6 +366,8 @@ class CuspedGraph:
         self._dist_cache: dict[tuple, tuple[int, bool]] = {}
         self._geo_cache: dict[Simplex, Vertex] = {}
         self._sides: dict[int, _Side] = {}
+        self._quotient = Heisenberg(psi)
+        self._shadow_sides: dict[int, _Side] = {}
 
     # -- group action -------------------------------------------------
 
@@ -366,6 +406,11 @@ class CuspedGraph:
         of v's coset within l1-distance 2^n, [a,b]^+-1 and t^+-1 at n = 0.
         Depth 0 adds the four letters twisted by psi^texp; vertical edges go
         up, and down at n >= 1."""
+        return sorted(self._neighbor_set(v), key=vertex_key)
+
+    def _neighbor_set(self, v: Vertex) -> set[Vertex]:
+        """v's neighbours, unsorted: what `neighbors` sorts and `ball`
+        lists."""
         self.degree(v)
         reach = 2 ** v.depth
         out = {Vertex(v.base, v.texp, v.depth + 1)}
@@ -383,7 +428,7 @@ class CuspedGraph:
             out.update(Vertex(word, v.texp + beta, v.depth)
                        for beta in range(-bmax, bmax + 1))
         out.discard(v)
-        return sorted(out, key=vertex_key)
+        return out
 
     # -- distances -----------------------------------------------------
 
@@ -467,8 +512,8 @@ class CuspedGraph:
         self.check_depth(dst.depth)
         s = self._sides.get(depth)
         if s is None:
-            s = self._sides[depth] = _Side(Vertex("", 0, depth))
-        t = _Side(dst)
+            s = self._sides[depth] = _Side("", 0, 0, depth)
+        t = _Side(*coset_key(dst.base), dst.texp, dst.depth)
         low = horoball_distance(abs(dst.texp), depth, dst.depth)
         best = self._via_entries(s, t.key, *t.point, dst.depth, 0, None)
         while best is None or (best > s.radius + t.radius and best > low):
@@ -482,7 +527,8 @@ class CuspedGraph:
                 best = self._grow(t, s, best)
         return best, True
 
-    def _via_entries(self, far: _Side, key: str, alpha: int, beta: int,
+    def _via_entries(self, far: _Side, key: str | tuple[int, int],
+                     alpha: int, beta: int,
                      depth: int, r: int, best: int | None) -> int | None:
         """The least of `best` and the paths from the point (key, alpha,
         beta) at this depth, r from its own side, through its coset's
@@ -498,39 +544,72 @@ class CuspedGraph:
         """Grow `near` by one layer; the least candidate seen so far.  Reads
         `far` and writes `near` only."""
         r = near.radius + 1
-        dist, entries = near.dist, near.entries
+        for key, alpha, beta in near.grow(self._letters):
+            best = self._via_entries(far, key, alpha, beta, 0, r, best)
+        return best
+
+    def _letters(self, frontier: list[tuple]) -> list[tuple]:
+        """The lattice points (coset key, alpha, beta) of the four letter
+        neighbours of each depth-0 vertex of `frontier`."""
         apply = self.psi.apply
-        layer = []
-        for key, ents in entries.items():
-            for alpha, beta, depth, r0 in ents:
-                for da, db in _ring(depth, r - r0):
-                    p = (key, alpha + da, beta + db)
-                    if p not in dist:
-                        dist[p] = r
-                        layer.append(p)
-        rings_end = len(layer)
-        for key, alpha, beta in near.frontier:
+        out = []
+        for key, alpha, beta in frontier:
             base = mul(key, COMM * alpha if alpha >= 0
                        else COMM_INV * -alpha)
             for x in words.LETTERS:
-                key2, alpha2 = coset_key(mul(base, apply(x, beta)))
-                p = (key2, alpha2, beta)
-                if p in dist:
-                    continue
-                dist[p] = r
-                layer.append(p)
-                entries.setdefault(key2, []).append((alpha2, beta, 0, r))
-                best = self._via_entries(far, key2, alpha2, beta, 0, r, best)
-        near.shapes[0, r] = len(layer) - rings_end
-        near.frontier, near.radius = layer, r
-        return best
+                out.append((*coset_key(mul(base, apply(x, beta))), beta))
+        return out
+
+    # -- the Heisenberg shadow -------------------------------------------
+
+    def shadow(self, v: Vertex) -> tuple[int, int, int, int, int]:
+        """The image (x, y, z, texp, depth) of v in the cusped graph of the
+        quotient Gamma / gamma_3(F) (`words.Heisenberg`), relative to <c,
+        t>: the coset of (h, k) is keyed by (x, y) and its lattice point is
+        (z, k).  The quotient map sends letter, horoball and vertical edges
+        to edges, so it is 1-Lipschitz."""
+        return (*heis_image(v.base), v.texp, v.depth)
+
+    def shadow_at_most(self, a: tuple, b: tuple, bound: int) -> bool:
+        """Whether the images a and b of two vertices (`shadow`) are at
+        most `bound` apart in the quotient's cusped graph; False proves
+        d(u, v) > bound without a word or a search.  b is anchored at a, as
+        (psibar^-k(h_a^-1 h_b), texp difference) with k = texp of a, and
+        read off the shared side of a's depth, grown to the bound: its
+        depth-0 points, and the horoball transit from the entries of b's
+        coset for a deeper b.  The side's distances are exact, so one side
+        serves every bound up to its radius."""
+        x, y, z = self._quotient.relative(a, b, a[3])
+        side = self._shadow_sides.get(a[4])
+        if side is None:
+            side = self._shadow_sides[a[4]] = _Side((0, 0), 0, 0, a[4])
+        while side.radius < bound:
+            side.grow(self._shadow_letters)
+        if b[4]:
+            d = self._via_entries(side, (x, y), z, b[3] - a[3], b[4], 0, None)
+        else:
+            d = side.dist.get(((x, y), z, b[3] - a[3]))
+        return d is not None and d <= bound
+
+    def _shadow_letters(self, frontier: list[tuple]) -> list[tuple]:
+        """`_letters` in the quotient: (x, y, alpha) times psibar^beta of
+        each letter."""
+        power = self._quotient.power
+        out = []
+        for (x, y), alpha, beta in frontier:
+            (p1, q1, r1), (p2, q2, r2) = power(beta)
+            # psibar^beta of a, A, b, B; (p, q, r)^-1 = (-p, -q, pq - r)
+            out += [((x + p, y + q), alpha + r + x * q, beta)
+                    for p, q, r in ((p1, q1, r1), (-p1, -q1, p1 * q1 - r1),
+                                    (p2, q2, r2), (-p2, -q2, p2 * q2 - r2))]
+        return out
 
     def ball(self, center: Vertex, radius: int,
              max_depth: int | None = None) -> dict[Vertex, int]:
-        """All vertices within the radius, with their distances.  Before it
-        lists a layer, it adds up the `degree` of the layer's frontier, and
-        raises DegreeOverflow if the running total would pass
-        BALL_LISTING_MAX."""
+        """All vertices within the radius, with their distances, in no
+        particular order.  Before it lists a layer, it adds up the `degree`
+        of the layer's frontier, and raises DegreeOverflow if the running
+        total would pass BALL_LISTING_MAX."""
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         dist = {center: 0}
@@ -545,7 +624,7 @@ class CuspedGraph:
                     f"{BALL_LISTING_MAX}")
             nxt = []
             for v in frontier:
-                for w in self.neighbors(v):
+                for w in self._neighbor_set(v):
                     if max_depth is not None and w.depth > max_depth:
                         continue
                     if w not in dist:

@@ -222,6 +222,73 @@ def coset_key(w: str) -> tuple[str, int]:
     return key, alpha - j
 
 
+def heis_image(w: str) -> tuple[int, int, int]:
+    """The image (x, y, z) of w in the Heisenberg group H = F / gamma_3(F)
+    (Magnus-Karrass-Solitar, Combinatorial Group Theory, ch. 5), whose law
+    is (x1, y1, z1)(x2, y2, z2) = (x1 + x2, y1 + y2, z1 + z2 + x1 y2): a and
+    b map to (1, 0, 0) and (0, 1, 0), and [a,b] to the central c = (0, 0,
+    1).  One scan of the letters."""
+    x = y = z = 0
+    for ch in w:
+        if ch == "a":
+            x += 1
+        elif ch == "A":
+            x -= 1
+        elif ch == "b":
+            z += x
+            y += 1
+        else:
+            z -= x
+            y -= 1
+    return x, y, z
+
+
+class Heisenberg:
+    """The quotient Gamma / gamma_3(F) = H x|_psibar Z of Gamma = F x|_psi Z.
+    gamma_3(F) is characteristic, so psi induces psibar on H (`heis_image`),
+    and psibar fixes c since psi fixes [a,b].  So every power of psibar is
+    read off its images of a and b: psibar^k(x, y, z) = psibar^k(a)^x
+    psibar^k(b)^y c^(z - xy), with (p, q, r)^n = (np, nq, nr + pq n(n-1)/2).
+    psibar and its inverse come from the images of psi and of psi^-1."""
+
+    def __init__(self, psi: Automorphism):
+        self._powers = {0: ((1, 0, 0), (0, 1, 0))}
+        for k, table in ((1, psi.images), (-1, psi.inverse_images)):
+            self._powers[k] = (heis_image(table["a"]), heis_image(table["b"]))
+
+    def power(self, k: int) -> tuple[tuple, tuple]:
+        """(psibar^k(a), psibar^k(b)), memoised: one psibar^+-1 step per
+        power from the nearest one known."""
+        powers = self._powers
+        if k not in powers:
+            sign = 1 if k > 0 else -1
+            j = k
+            while j not in powers:
+                j -= sign
+            while j != k:
+                a, b = powers[j]
+                j += sign
+                powers[j] = (_heis_apply(powers[sign], a),
+                             _heis_apply(powers[sign], b))
+        return powers[k]
+
+    def relative(self, g: tuple, h: tuple, k: int) -> tuple[int, int, int]:
+        """psibar^-k(g^-1 h), the H part of (g, k)^-1 (h, l)."""
+        x, y = h[0] - g[0], h[1] - g[1]
+        rel = (x, y, h[2] - g[2] - g[0] * y)
+        return _heis_apply(self.power(-k), rel) if k else rel
+
+
+def _heis_apply(images: tuple[tuple, tuple], h: tuple) -> tuple[int, int, int]:
+    """The image of h = (x, y, z) under the automorphism of H that fixes c
+    and maps a and b to `images`: images[0]^x images[1]^y c^(z - xy)."""
+    (p1, q1, r1), (p2, q2, r2) = images
+    x, y, z = h
+    return (x * p1 + y * p2, x * q1 + y * q2,
+            x * r1 + p1 * q1 * (x * (x - 1) // 2) + y * r2
+            + p2 * q2 * (y * (y - 1) // 2) + x * p1 * y * q2 + z - x * y)
+
+
 @cache
 def _least_shift(tail: str) -> tuple[str, int]:
     """The (length, lex)-least tail * [a,b]^j over j in {-1, 0, 1}, and j.

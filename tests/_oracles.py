@@ -12,7 +12,7 @@ from cuspedforms.fill import FILL_DEPTH_CAP
 from cuspedforms.graph import Vertex, vertex_key
 from cuspedforms.lipschitz import truncate
 from cuspedforms.quasicocycle import _ball_forms, _witness
-from cuspedforms.words import (COMM, COMM_INV, GroupElem, gamma_inv,
+from cuspedforms.words import (COMM, COMM_INV, LETTERS, GroupElem, gamma_inv,
                                gamma_mul)
 
 
@@ -62,6 +62,63 @@ def transit_oracle(load, n1, n2):
     max(n1, n2) to 64, with no shortcut on where the minimum can lie."""
     return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
                for lvl in range(max(n1, n2), 65))
+
+
+def unitriangular_mul(g, h) -> tuple[int, int, int]:
+    """g h for g and h given as (M01, M12, M02) of integer unitriangular
+    3x3 matrices, by the plain matrix product."""
+    a, b = (((1, v[0], v[2]), (0, 1, v[1]), (0, 0, 1)) for v in (g, h))
+    m = [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+         for i in range(3)]
+    return m[0][1], m[1][2], m[0][2]
+
+
+def unitriangular(w: str) -> tuple[int, int, int]:
+    """The image of w under a -> I + E01, b -> I + E12, as (M01, M12,
+    M02): the oracle for `words.heis_image`."""
+    letters = {"a": (1, 0, 0), "A": (-1, 0, 0), "b": (0, 1, 0),
+               "B": (0, -1, 0)}
+    out = (0, 0, 0)
+    for ch in w:
+        out = unitriangular_mul(out, letters[ch])
+    return out
+
+
+def shadow_ball_oracle(psi, center, radius):
+    """The ball about `center`, an image (x, y, z, texp, depth) of
+    `CuspedGraph.shadow`, in the cusped graph of Gamma / gamma_3(F), by a
+    plain BFS over its vertices, with distances.  A depth-0 vertex (h, k)
+    has the letter edges to h times `unitriangular` of the word psi^k(x),
+    as a matrix product (no psibar); a depth-n vertex has every lattice
+    point (z, k) + (alpha, beta) with |alpha| + |beta| <= 2^n, and the
+    vertical edges."""
+    def neighbors(v):
+        x, y, z, k, n = v
+        out = [(x, y, z, k, n + 1)]
+        if n:
+            out.append((x, y, z, k, n - 1))
+        else:
+            out += [(*unitriangular_mul((x, y, z),
+                                        unitriangular(psi.apply(ch, k))), k, 0)
+                    for ch in LETTERS]
+        reach = 2 ** n
+        out += [(x, y, z + da, k + db, n)
+                for da in range(-reach, reach + 1)
+                for db in range(abs(da) - reach, reach - abs(da) + 1)
+                if da or db]
+        return out
+
+    dist = {center: 0}
+    frontier = [center]
+    for r in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for w in neighbors(v):
+                if w not in dist:
+                    dist[w] = r
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def meet_point_oracle(graph, src, dst, d):

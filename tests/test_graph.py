@@ -17,11 +17,13 @@ from cuspedforms.graph import (CuspedGraph, Vertex, _Side, anchor_simplex,
                                horoball_distance, parse_vertex,
                                random_gamma0_word, sort_with_sign,
                                vertex_key)
-from cuspedforms.words import (COMM, Automorphism, GroupElem, mul,
-                               reduce_word, word_pow)
+from cuspedforms.quasicocycle import STRATA, sample_vertex
+from cuspedforms.words import (COMM, DEFAULT_PSI, Automorphism, GroupElem,
+                               coset_key, mul, reduce_word, word_pow)
 
 from _oracles import (bfs_oracle, holonomy, meet_point_oracle,
-                      permutation_sign_oracle, transit_oracle, zw_mat_mul)
+                      permutation_sign_oracle, shadow_ball_oracle,
+                      transit_oracle, zw_mat_mul)
 from _pins import DELTAHAT, DELTA_RADIUS, DELTA_SAMPLES, DELTA_SEED
 
 
@@ -362,6 +364,48 @@ def test_search_matches_bfs_oracle_across_cosets():
         assert d == oracle, (u, v)
 
 
+@pytest.mark.parametrize("images", [None, {"a": "aba", "b": "ab"}],
+                         ids=["default", "aba-ab"])
+def test_shadow_distance_is_the_quotient_bfs(images):
+    # the shadow is exact in the quotient: a side grown to one bound
+    # answers every smaller bound, as one graph serves engines of
+    # different kappa
+    graph = CuspedGraph(Automorphism(images) if images else DEFAULT_PSI)
+    rng = random.Random(41)
+    for depth, radius in ((0, 4), (0, 3), (1, 3), (2, 2), (3, 2)):
+        v = Vertex(random_gamma0_word(rng, 6), rng.randrange(-3, 4), depth)
+        center = graph.shadow(v)
+        ball = shadow_ball_oracle(graph.psi, center, radius)
+        for w, d in ball.items():
+            assert graph.shadow_at_most(center, w, d), (v, w, d)
+            assert not graph.shadow_at_most(center, w, d - 1), (v, w, d)
+
+
+def test_shadow_never_exceeds_the_distance():
+    # the quotient map is 1-Lipschitz: d_shadow <= d on seeded pairs at
+    # depths 0..3 and 0..1 (deeper pairs of two cosets reach PsiPowerCap),
+    # with the plain BFS where its ball is small; the shadow rules out
+    # pairs that the search finds far
+    rng = random.Random(44)
+    graph = CuspedGraph()
+    ruled_out = 0
+    for idx in range(150):
+        u = sample_vertex(rng, STRATA[idx % 3])._replace(
+            depth=rng.randrange(4))
+        v = Vertex(mul(u.base, random_gamma0_word(rng, 3)),
+                   u.texp + rng.randrange(-1, 2), rng.randrange(2))
+        d = graph.distance(u, v)
+        if d <= 3 and max(u.depth, v.depth) <= 2:
+            assert _checked_distance(graph, u, v, d) == (d, d), (u, v)
+        su, sv = graph.shadow(u), graph.shadow(v)
+        # a side grows to the bound, and past 7 it holds 10^5 points
+        if d <= 7:
+            assert graph.shadow_at_most(su, sv, d), (u, v, d)
+            assert graph.shadow_at_most(sv, su, d), (u, v, d)
+        ruled_out += d > 2 and not graph.shadow_at_most(su, sv, 2)
+    assert ruled_out > 40
+
+
 def test_distance_search_lists_no_vertex(monkeypatch):
     # the search keeps depth-0 lattice points only and crosses horoballs in
     # closed form: it never asks for the neighbours of a vertex
@@ -481,8 +525,8 @@ def test_shared_side_is_the_side_grown_alone(seed):
         _capped(graph, u, v, cap)
     assert min(side.radius for side in graph._sides.values()) >= 3
     for n, shared in graph._sides.items():
-        alone = _Side(Vertex("", 0, n))
-        far = _Side(Vertex("ab", 3, 0))
+        alone = _Side("", 0, 0, n)
+        far = _Side(*coset_key("ab"), 3, 0)
         while alone.radius < shared.radius:
             graph._grow(alone, far, None)
         assert vars(alone) == vars(shared), n

@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 from cuspedforms import words
 from cuspedforms.config import RunConfig
 from cuspedforms.errors import PsiPowerCap
+from cuspedforms.graph import random_gamma0_word
 from cuspedforms.words import (COMM, COMM_INV, DEFAULT_PSI, MAX_WORD_LETTERS,
-                               Automorphism, GroupElem, gamma_inv, gamma_mul,
-                               coset_key, gamma_rel, inv, mul,
-                               parse_word, reduce_word, word_pow)
+                               Automorphism, GroupElem, Heisenberg, gamma_inv,
+                               gamma_mul, coset_key, gamma_rel, heis_image,
+                               inv, mul, parse_word, reduce_word, word_pow)
 
 from _oracles import (HOLONOMY_LETTERS, h_coord, holonomy, holonomy_cusp,
-                      holonomy_t, zw_det, zw_mat_inv, zw_mat_mul)
+                      holonomy_t, unitriangular, zw_det, zw_mat_inv,
+                      zw_mat_mul)
 
 
 def naive_reduce(letters):
@@ -405,3 +407,33 @@ def test_coset_key_agrees_with_the_holonomy_cusp(u, alpha, w):
     v = mul(mul(u, word_pow(COMM, alpha)), w)
     assert (coset_key(u)[0] == coset_key(v)[0]) == \
         (holonomy_cusp(u) == holonomy_cusp(v))
+
+
+#: the default twist and another automorphism that fixes [a,b] exactly,
+#: with abelianization (2 1; 1 1)
+FIXING_COMM = {"default": DEFAULT_PSI,
+               "aba-ab": Automorphism({"a": "aba", "b": "ab"})}
+
+
+@pytest.mark.parametrize("name", sorted(FIXING_COMM))
+def test_heisenberg_image_is_a_homomorphism_that_commutes_with_psi(name):
+    # the Heisenberg shadow rests on these: H = F / gamma_3(F) is a
+    # quotient, and psibar^k(image(w)) = image(psi^k(w)) at each power
+    psi = FIXING_COMM[name]
+    quotient = Heisenberg(psi)
+    assert psi.apply_once(COMM) == COMM
+    assert heis_image(COMM) == (0, 0, 1)
+    identity = heis_image("")
+    rng = random.Random(29)
+    for _ in range(150):
+        u, v = random_gamma0_word(rng, 8), random_gamma0_word(rng, 8)
+        hu, hv = heis_image(u), heis_image(v)
+        # the matrix oracle is a homomorphism, so image(uv) = image(u)
+        # image(v) follows from image = oracle on every word
+        assert hu == unitriangular(u)
+        assert heis_image(mul(u, v)) == unitriangular(mul(u, v))
+        for k in range(-3, 4):
+            assert quotient.relative(identity, hu, -k) == heis_image(
+                psi.apply(u, k)), (u, k)
+            assert quotient.relative(hu, hv, k) == heis_image(
+                psi.apply(mul(inv(u), v), -k)), (u, v, k)
