@@ -28,11 +28,12 @@ back.
 
 The LP window is built once per orbit.  `rips_window` keeps, for each of
 its vertices, the distance to each seed whose ball holds it; two vertices
-u, v with d(u, s) + d(s, v) <= kappa for some seed s are Rips neighbours by
-the triangle inequality (the seed-ball rule).  Of the other pairs, those
-whose images in the Heisenberg quotient are farther than kappa apart are
-not (`CuspedGraph.shadow_at_most`, a lower bound), and only the rest ask
-the graph.  Cliques, rows and columns are window indices, numbered in the
+u, v with d(u, s) + d(s, v) <= kappa for some seed s, or d(u, s) + d(s, t)
++ d(t, v) <= kappa for two seeds s, t, are Rips neighbours by the triangle
+inequality (the seed-ball rule).  Of the other pairs, those whose images in
+the Heisenberg quotient are farther than kappa apart are not
+(`CuspedGraph.shadow_at_most`, a lower bound), and only the rest ask the
+graph.  Cliques, rows and columns are window indices, numbered in the
 order the vertices would give them, so the LP is the same one.
 """
 
@@ -232,24 +233,43 @@ class FillEngine:
                         size: int, cap: int) -> list[tuple[int, ...]]:
         """All size-vertex cliques of the Rips graph (diameter <= kappa) on
         a `rips_window`, as increasing tuples of window positions.  Two
-        vertices u, v with d(u, s) + d(s, v) <= kappa for a seed s are
-        adjacent by the triangle inequality, read off the seed distances
-        the window holds; two whose shadows are farther apart are not, and
-        only the pairs the shadow admits ask the graph.  Each vertex's
-        shadow is computed once."""
+        vertices u, v with d(u, s) + d(s, v) <= kappa for a seed s, or
+        d(u, s) + d(s, t) + d(t, v) <= kappa for seeds s, t, are adjacent
+        by the triangle inequality, read off the seed distances the window
+        holds and the seeds' own; two whose shadows are farther apart are
+        not, and only the pairs the shadow admits ask the graph.  Each
+        vertex's shadow is computed once, and DegreeOverflow refuses a
+        vertex past the depth cap."""
+        kappa = self.kappa
         verts = list(window)
         n = len(verts)
         adj: list[set[int]] = [set() for _ in range(n)]
         by_seed: dict[int, list[tuple[int, int]]] = {}
+        seed_at: dict[int, Vertex] = {}
         for i, reach in enumerate(window.values()):
             for s, d in reach.items():
                 by_seed.setdefault(s, []).append((i, d))
+                if not d:
+                    seed_at[s] = verts[i]
         for ball in by_seed.values():
             for k, (i, di) in enumerate(ball):
                 for j, dj in ball[k + 1:]:
-                    if di + dj <= self.kappa:
+                    if di + dj <= kappa:
                         adj[i].add(j)
-        kappa, shadow_at_most = self.kappa, self.graph.shadow_at_most
+        seeds = sorted(by_seed)
+        for k, s in enumerate(seeds):
+            for t in seeds[k + 1:]:
+                d, exact = self.graph.distance_fact(seed_at[s], seed_at[t],
+                                                    kappa)
+                room = kappa - d
+                if not exact or room < 0:
+                    continue
+                near_t = [(j, dj) for j, dj in by_seed[t] if dj <= room]
+                for i, di in by_seed[s]:
+                    for j, dj in near_t:
+                        if di + dj <= room and i != j:
+                            adj[min(i, j)].add(max(i, j))
+        shadow_at_most = self.graph.shadow_at_most
         shadow = [self.graph.shadow(v) for v in verts]
         for i in range(n):
             near, si = adj[i], shadow[i]

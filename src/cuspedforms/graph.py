@@ -19,10 +19,10 @@ The shadow is a lower bound on the distance that needs no word and no
 search.  Gamma / gamma_3(F) = H x| Z, H the Heisenberg group
 (`words.Heisenberg`), keeps the peripheral Z^2 = <c, t>, and the map onto
 its cusped graph (Groves-Manning) sends every edge to an edge, so it is
-1-Lipschitz.  `shadow` is a vertex's image and `shadow_at_most` reads the
-exact quotient distance off one side per source depth, grown by the
-search's own rings and entries (`_Side`); the letter step is the one part
-that differs between the two groups.
+1-Lipschitz.  `shadow` is a vertex's image and `shadow_at_most` decides the
+quotient distance by the search's own meet (`_meet`, `_Side`), from one
+shared side per source depth; the letter step is the one part that
+differs between the two groups.
 
 A simplex is anchored by translating one vertex to (e, 0, depth), over
 every vertex order, and keeping the lex-least result (`anchor_simplex`).
@@ -213,6 +213,7 @@ def anchor_cycle(terms: dict[Simplex, Fraction], extra, psi: Automorphism
     return best_key, seeds[best].elem
 
 
+@lru_cache(maxsize=4096)
 def horoball_distance(load: int, n1: int, n2: int) -> int:
     """Distance inside one horoball between its vertices at depths n1 and
     n2 whose lattice points are `load` apart in l1: a geodesic descends to
@@ -258,36 +259,44 @@ def _ring_size(depth: int, k: int) -> int:
 class _Side:
     """One side of a distance search, in Gamma (`CuspedGraph._bidirectional`)
     or in its Heisenberg quotient (`CuspedGraph.shadow_at_most`): its
-    radius, the depth-0 vertices within it as lattice points (coset key,
-    alpha, beta) with their distances, the coset entries (alpha, beta,
-    depth, r) by key, and the lattice points of the last layer.  `shapes`
-    counts the entries by (depth, r), which fixes their rings in the next
-    layer.  Every point is an entry or on the ring of one, at exactly its
-    distance."""
+    endpoint's depth and lattice point, its radius, the depth-0 vertices
+    within it as lattice points (coset key, alpha, beta) with their
+    distances, the coset entries (alpha, beta, depth, r) by key, and the
+    lattice points of the last layer.  `shapes` counts the entries by
+    (depth, r), which fixes their rings in the next layer, and `cost` is
+    the points the next layer generates: four edges per vertex of the last
+    layer, and the ring of every entry.  Every point is an entry or on the
+    ring of one, at exactly its distance."""
 
     def __init__(self, key, alpha: int, beta: int, depth: int):
-        self.key, self.point = key, (alpha, beta)
+        self.key, self.point, self.depth = key, (alpha, beta), depth
         p = (key, alpha, beta)
         self.radius = 0
         self.entries = {key: [(alpha, beta, depth, 0)]}
         self.shapes = {(depth, 0): 1}
         self.dist = {p: 0} if depth == 0 else {}
         self.frontier = [p] if depth == 0 else []
+        self.cost = 4 * len(self.frontier) + _ring_size(depth, 1)
 
-    def next_layer_cost(self) -> int:
-        """The points the next layer generates: four edges per vertex of
-        the last layer, and the ring of every entry."""
-        k = self.radius + 1
-        return 4 * len(self.frontier) + sum(
-            count * _ring_size(depth, k - r)
-            for (depth, r), count in self.shapes.items())
+    def via(self, key, alpha: int, beta: int, depth: int, r: int,
+            best: int | None) -> int | None:
+        """The least of `best` and the paths from the point (key, alpha,
+        beta) at this depth, r from the other side, through its coset's
+        horoball to an entry of this side."""
+        for a2, b2, n2, r2 in self.entries.get(key, ()):
+            c = r + r2 + horoball_distance(
+                abs(alpha - a2) + abs(beta - b2), depth, n2)
+            if best is None or c < best:
+                best = c
+        return best
 
-    def grow(self, letters) -> list[tuple]:
-        """Add one layer and return its new entries (key, alpha, beta).
-        The rings are the horoball's and serve both groups; `letters` lists
-        the lattice points (key, alpha, beta) of the four letter neighbours
-        of each depth-0 point of a frontier, the one part that depends on
-        the group."""
+    def grow(self, letters, far: _Side, best: int | None) -> int | None:
+        """Add one layer; the least of `best` and the candidates from its
+        new entries to the entries of `far`, which it reads only.  The
+        rings are the horoball's and serve both groups; `letters` lists the
+        lattice points (key, alpha, beta) of the four letter neighbours of
+        each depth-0 point of a frontier, the one part that depends on the
+        group."""
         r = self.radius + 1
         dist, entries = self.dist, self.entries
         layer = []
@@ -304,10 +313,64 @@ class _Side:
                 continue
             dist[p] = r
             layer.append(p)
-            entries.setdefault(p[0], []).append((p[1], p[2], 0, r))
+            key, alpha, beta = p
+            entries.setdefault(key, []).append((alpha, beta, 0, r))
+            best = far.via(key, alpha, beta, 0, r, best)
         self.shapes[0, r] = len(layer) - rings_end
         self.frontier, self.radius = layer, r
-        return layer[rings_end:]
+        self.cost = 4 * len(layer) + sum(
+            count * _ring_size(depth, r + 1 - r0)
+            for (depth, r0), count in self.shapes.items())
+        return best
+
+
+def _meet(s: _Side, t: _Side, cap: int, letters) -> tuple[int, bool]:
+    """(d, True) with d the distance between the endpoints of s and t if d
+    is at most the cap, else (b, False) with the proven bound d > b >= cap,
+    without listing a vertex of depth >= 1.  It may return (d, True) past
+    the cap too.  `letters` is the group's letter step (`_Side.grow`).
+
+    Each side grows by layers and holds the depth-0 vertices within its
+    radius, as lattice points (coset key, alpha, beta), and per coset the
+    entries (alpha, beta, depth, r): the depth-0 vertices first reached by
+    an a/A/b/B edge, and the endpoint itself.  A path leaves a coset only
+    by such an edge, so every other vertex of the coset is reached from an
+    entry through the coset's horoball, at the cost `horoball_distance`;
+    one layer adds the four non-peripheral edges of the last layer and,
+    per entry, the ring of lattice points at exactly the new cost.
+    Candidates are the entry pairs of a shared coset, one entry per side:
+    r + r' + h.  If d <= rs + rt, a geodesic has a deep stretch between two
+    entries, or a depth-0 point p within both radii; each side reaches p
+    from one of its entries at exactly its distance, and h obeys the
+    triangle inequality through p, so that pair's candidate is at most d.
+    The least candidate is therefore exact once it is at most rs + rt; a
+    search that stops short of that has proved d > rs + rt, which a grown
+    shared side can put past the cap.
+
+    It is exact too once it reaches a lower bound: the t-exponent and
+    depth map the graph 1-Lipschitz onto the horoball over Z, so d >=
+    `horoball_distance` of the t-exponent difference and the depths.  That
+    ends a search along t (e@0:0 to e@14:0, d = 8) at once, not one along
+    [a,b], whose t-exponents agree, nor e@0:0 to a@12:0, whose sides raise
+    PsiPowerCap first.
+
+    s may be shared across queries and grown further by any of them:
+    `_Side.grow` writes its own side only, so a side is a function of its
+    endpoint and radius, whatever queries grew it.  t starts with one
+    check of its endpoint against the entries of its coset in s; `grow`
+    checks every later pair when its second entry arrives."""
+    low = horoball_distance(abs(t.point[1] - s.point[1]), s.depth, t.depth)
+    best = s.via(t.key, *t.point, t.depth, 0, None)
+    while best is None or (best > s.radius + t.radius and best > low):
+        if s.radius + t.radius >= cap:
+            return s.radius + t.radius, False
+        # grow the cheaper side: a deep entry's first ring can hold
+        # millions of points while its side's last layer is one vertex
+        if s.cost <= t.cost:
+            best = s.grow(letters, t, best)
+        else:
+            best = t.grow(letters, s, best)
+    return best, True
 
 
 class CuspedGraph:
@@ -348,8 +411,9 @@ class CuspedGraph:
     of its source to the depth-0 points within its radius, a function of
     the source and radius alone, so what an earlier query grew stays
     valid.  It can answer a query exactly past its cap; `_dist_cache` then
-    holds (d, True) and the query raises CapExceeded.  `_shadow_sides`
-    keeps the Heisenberg quotient's sides the same way (`shadow_at_most`).
+    holds (d, True) and the query raises CapExceeded.  `_shadow_sides` and
+    `_shadow_cache` keep the Heisenberg quotient's sides and facts the same
+    way (`shadow_at_most`).
     """
 
     def __init__(self, psi: Automorphism = DEFAULT_PSI, depth_cap: int = 12,
@@ -368,6 +432,7 @@ class CuspedGraph:
         self._sides: dict[int, _Side] = {}
         self._quotient = Heisenberg(psi)
         self._shadow_sides: dict[int, _Side] = {}
+        self._shadow_cache: dict[tuple, tuple[int, bool]] = {}
 
     # -- group action -------------------------------------------------
 
@@ -473,80 +538,18 @@ class CuspedGraph:
 
     def _bidirectional(self, depth: int, dst: Vertex,
                        cap: int) -> tuple[int, bool]:
-        """(d, True) with d = d((e, 0, depth), dst) if d is at most the cap,
-        else (b, False) with the proven bound d > b >= cap, without listing a
-        vertex of depth >= 1.  It may return (d, True) past the cap too.
-
-        Each side grows by layers and holds the depth-0 vertices within its
-        radius, as lattice points (coset key, alpha, beta) of `coset_key`, and
-        per coset the entries (alpha, beta, depth, r): the depth-0 vertices
-        first reached by an a/A/b/B edge, and the endpoint itself.  A path
-        leaves a coset only by such an edge, so every other vertex of the
-        coset is reached from an entry through the coset's horoball, at the
-        cost `horoball_distance`; one layer adds the four non-peripheral
-        edges of the last layer and, per entry, the ring of lattice points at
-        exactly the new cost.  Candidates are the entry pairs of a shared
-        coset, one entry per side: r + r' + h.  If d <= rs + rt, a geodesic
-        has a deep stretch between two entries, or a depth-0 point p within
-        both radii; each side reaches p from one of its entries at exactly
-        its distance, and h obeys the triangle inequality through p, so
-        that pair's candidate is at most d.  The least candidate is
-        therefore exact once it is at most rs + rt; a search that stops
-        short of that has proved d > rs + rt, which a grown shared side can
-        put past the cap.
-
-        It is exact too once it reaches a lower bound: the t-exponent and
-        depth map the graph 1-Lipschitz onto the horoball over Z, so d >=
-        `horoball_distance` of the t-exponent difference and the depths.
-        That ends a search along t (e@0:0 to e@14:0, d = 8) at once, not
-        one along [a,b], whose t-exponents agree, nor e@0:0 to a@12:0,
-        whose sides raise PsiPowerCap first.
-
-        The source side is shared: `_sides[depth]` is kept across queries
-        and grown further by any of them.  `_grow` writes its near side
-        only, so a side is a function of its source and radius, whatever
-        queries grew it.  A new destination side starts with one check of
-        its endpoint against the shared entries of its coset; `_grow`
-        checks every later pair when its second entry arrives."""
+        """`_meet` from (e, 0, depth) to dst: (d, True) with the exact
+        distance, which may exceed the cap, or (b, False) with d > b >= cap.
+        Lattice points are those of `coset_key`.  The source side is
+        shared: `_sides[depth]` is kept across queries and grown further by
+        any of them."""
         self.check_depth(depth)
         self.check_depth(dst.depth)
         s = self._sides.get(depth)
         if s is None:
             s = self._sides[depth] = _Side("", 0, 0, depth)
-        t = _Side(*coset_key(dst.base), dst.texp, dst.depth)
-        low = horoball_distance(abs(dst.texp), depth, dst.depth)
-        best = self._via_entries(s, t.key, *t.point, dst.depth, 0, None)
-        while best is None or (best > s.radius + t.radius and best > low):
-            if s.radius + t.radius >= cap:
-                return s.radius + t.radius, False
-            # grow the cheaper side: a deep entry's first ring can hold
-            # millions of points while its side's last layer is one vertex
-            if s.next_layer_cost() <= t.next_layer_cost():
-                best = self._grow(s, t, best)
-            else:
-                best = self._grow(t, s, best)
-        return best, True
-
-    def _via_entries(self, far: _Side, key: str | tuple[int, int],
-                     alpha: int, beta: int,
-                     depth: int, r: int, best: int | None) -> int | None:
-        """The least of `best` and the paths from the point (key, alpha,
-        beta) at this depth, r from its own side, through its coset's
-        horoball to an entry of `far`."""
-        for a2, b2, n2, r2 in far.entries.get(key, ()):
-            c = r + r2 + horoball_distance(
-                abs(alpha - a2) + abs(beta - b2), depth, n2)
-            if best is None or c < best:
-                best = c
-        return best
-
-    def _grow(self, near: _Side, far: _Side, best: int | None) -> int | None:
-        """Grow `near` by one layer; the least candidate seen so far.  Reads
-        `far` and writes `near` only."""
-        r = near.radius + 1
-        for key, alpha, beta in near.grow(self._letters):
-            best = self._via_entries(far, key, alpha, beta, 0, r, best)
-        return best
+        return _meet(s, _Side(*coset_key(dst.base), dst.texp, dst.depth),
+                     cap, self._letters)
 
     def _letters(self, frontier: list[tuple]) -> list[tuple]:
         """The lattice points (coset key, alpha, beta) of the four letter
@@ -567,29 +570,34 @@ class CuspedGraph:
         quotient Gamma / gamma_3(F) (`words.Heisenberg`), relative to <c,
         t>: the coset of (h, k) is keyed by (x, y) and its lattice point is
         (z, k).  The quotient map sends letter, horoball and vertical edges
-        to edges, so it is 1-Lipschitz."""
+        to edges, so it is 1-Lipschitz.  DegreeOverflow past the depth cap,
+        as for an endpoint of a search."""
+        self.check_depth(v.depth)
         return (*heis_image(v.base), v.texp, v.depth)
 
     def shadow_at_most(self, a: tuple, b: tuple, bound: int) -> bool:
         """Whether the images a and b of two vertices (`shadow`) are at
         most `bound` apart in the quotient's cusped graph; False proves
-        d(u, v) > bound without a word or a search.  b is anchored at a, as
+        d(u, v) > bound without a word.  b is anchored at a, as
         (psibar^-k(h_a^-1 h_b), texp difference) with k = texp of a, and
-        read off the shared side of a's depth, grown to the bound: its
-        depth-0 points, and the horoball transit from the entries of b's
-        coset for a deeper b.  The side's distances are exact, so one side
-        serves every bound up to its radius."""
-        x, y, z = self._quotient.relative(a, b, a[3])
-        side = self._shadow_sides.get(a[4])
-        if side is None:
-            side = self._shadow_sides[a[4]] = _Side((0, 0), 0, 0, a[4])
-        while side.radius < bound:
-            side.grow(self._shadow_letters)
-        if b[4]:
-            d = self._via_entries(side, (x, y), z, b[3] - a[3], b[4], 0, None)
-        else:
-            d = side.dist.get(((x, y), z, b[3] - a[3]))
-        return d is not None and d <= bound
+        `_meet` runs from the shared side of a's depth to b, so a query
+        costs what its pair's distance does, whatever the bound.  The fact
+        is cached under the anchored pair, as `distance_fact` caches."""
+        relative = self._quotient.relative
+        x, y, z = relative(a, b, a[3])
+        k = b[3] - a[3]
+        key = (a[4], x, y, z, k, b[4])
+        fact = self._shadow_cache.get(key)
+        if fact is None or (not fact[1] and bound > fact[0]):
+            s = self._shadow_sides.get(a[4])
+            if s is None:
+                s = self._shadow_sides[a[4]] = _Side((0, 0), 0, 0, a[4])
+            fact = self._shadow_cache[key] = _meet(
+                s, _Side((x, y), z, k, b[4]), bound, self._shadow_letters)
+            # a anchored at b: psibar^-k of the inverse (-x, -y, xy - z)
+            back = relative((0, 0, 0), (-x, -y, x * y - z), k)
+            self._shadow_cache[(b[4], *back, -k, a[4])] = fact
+        return fact[1] and fact[0] <= bound
 
     def _shadow_letters(self, frontier: list[tuple]) -> list[tuple]:
         """`_letters` in the quotient: (x, y, alpha) times psibar^beta of

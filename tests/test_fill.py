@@ -8,8 +8,8 @@ import pytest
 
 from cuspedforms import fill, lp
 from cuspedforms.chains import Chain
-from cuspedforms.errors import (CuspedFormsError, FillDepthExceeded,
-                                Infeasible, WindowTooLarge)
+from cuspedforms.errors import (CuspedFormsError, DegreeOverflow,
+                                FillDepthExceeded, Infeasible, WindowTooLarge)
 from cuspedforms.fill import FillEngine
 from cuspedforms.graph import (CuspedGraph, Vertex, anchor_cycle,
                                anchor_simplex, key_vertex, parse_vertex,
@@ -503,6 +503,51 @@ def test_rips_simplices_match_bfs_oracle(monkeypatch):
             assert wider._rips_simplices(window, 3, 10 ** 6) == wide
             if radius:
                 assert len(wide) > len(expect) > 100
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+@pytest.mark.parametrize("seeds", [("e@0:2", "aaaa@0:0", "bbbb@0:0"),
+                                   ("e@0:2", "aaaaaa@0:0")],
+                         ids=["three", "two"])
+def test_a_window_past_the_depth_cap_is_refused(seeds, kappa):
+    # a radius-1 window about a seed at the cap holds the vertex below it;
+    # the shadow rules out every pair of it that no seed settles, and the
+    # window is refused all the same, before any pair is asked
+    engine = FillEngine(CuspedGraph(depth_cap=2), kappa=kappa)
+    window = engine.rips_window(set(map(parse_vertex, seeds)), 1)
+    assert max(v.depth for v in window) == 3
+    with pytest.raises(DegreeOverflow, match="^depth 3 exceeds cap 2$"):
+        engine._rips_simplices(window, 3, 10 ** 6)
+
+
+@pytest.mark.parametrize("kappa,radius", [(3, 1), (4, 1), (8, 0), (8, 1)])
+def test_two_seed_rule_matches_the_distance(monkeypatch, kappa, radius):
+    # two vertices within kappa of each other through two seeds are Rips
+    # neighbours; the window's edges are the pairs within kappa on a fresh
+    # graph, and at kappa = 8 the seeds settle every pair.  The seeds are
+    # a triangle and the support of its kappa = 2 filling, as in `lpfill`
+    asked = []
+    for name in ("distance_at_most", "shadow_at_most"):
+        spied = getattr(CuspedGraph, name)
+        monkeypatch.setattr(
+            CuspedGraph, name,
+            lambda self, u, v, b, f=spied: asked.append(1) or f(self, u, v, b))
+    rng = random.Random(3)
+    for _ in range(3):
+        pts = sample_tuple(CuspedGraph(), rng, "cayley", 3)
+        cone = FillEngine(CuspedGraph(), kappa=2).fill_triangle(*pts)
+        engine = FillEngine(CuspedGraph(), kappa=kappa)
+        window = engine.rips_window(set(pts) | cone.chain.support(), radius)
+        asked.clear()
+        edges = engine._rips_simplices(window, 2, 10 ** 6)
+        if kappa == 8:
+            assert not asked
+        verts = list(window)
+        fresh = CuspedGraph()
+        assert edges == [
+            (i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
+            if CuspedGraph.distance_fact(fresh, verts[i], verts[j], kappa)
+            in {(d, True) for d in range(kappa + 1)}]
 
 
 def test_relative_fill_unit_simplex(engine):

@@ -367,9 +367,9 @@ def test_search_matches_bfs_oracle_across_cosets():
 @pytest.mark.parametrize("images", [None, {"a": "aba", "b": "ab"}],
                          ids=["default", "aba-ab"])
 def test_shadow_distance_is_the_quotient_bfs(images):
-    # the shadow is exact in the quotient: a side grown to one bound
-    # answers every smaller bound, as one graph serves engines of
-    # different kappa
+    # the shadow is exact in the quotient: the bound one below the
+    # distance is refused, and the cached "farther than d - 1" is asked
+    # again at d, as one graph serves engines of different kappa
     graph = CuspedGraph(Automorphism(images) if images else DEFAULT_PSI)
     rng = random.Random(41)
     for depth, radius in ((0, 4), (0, 3), (1, 3), (2, 2), (3, 2)):
@@ -377,8 +377,40 @@ def test_shadow_distance_is_the_quotient_bfs(images):
         center = graph.shadow(v)
         ball = shadow_ball_oracle(graph.psi, center, radius)
         for w, d in ball.items():
-            assert graph.shadow_at_most(center, w, d), (v, w, d)
             assert not graph.shadow_at_most(center, w, d - 1), (v, w, d)
+            assert graph.shadow_at_most(center, w, d), (v, w, d)
+
+
+def test_shadow_cost_follows_the_pair_not_the_bound():
+    # the quotient search stops once its candidate is exact, so a large
+    # bound costs a near pair no more than a small one: the shared side
+    # and the pair's side reach about half the pair's distance
+    graph = CuspedGraph()
+    rng = random.Random(12)
+    for _ in range(20):
+        u = Vertex(random_gamma0_word(rng, 4), rng.randrange(-2, 3), 0)
+        v = rng.choice(graph.neighbors(u))
+        assert graph.shadow_at_most(graph.shadow(u), graph.shadow(v), 40)
+    assert [side.radius for side in graph._shadow_sides.values()] == [1]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_shadow_facts_hold_in_both_orientations(seed):
+    # a query caches its fact under the pair and under the pair reversed;
+    # each cached key, asked again on a fresh graph, gets the same answer
+    rng = random.Random(seed)
+    graph = CuspedGraph()
+    for idx in range(60):
+        u = sample_vertex(rng, STRATA[idx % 3])._replace(
+            depth=rng.randrange(3))
+        v = Vertex(mul(u.base, random_gamma0_word(rng, 3)),
+                   u.texp + rng.randrange(-2, 3), rng.randrange(2))
+        graph.shadow_at_most(graph.shadow(u), graph.shadow(v), 3)
+    assert len(graph._shadow_cache) > 60
+    fresh = CuspedGraph()
+    for (n1, x, y, z, k, n2), (d, exact) in graph._shadow_cache.items():
+        assert fresh.shadow_at_most((0, 0, 0, 0, n1), (x, y, z, k, n2),
+                                    3) == (exact and d <= 3)
 
 
 def test_shadow_never_exceeds_the_distance():
@@ -398,10 +430,8 @@ def test_shadow_never_exceeds_the_distance():
         if d <= 3 and max(u.depth, v.depth) <= 2:
             assert _checked_distance(graph, u, v, d) == (d, d), (u, v)
         su, sv = graph.shadow(u), graph.shadow(v)
-        # a side grows to the bound, and past 7 it holds 10^5 points
-        if d <= 7:
-            assert graph.shadow_at_most(su, sv, d), (u, v, d)
-            assert graph.shadow_at_most(sv, su, d), (u, v, d)
+        assert graph.shadow_at_most(su, sv, d), (u, v, d)
+        assert graph.shadow_at_most(sv, su, d), (u, v, d)
         ruled_out += d > 2 and not graph.shadow_at_most(su, sv, 2)
     assert ruled_out > 40
 
@@ -528,7 +558,7 @@ def test_shared_side_is_the_side_grown_alone(seed):
         alone = _Side("", 0, 0, n)
         far = _Side(*coset_key("ab"), 3, 0)
         while alone.radius < shared.radius:
-            graph._grow(alone, far, None)
+            alone.grow(graph._letters, far, None)
         assert vars(alone) == vars(shared), n
 
 
