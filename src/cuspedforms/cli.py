@@ -170,7 +170,7 @@ def run(args: argparse.Namespace) -> int:
 
     elif args.command == "cycles":
         m = args.m
-        K = qcm.depth_of(graph, m)
+        K = qcm.depth_of(m)
         psi = graph.psi
         c = qcm.build_c(psi)
         d = qcm.build_d(m, psi)

@@ -13,7 +13,6 @@ from .words import Automorphism, DEFAULT_PSI
 @dataclass
 class RunConfig:
     kappa: int = 8
-    depth_cap: int = 12
     distance_cap: int = 24
     psi_images: dict = field(default_factory=dict)       # {"a": word, "b": word}
 
@@ -35,8 +34,7 @@ class RunConfig:
 
     def build(self) -> QuasiCocycle:
         """The engine; each constructor checks what its object requires."""
-        graph = CuspedGraph(self.psi(), depth_cap=self.depth_cap,
-                            distance_cap=self.distance_cap)
+        graph = CuspedGraph(self.psi(), distance_cap=self.distance_cap)
         return QuasiCocycle(FillEngine(graph, kappa=self.kappa))
 
     # -- parsing ---------------------------------------------------------

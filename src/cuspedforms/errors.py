@@ -11,10 +11,9 @@ class PsiPowerCap(CuspedFormsError):
 
 
 class DegreeOverflow(CuspedFormsError):
-    """A vertex past the depth cap was named to `neighbors`, to a distance
-    or by a cycle A_m (`CuspedGraph.check_depth`); `neighbors` was asked
-    for a vertex with more than graph.MAX_NEIGHBORS horoball neighbours;
-    or a `ball` would list more than graph.BALL_LISTING_MAX neighbours."""
+    """`neighbors` was asked for a vertex with more than
+    graph.MAX_NEIGHBORS horoball neighbours, or a `ball` would list more
+    than graph.BALL_LISTING_MAX neighbours."""
 
 
 class CapExceeded(CuspedFormsError):

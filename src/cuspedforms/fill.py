@@ -169,7 +169,7 @@ class FillEngine:
                 reach.setdefault(v, {})[s] = d
         return {v: reach[v] for v in sorted(reach, key=vertex_key)}
 
-    def fill_cycle_lp(self, z: Chain, window_radius: int = 2,
+    def fill_cycle_lp(self, z: Chain, window_radius: int,
                       extra_vertices: set[Vertex] | None = None) -> FillResult:
         """l1-minimal (dim+1)-chain b with boundary exactly z, over Rips
         simplices spanned by a window around supp(z) (plus any explicitly
@@ -238,8 +238,7 @@ class FillEngine:
         by the triangle inequality, read off the seed distances the window
         holds and the seeds' own; two whose shadows are farther apart are
         not, and only the pairs the shadow admits ask the graph.  Each
-        vertex's shadow is computed once, and DegreeOverflow refuses a
-        vertex past the depth cap."""
+        vertex's shadow is computed once."""
         kappa = self.kappa
         verts = list(window)
         n = len(verts)
@@ -297,7 +296,7 @@ class FillEngine:
     # -- relative filling diagnostics -------------------------------------
 
     def relative_fill_check(self, x0: Vertex, x1: Vertex, x2: Vertex,
-                            x3: Vertex, window_radius: int = 2) -> FillResult:
+                            x3: Vertex, window_radius: int) -> FillResult:
         """Fill the 2-cycle phi(boundary of [x0..x3])."""
         pts = (x0, x1, x2, x3)
         if len(set(pts)) < 4:

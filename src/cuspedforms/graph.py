@@ -220,9 +220,10 @@ def horoball_distance(load: int, n1: int, n2: int) -> int:
     some level, takes ceil(load / 2^level) horizontal steps there and
     ascends (Groves-Manning, Dehn filling in relatively hyperbolic groups,
     section 3).  Levels run from max(n1, n2); past load.bit_length() one
-    step suffices, so deeper levels only cost more."""
+    step suffices, so deeper levels only cost more.  The ceiling is a
+    shift, -(-load >> lvl), so a level of any depth builds no 2^lvl."""
     top = max(n1, n2)
-    return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
+    return min((lvl - n1) + (lvl - n2) + -(-load >> lvl)
                for lvl in range(top, max(top, load.bit_length()) + 1))
 
 
@@ -416,16 +417,13 @@ class CuspedGraph:
     way (`shadow_at_most`).
     """
 
-    def __init__(self, psi: Automorphism = DEFAULT_PSI, depth_cap: int = 12,
+    def __init__(self, psi: Automorphism = DEFAULT_PSI,
                  distance_cap: int = 24):
-        for name, cap in (("depth_cap", depth_cap),
-                          ("distance_cap", distance_cap)):
-            if cap <= 0:
-                raise ValueError(f"{name} must be positive")
+        if distance_cap <= 0:
+            raise ValueError("distance_cap must be positive")
         if psi.apply_once(COMM) != COMM:
             raise ValueError("configured automorphism does not fix [a,b]")
         self.psi = psi
-        self.depth_cap = depth_cap
         self.distance_cap = distance_cap
         self._dist_cache: dict[tuple, tuple[int, bool]] = {}
         self._geo_cache: dict[Simplex, Vertex] = {}
@@ -442,19 +440,13 @@ class CuspedGraph:
 
     # -- adjacency -----------------------------------------------------
 
-    def check_depth(self, n: int) -> None:
-        """DegreeOverflow if depth n is past `depth_cap`, the deepest depth
-        a caller may name or list; no distance depends on the cap."""
-        if n > self.depth_cap:
-            raise DegreeOverflow(f"depth {n} exceeds cap {self.depth_cap}")
-
     def degree(self, v: Vertex) -> int:
         """How many neighbours `neighbors(v)` lists: 2R(R + 1) in v's
         horoball, R = 2^depth, and 2 vertical ones; at depth 0 one vertical
-        one and the four letters, 9 in all.  DegreeOverflow past the depth
-        cap or above MAX_NEIGHBORS horoball neighbours; from the depth where
-        R alone is above it, the count is neither built nor named."""
-        self.check_depth(v.depth)
+        one and the four letters, 9 in all.  DegreeOverflow above
+        MAX_NEIGHBORS horoball neighbours; from the depth where R alone is
+        above it, the count is neither built nor named, so any depth is
+        refused at once."""
         if v.depth >= MAX_NEIGHBORS.bit_length():
             raise DegreeOverflow(f"depth {v.depth} has more than "
                                  f"{MAX_NEIGHBORS} neighbours")
@@ -543,8 +535,6 @@ class CuspedGraph:
         Lattice points are those of `coset_key`.  The source side is
         shared: `_sides[depth]` is kept across queries and grown further by
         any of them."""
-        self.check_depth(depth)
-        self.check_depth(dst.depth)
         s = self._sides.get(depth)
         if s is None:
             s = self._sides[depth] = _Side("", 0, 0, depth)
@@ -570,9 +560,7 @@ class CuspedGraph:
         quotient Gamma / gamma_3(F) (`words.Heisenberg`), relative to <c,
         t>: the coset of (h, k) is keyed by (x, y) and its lattice point is
         (z, k).  The quotient map sends letter, horoball and vertical edges
-        to edges, so it is 1-Lipschitz.  DegreeOverflow past the depth cap,
-        as for an endpoint of a search."""
-        self.check_depth(v.depth)
+        to edges, so it is 1-Lipschitz."""
         return (*heis_image(v.base), v.texp, v.depth)
 
     def shadow_at_most(self, a: tuple, b: tuple, bound: int) -> bool:

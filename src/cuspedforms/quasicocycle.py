@@ -21,7 +21,8 @@ from .graph import (CuspedGraph, Simplex, Vertex, anchor_face,
 from .lipschitz import LipFn, lip_on_window, lip_tail, truncate
 from .lp import row_reduce
 from .moebius import OrientationCocycle
-from .words import COMM, Automorphism, GroupElem, mul, word_pow
+from .words import (COMM, MAX_WORD_LETTERS, Automorphism, GroupElem, mul,
+                    word_pow)
 
 Triple = tuple[Vertex, Vertex, Vertex]
 #: (t-exponent x, weight w) pairs, x increasing
@@ -186,11 +187,15 @@ def k_of(m: int) -> int:
     return m.bit_length()
 
 
-def depth_of(graph: CuspedGraph, m: int) -> int:
-    """K_m, the depth of A_m's horoball vertices, checked against the
-    graph's depth cap before any word of A_m is built."""
+def depth_of(m: int) -> int:
+    """K_m, the depth of A_m's horoball vertices.  A ValueError refuses
+    an m whose longest word, [a,b]^(2^K_m), would pass
+    words.MAX_WORD_LETTERS letters (m >= 2^18), before any word is
+    built."""
     K = k_of(m)
-    graph.check_depth(K)
+    if len(COMM) << K > MAX_WORD_LETTERS:
+        raise ValueError(f"m = {m}: A_m builds [a,b]^(2^{K}), more than "
+                         f"{MAX_WORD_LETTERS} letters")
     return K
 
 
@@ -227,7 +232,7 @@ def build_e(m: int, psi: Automorphism) -> CoinvariantChain:
 def build_A(graph: CuspedGraph, m: int) -> CoinvariantChain:
     """A_m = t^m (c + d_m) - (c + d_m) + e_m; the t^m-translate only shifts
     the keys, and e_m holds psi-fixed commutator words only."""
-    depth_of(graph, m)
+    depth_of(m)
     psi = graph.psi
     cd = build_c(psi) + build_d(m, psi)
     return cd.translate(graph, GroupElem("", m)) - cd + build_e(m, psi)
@@ -441,7 +446,7 @@ def nontriviality_certificate(qc: QuasiCocycle, f: LipFn,
     """Rows (m, |alpha_f(A_m)| / ||A_m||_1): any bounded invariant primitive
     of delta alpha_f has sup norm at least the ratio."""
     for m in ms:
-        depth_of(qc.graph, m)
+        depth_of(m)
     rows = []
     for m in ms:
         chain, form = _am(qc, m)

@@ -59,9 +59,11 @@ def bfs_oracle(graph, src, dst, cap):
 def transit_oracle(load, n1, n2):
     """The Groves-Manning transit between depths n1 and n2 of one
     horoball, `load` apart in l1, as the minimum over every level from
-    max(n1, n2) to 64, with no shortcut on where the minimum can lie."""
+    max(n1, n2) to 64 levels past both it and the bit length of the load,
+    each level's steps counted by floor division."""
+    top = max(n1, n2)
     return min((lvl - n1) + (lvl - n2) + -(-load // 2 ** lvl)
-               for lvl in range(max(n1, n2), 65))
+               for lvl in range(top, max(top, load.bit_length()) + 65))
 
 
 def unitriangular_mul(g, h) -> tuple[int, int, int]:

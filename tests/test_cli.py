@@ -114,7 +114,7 @@ def test_cycles(capsys):
 
 def test_config_override(capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("kappa = 8\ndepth_cap = 12\n# comment\n")
+    cfgfile.write_text("kappa = 8\ndistance_cap = 24\n# comment\n")
     code, lines = run(capsys, "--config", str(cfgfile), "selfcheck")
     assert code == 0 and lines[0]["ok"] is True
 
@@ -203,8 +203,6 @@ BAD_INPUTS = {
                    "kappa must be at least 2"),
     "kappa-one": (("--set", "kappa=1", "selfcheck"), "ValueError",
                   "kappa must be at least 2"),
-    "depth-cap-zero": (("--set", "depth_cap=0", "graph", "dist", "e@0:0",
-                        "a@0:0"), "ValueError", "depth_cap must be positive"),
     "distance-cap-negative": (("--set", "distance_cap=-1", "selfcheck"),
                               "ValueError",
                               "distance_cap must be positive"),
@@ -278,8 +276,8 @@ REFUSED_AT_ONCE = {
                            "--ms", "1" + "0" * 1000), "ValueError",
                           "power_floor: a 3322-bit number to the power 999 "
                           "passes 65536 bits", 1),
-    "ball-past-count-digits": (("--set", "depth_cap=1000000000", "graph",
-                                "ball", "e@0:100000000", "--r", "1"),
+    "ball-past-count-digits": (("graph", "ball", "e@0:100000000", "--r",
+                                "1"),
                                "DegreeOverflow", "depth 100000000 has more "
                                "than 65536 neighbours", 1),
 }
@@ -296,32 +294,42 @@ def test_unbounded_work_is_refused_at_once(capsys, argv, error, message,
     assert lines == [{"error": error, "message": message}]
 
 
-AM_PAST_DEPTH_CAP = {
-    "am": (("alpha", "am", "--f", "linear:1", "--m", "16777216"), 25),
+#: (argv, m, K_m) of A_m whose word [a,b]^(2^K_m) passes MAX_WORD_LETTERS
+AM_PAST_WORD_BOUND = {
+    "am": (("alpha", "am", "--f", "linear:1", "--m", "16777216"), 16777216,
+           25),
     "certify": (("alpha", "certify", "--f", "linear:1", "--ms",
-                 "2,16777216"), 25),
-    "cycles": (("cycles", "--m", "1048576"), 21),
+                 "2,16777216"), 16777216, 25),
+    "cycles": (("cycles", "--m", "1048576"), 1048576, 21),
+    "am-first-refused": (("alpha", "am", "--f", "linear:1", "--m",
+                          "262144"), 262144, 19),
 }
 
 
-@pytest.mark.parametrize("argv, depth", AM_PAST_DEPTH_CAP.values(),
-                         ids=list(AM_PAST_DEPTH_CAP))
-def test_am_past_the_depth_cap_is_refused_at_once(capsys, argv, depth):
-    # K_m > depth_cap is refused before a commutator word is built
+@pytest.mark.parametrize("argv, m, depth", AM_PAST_WORD_BOUND.values(),
+                         ids=list(AM_PAST_WORD_BOUND))
+def test_am_past_the_depth_cap_is_refused_at_once(capsys, argv, m, depth):
+    # the word bound caps A_m's depth at 18: a deeper K_m is refused before
+    # a commutator word is built
     start = time.perf_counter()
     code, lines = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2
-    assert lines == [{"error": "DegreeOverflow",
-                      "message": f"depth {depth} exceeds cap 12"}]
+    assert lines == [{"error": "ValueError",
+                      "message": f"m = {m}: A_m builds [a,b]^(2^{depth}), "
+                                 "more than 1048576 letters"}]
 
 
-def test_a_huge_depth_cap_costs_a_distance_nothing(capsys):
-    # the cap bounds the vertices named, not the levels the search descends
+def test_a_huge_depth_costs_a_distance_nothing(capsys):
+    # no depth is refused by a distance: the transit's ceiling is a shift,
+    # so the level 10^9 builds no 2^(10^9), and the answer is past the cap
     start = time.perf_counter()
-    code, lines = run(capsys, "--set", "depth_cap=1000000000", "graph",
-                      "dist", "e@0:0", "a@0:0")
+    code, lines = run(capsys, "graph", "dist", "e@0:0", "e@0:1000000000")
     assert time.perf_counter() - start < 1
+    assert code == 2
+    assert lines == [{"error": "CapExceeded",
+                      "message": "d(e@0:0,e@0:1000000000) = 1000000000 > 24"}]
+    code, lines = run(capsys, "graph", "dist", "e@0:12", "e@0:13")
     assert code == 0
     assert lines == [{"d": 1}]
 
@@ -336,14 +344,13 @@ def test_a_distance_along_t_answers_at_once(capsys):
     assert lines == [{"d": 8}]
 
 
-def test_depth_cap_override_reaches_further_am(capsys):
-    # m = 4096 has K_m = 13
-    code, lines = run(capsys, "--set", "depth_cap=13", "alpha", "am",
-                      "--f", "linear:1", "--m", "4096")
+def test_am_reaches_depth_thirteen_at_the_defaults(capsys):
+    # m = 4096 has K_m = 13; its horoball vertices are never listed
+    code, lines = run(capsys, "alpha", "am", "--f", "linear:1", "--m",
+                      "4096")
     assert code == 0
     assert lines[0]["value"] == "8192"
-    code, lines = run(capsys, "--set", "depth_cap=13", "cycles",
-                      "--m", "4096")
+    code, lines = run(capsys, "cycles", "--m", "4096")
     assert code == 0
     assert lines[0]["K_m"] == 13 and lines[0]["boundary_A_zero"] is True
 
@@ -386,7 +393,8 @@ def test_cap_errors_are_json_lines(capsys):
 DEAD_KEYS = {"filler": "lp", "rng_seed": "3", "rho_a": "1,1,1,2",
              "rho_b": "1,-1,-1,2", "fill_recursion_cap": "32",
              "lp_window_radius": "1", "lp_simplex_cap": "500",
-             "psi_power_cap": "40", "psi_inverse_images": "a:Baa,b:Ab"}
+             "psi_power_cap": "40", "psi_inverse_images": "a:Baa,b:Ab",
+             "depth_cap": "12"}
 
 
 @pytest.mark.parametrize("key, value", DEAD_KEYS.items(), ids=list(DEAD_KEYS))
@@ -398,7 +406,10 @@ def test_dead_keys_are_unknown_config_keys(capsys, tmp_path, key, value):
     # window radius or the LP simplex cap (now constants or per-call
     # defaults of cuspedforms.fill), the psi power cap guarded no power
     # that could run (words.MAX_WORD_LETTERS bounds the word built
-    # instead), and psi's inverse images are derived from its images; a
+    # instead), psi's inverse images are derived from its images, and the
+    # depth cap guarded no cost of its own (MAX_NEIGHBORS and
+    # BALL_LISTING_MAX bound every listing, a distance crosses a horoball
+    # of any depth in closed form, and MAX_WORD_LETTERS bounds A_m); a
     # config that sets any of them fails instead of silently changing
     # nothing
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
@@ -417,8 +428,6 @@ PSI_SQUARED = {"psi_images": "a:babba,b:babbabab"}
 #: carries the field, and the value expected there
 REACHES = {
     "kappa": ({"kappa": "3"}, lambda qc: qc.engine.kappa, 3),
-    "depth_cap": ({"depth_cap": "9"}, lambda qc: qc.engine.graph.depth_cap,
-                  9),
     "distance_cap": ({"distance_cap": "17"},
                      lambda qc: qc.engine.graph.distance_cap, 17),
     "psi_images": (PSI_SQUARED, lambda qc: qc.engine.graph.psi.images["a"],

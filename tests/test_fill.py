@@ -506,18 +506,21 @@ def test_rips_simplices_match_bfs_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("kappa", [2, 3])
-@pytest.mark.parametrize("seeds", [("e@0:2", "aaaa@0:0", "bbbb@0:0"),
-                                   ("e@0:2", "aaaaaa@0:0")],
+@pytest.mark.parametrize("seeds", [("e@0:8", "aaaa@0:0", "bbbb@0:0"),
+                                   ("e@0:8", "aaaaaa@0:0")],
                          ids=["three", "two"])
 def test_a_window_past_the_depth_cap_is_refused(seeds, kappa):
-    # a radius-1 window about a seed at the cap holds the vertex below it;
-    # the shadow rules out every pair of it that no seed settles, and the
-    # window is refused all the same, before any pair is asked
-    engine = FillEngine(CuspedGraph(depth_cap=2), kappa=kappa)
-    window = engine.rips_window(set(map(parse_vertex, seeds)), 1)
-    assert max(v.depth for v in window) == 3
-    with pytest.raises(DegreeOverflow, match="^depth 3 exceeds cap 2$"):
-        engine._rips_simplices(window, 3, 10 ** 6)
+    # a window lists nothing below depth 8 but its own seeds: a radius-1
+    # window about a depth-8 seed is refused by its listing, before any
+    # pair is asked; at radius 0 the window is its seeds
+    engine = FillEngine(CuspedGraph(), kappa=kappa)
+    seeds = set(map(parse_vertex, seeds))
+    with pytest.raises(DegreeOverflow, match="^depth 8 has 131584 "
+                                             "neighbours, more than 65536$"):
+        engine.rips_window(seeds, 1)
+    window = engine.rips_window(seeds, 0)
+    assert set(window) == seeds
+    assert engine._rips_simplices(window, 2, 10 ** 6) == []
 
 
 @pytest.mark.parametrize("kappa,radius", [(3, 1), (4, 1), (8, 0), (8, 1)])
@@ -552,7 +555,8 @@ def test_two_seed_rule_matches_the_distance(monkeypatch, kappa, radius):
 
 def test_relative_fill_unit_simplex(engine):
     out = engine.relative_fill_check(Vertex("", 0, 0), Vertex("b", 0, 0),
-                                     Vertex("ba", 0, 0), Vertex("ab", 0, 0))
+                                     Vertex("ba", 0, 0), Vertex("ab", 0, 0),
+                                     window_radius=0)
     assert out.method == "unit-simplex"
     assert out.norm == 1
 
@@ -560,7 +564,7 @@ def test_relative_fill_unit_simplex(engine):
 def test_relative_fill_degenerate(engine):
     v = Vertex("", 0, 0)
     out = engine.relative_fill_check(v, v, Vertex("a", 0, 0),
-                                     Vertex("b", 0, 0))
+                                     Vertex("b", 0, 0), window_radius=0)
     assert out.norm == 0
 
 

@@ -41,7 +41,7 @@ def test_parse_vertex_rejects_negative_depth():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"psi": Automorphism({"a": "b", "b": "a"})}, r"does not fix \[a,b\]"),
-    ({"depth_cap": 0}, "^depth_cap must be positive$"),
+    ({"distance_cap": 0}, "^distance_cap must be positive$"),
     ({"distance_cap": -1}, "^distance_cap must be positive$"),
 ])
 def test_graph_refuses_what_its_methods_assume(kwargs, message):
@@ -114,18 +114,20 @@ def test_adjacent_pair_searches_once(monkeypatch):
 
 
 def test_pair_past_depth_cap_raises_even_when_adjacent():
-    # the search checks both depths before anything else, as neighbors()
-    # checks its vertex: an edge one level past the cap raises too
+    # past depth 7 only the listing raises: the search answers an edge of
+    # any depth, vertical or horizontal, from its endpoints alone
     graph = CuspedGraph()
     top, deep = Vertex("", 0, 12), Vertex("", 0, 13)
-    with pytest.raises(DegreeOverflow, match="^depth 13 exceeds cap 12$"):
+    with pytest.raises(DegreeOverflow,
+                       match="^depth 13 has 134234112 neighbours, more "
+                             "than 65536$"):
         graph.neighbors(deep)
     for u, v in ((top, deep), (deep, top),
                  (deep, Vertex(COMM, 1, 13))):
-        with pytest.raises(DegreeOverflow, match="^depth 13 exceeds cap 12$"):
-            graph.distance(u, v)
-        with pytest.raises(DegreeOverflow, match="^depth 13 exceeds cap 12$"):
-            graph.distance_at_most(u, v, 1)
+        assert graph.distance(u, v) == 1
+        assert graph.distance(v, u) == 1
+        assert graph.distance_at_most(u, v, 1)
+        assert not graph.distance_at_most(u, v, 0)
 
 
 def test_depth0_vertex_degree(graph):
@@ -285,11 +287,11 @@ def test_reverse_distance_needs_no_search(monkeypatch, cap, known):
 
 
 def test_deep_peripheral_query_past_depth_cap():
-    # an endpoint past depth_cap is refused before the search starts, as
-    # neighbors() refuses it; the search itself descends to any level
+    # two points of one coset at depth 13, too deep to list: the search
+    # answers their transit through the horoball, in closed form
     graph = CuspedGraph()
-    with pytest.raises(DegreeOverflow, match="depth 13 exceeds cap 12"):
-        graph.distance(Vertex("", 0, 13), Vertex(COMM * 9000, 0, 13))
+    d = graph.distance(Vertex("", 0, 13), Vertex(COMM * 9000, 0, 13))
+    assert d == horoball_distance(9000, 13, 13) == 2
 
 
 def test_neighbors_of_a_deep_vertex_raise_before_listing():
@@ -576,11 +578,9 @@ def test_side_points_are_priced_by_their_entries():
                 for a0, b0, n0, r0 in side.entries[key])
 
 
-@pytest.mark.parametrize("depth_cap", [1, 2, 3, 12])
-def test_distance_does_not_depend_on_the_depth_cap(depth_cap):
-    # a geodesic from e to [a,b]^32 descends to level 3, past caps 1 and
-    # 2; the cap bounds the vertices named, never the metric
-    graph = CuspedGraph(depth_cap=depth_cap)
+def test_a_geodesic_descends_past_level_two():
+    # a geodesic from e to [a,b]^32 descends to level 3: 3 + 4 + 3
+    graph = CuspedGraph()
     assert graph.distance(Vertex("", 0, 0), Vertex(COMM * 32, 0, 0)) == 10
 
 
@@ -656,6 +656,21 @@ def test_horoball_transit_matches_brute_force(load, n1, n2, k):
         4 * load or 1 for load, h in enumerate(transits) if h == k)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 80 - 1), st.integers(0, 70), st.integers(0, 70))
+def test_horoball_transit_is_the_floor_division_formula(load, n1, n2):
+    # the ceiling is a shift in the code and a floor division in the oracle
+    assert horoball_distance(load, n1, n2) == transit_oracle(load, n1, n2)
+
+
+def test_a_transit_at_any_depth_costs_no_power_of_two():
+    # the level 10^9 is the only one tried, and its ceiling is a shift
+    t0 = time.perf_counter()
+    assert horoball_distance(12345, 0, 10 ** 9 + 7) == 10 ** 9 + 8
+    assert horoball_distance(2 ** 79, 10 ** 9, 10 ** 9) == 1
+    assert time.perf_counter() - t0 < 0.1
+
+
 def _package_functions() -> set:
     """Every function and method the package defines, with lru_cache and
     cache wrappers unwrapped."""
@@ -673,17 +688,6 @@ def _package_functions() -> set:
                 f for f in map(inspect.unwrap, members)
                 if inspect.isfunction(f) and f.__module__ == mod.__name__)
     return functions
-
-
-def test_only_the_constructors_take_depth_cap():
-    # depth_cap bounds the vertices a caller may name or list, checked by
-    # CuspedGraph.check_depth; no function below the constructors takes
-    # it, so no distance can depend on it
-    takers = sorted(f"{f.__module__}.{f.__qualname__}"
-                    for f in _package_functions()
-                    if "depth_cap" in inspect.signature(f).parameters)
-    assert takers == ["cuspedforms.config.RunConfig.__init__",
-                      "cuspedforms.graph.CuspedGraph.__init__"]
 
 
 #: refusals of what a constructor requires; each message is built in one

@@ -8,7 +8,7 @@ from _oracles import (alpha_oracle, anchor_oracle, representative,
 from hypothesis import given, settings, strategies as st
 from test_chains import brute_force_orbit_form
 
-from cuspedforms import lipschitz as lf
+from cuspedforms import lipschitz as lf, quasicocycle as qcm
 from cuspedforms.chains import CoinvariantChain
 from cuspedforms.config import RunConfig
 from cuspedforms.errors import FillDepthExceeded
@@ -18,14 +18,33 @@ from cuspedforms.graph import (Vertex, anchor_face, anchor_simplex,
 from cuspedforms.quasicocycle import (STRATA, QuasiCocycle, _ball_forms,
                                       _witness, boundary_class, build_A,
                                       build_aK, build_c, build_d, build_e,
-                                      defect_scan, evaluate_on_Am, free_ball,
-                                      independence_rank, k_of, sample_tuple)
+                                      defect_scan, depth_of, evaluate_on_Am,
+                                      free_ball, independence_rank, k_of,
+                                      nontriviality_certificate,
+                                      sample_tuple)
 from cuspedforms.words import (COMM, DEFAULT_PSI, GroupElem, gamma_mul,
                                reduce_word, word_pow)
 
 
 def test_k_of():
     assert [k_of(m) for m in (1, 2, 3, 4, 7, 8, 16)] == [1, 2, 2, 3, 3, 4, 5]
+
+
+def test_depth_of_refuses_a_word_past_the_bound_before_building_it(
+        qc, graph, monkeypatch):
+    # [a,b]^(2^18) has 2^20 letters, MAX_WORD_LETTERS; m = 2^18 needs 2^21
+    assert depth_of(2 ** 18 - 1) == 18
+    built = []
+    monkeypatch.setattr(qcm, "word_pow", lambda *args: built.append(args))
+    message = (r"^m = 262144: A_m builds \[a,b\]\^\(2\^19\), more than "
+               r"1048576 letters$")
+    with pytest.raises(ValueError, match=message):
+        depth_of(2 ** 18)
+    with pytest.raises(ValueError, match=message):
+        build_A(graph, 2 ** 18)
+    with pytest.raises(ValueError, match=message):
+        nontriviality_certificate(qc, lf.parse_spec("linear:1"), [2, 2 ** 18])
+    assert built == []
 
 
 def test_boundary_of_c(graph):
