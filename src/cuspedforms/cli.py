@@ -38,8 +38,14 @@ def load_config(args) -> RunConfig:
     return RunConfig.from_dict(overrides)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a rejected argv is a rejected input; subparsers inherit the class
+        raise ValueError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspedforms",
         description="Volume-form quasi-cocycles on the cusped graph of "
                     "F(a,b) x| Z rel Z^2, in exact rational arithmetic.")
@@ -93,13 +99,12 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("cycles", help="emit c, d_m, e_m, A_m and checks")
     p.add_argument("--m", type=int, required=True)
 
-    args = parser.parse_args(argv)
     try:
-        return run(args)
+        return run(parser.parse_args(argv))
     except (CuspedFormsError, ValueError, OSError) as e:
-        # the package raises ValueError only to reject an input: a vertex,
-        # word, f spec, m or config value; OSError names a file the input
-        # names that cannot be read
+        # the package and the parser raise ValueError only to reject an
+        # input: an argument, vertex, word, f spec, m or config value;
+        # OSError names a file the input names that cannot be read
         emit({"error": type(e).__name__, "message": str(e)})
         return 2
 

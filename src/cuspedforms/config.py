@@ -63,7 +63,11 @@ class RunConfig:
             if key == "psi_images":
                 kwargs[key] = val if isinstance(val, dict) else _parse_words(val)
             else:
-                kwargs[key] = int(val)
+                try:
+                    kwargs[key] = int(val)
+                except (TypeError, ValueError):
+                    raise ValueError(f"config key {key!r} needs an integer, "
+                                     f"got {val!r}") from None
         return cls(**kwargs)
 
 

@@ -12,17 +12,17 @@ g = key [a,b]^alpha t^beta (`words.coset_key`).  The distance search
 decides every distance, d = 1 included.  It crosses a horoball in closed
 form, `horoball_distance`, and lists no vertex of depth >= 1; `neighbors`
 and `ball` enumerate them, for walks, LP windows and the source half of a
-geodesic midpoint.  The search's source half, the ball about (e, 0, n), is
-kept per source depth n and reused by every later query.
+geodesic midpoint.
 
 The shadow is a lower bound on the distance that needs no word and no
 search.  Gamma / gamma_3(F) = H x| Z, H the Heisenberg group
 (`words.Heisenberg`), keeps the peripheral Z^2 = <c, t>, and the map onto
 its cusped graph (Groves-Manning) sends every edge to an edge, so it is
 1-Lipschitz.  `shadow` is a vertex's image and `shadow_at_most` decides the
-quotient distance by the search's own meet (`_meet`, `_Side`), from one
-shared side per source depth; the letter step is the one part that
-differs between the two groups.
+quotient distance.  Gamma and the quotient are two instances of one
+`_Metric`, which owns the search, its facts and the source half kept per
+source depth; each group supplies its letter step, its lattice points and
+its inverse.
 
 A simplex is anchored by translating one vertex to (e, 0, depth), over
 every vertex order, and keeping the lex-least result (`anchor_simplex`).
@@ -258,19 +258,17 @@ def _ring_size(depth: int, k: int) -> int:
 
 
 class _Side:
-    """One side of a distance search, in Gamma (`CuspedGraph._bidirectional`)
-    or in its Heisenberg quotient (`CuspedGraph.shadow_at_most`): its
-    endpoint's depth and lattice point, its radius, the depth-0 vertices
-    within it as lattice points (coset key, alpha, beta) with their
-    distances, the coset entries (alpha, beta, depth, r) by key, and the
-    lattice points of the last layer.  `shapes` counts the entries by
-    (depth, r), which fixes their rings in the next layer, and `cost` is
-    the points the next layer generates: four edges per vertex of the last
-    layer, and the ring of every entry.  Every point is an entry or on the
-    ring of one, at exactly its distance."""
+    """One side of a `_Metric` search, in Gamma or in its Heisenberg
+    quotient: its radius, the depth-0 vertices within it as lattice points
+    (coset key, alpha, beta) with their distances, the coset entries
+    (alpha, beta, depth, r) by key, and the lattice points of the last
+    layer.  `shapes` counts the entries by (depth, r), which fixes their
+    rings in the next layer, and `cost` is the points the next layer
+    generates: four edges per vertex of the last layer, and the ring of
+    every entry.  Every point is an entry or on the ring of one, at exactly
+    its distance."""
 
     def __init__(self, key, alpha: int, beta: int, depth: int):
-        self.key, self.point, self.depth = key, (alpha, beta), depth
         p = (key, alpha, beta)
         self.radius = 0
         self.entries = {key: [(alpha, beta, depth, 0)]}
@@ -325,53 +323,93 @@ class _Side:
         return best
 
 
-def _meet(s: _Side, t: _Side, cap: int, letters) -> tuple[int, bool]:
-    """(d, True) with d the distance between the endpoints of s and t if d
-    is at most the cap, else (b, False) with the proven bound d > b >= cap,
-    without listing a vertex of depth >= 1.  It may return (d, True) past
-    the cap too.  `letters` is the group's letter step (`_Side.grow`).
+class _Metric:
+    """Capped exact distances in the cusped graph of one group, Gamma or its
+    Heisenberg quotient: the one owner of their facts and shared sides.  A
+    pair is asked anchored, as (n1, rel, n2): the first vertex moved to the
+    origin at depth n1, the second to the element rel at depth n2.  The
+    group supplies `origin`, the identity's coset key; `letters`, its
+    letter step (`_Side.grow`); `point(rel)`, rel's lattice point (coset
+    key, alpha, beta); and `inverse(rel)`, the first vertex anchored at the
+    second.
 
-    Each side grows by layers and holds the depth-0 vertices within its
-    radius, as lattice points (coset key, alpha, beta), and per coset the
-    entries (alpha, beta, depth, r): the depth-0 vertices first reached by
-    an a/A/b/B edge, and the endpoint itself.  A path leaves a coset only
-    by such an edge, so every other vertex of the coset is reached from an
-    entry through the coset's horoball, at the cost `horoball_distance`;
-    one layer adds the four non-peripheral edges of the last layer and,
-    per entry, the ring of lattice points at exactly the new cost.
-    Candidates are the entry pairs of a shared coset, one entry per side:
-    r + r' + h.  If d <= rs + rt, a geodesic has a deep stretch between two
-    entries, or a depth-0 point p within both radii; each side reaches p
-    from one of its entries at exactly its distance, and h obeys the
-    triangle inequality through p, so that pair's candidate is at most d.
-    The least candidate is therefore exact once it is at most rs + rt; a
-    search that stops short of that has proved d > rs + rt, which a grown
-    shared side can put past the cap.
+    `facts` maps a pair to (d, True) once the distance d is known, or to
+    (b, False) once a search at cap c has failed, having proved d > b >= c;
+    a pair is searched again only when its fact is unproven and the cap is
+    larger than b.  A search writes its fact under the reversed pair (n2,
+    inverse(rel), n1) too, so d(v, u) after d(u, v) never searches.
 
-    It is exact too once it reaches a lower bound: the t-exponent and
-    depth map the graph 1-Lipschitz onto the horoball over Z, so d >=
-    `horoball_distance` of the t-exponent difference and the depths.  That
-    ends a search along t (e@0:0 to e@14:0, d = 8) at once, not one along
-    [a,b], whose t-exponents agree, nor e@0:0 to a@12:0, whose sides raise
-    PsiPowerCap first.
+    Every search starts at the origin, so `sides` keeps one source side per
+    source depth and every search grows it further.  A side holds the exact
+    distances of its source to the depth-0 points within its radius, a
+    function of the source and radius alone (`_Side.grow` writes its own
+    side only), so what an earlier query grew stays valid, and it can
+    answer a query exactly past its cap."""
 
-    s may be shared across queries and grown further by any of them:
-    `_Side.grow` writes its own side only, so a side is a function of its
-    endpoint and radius, whatever queries grew it.  t starts with one
-    check of its endpoint against the entries of its coset in s; `grow`
-    checks every later pair when its second entry arrives."""
-    low = horoball_distance(abs(t.point[1] - s.point[1]), s.depth, t.depth)
-    best = s.via(t.key, *t.point, t.depth, 0, None)
-    while best is None or (best > s.radius + t.radius and best > low):
-        if s.radius + t.radius >= cap:
-            return s.radius + t.radius, False
-        # grow the cheaper side: a deep entry's first ring can hold
-        # millions of points while its side's last layer is one vertex
-        if s.cost <= t.cost:
-            best = s.grow(letters, t, best)
-        else:
-            best = t.grow(letters, s, best)
-    return best, True
+    def __init__(self, origin, letters, point, inverse):
+        self.origin, self.letters = origin, letters
+        self.point, self.inverse = point, inverse
+        self.sides: dict[int, _Side] = {}
+        self.facts: dict[tuple, tuple[int, bool]] = {}
+
+    def fact(self, n1: int, rel, n2: int, cap: int) -> tuple[int, bool]:
+        """The pair's fact: cached, or searched at `cap`."""
+        key = (n1, rel, n2)
+        fact = self.facts.get(key)
+        if fact is None or (not fact[1] and cap > fact[0]):
+            fact = self.facts[key] = self.search(n1, rel, n2, cap)
+            self.facts[(n2, self.inverse(rel), n1)] = fact
+        return fact
+
+    def search(self, n1: int, rel, n2: int, cap: int) -> tuple[int, bool]:
+        """The pair's fact at `cap`, without listing a vertex of depth >= 1.
+
+        Each side grows by layers and holds the depth-0 vertices within its
+        radius, as lattice points (coset key, alpha, beta), and per coset
+        the entries (alpha, beta, depth, r): the depth-0 vertices first
+        reached by an a/A/b/B edge, and the endpoint itself.  A path leaves
+        a coset only by such an edge, so every other vertex of the coset is
+        reached from an entry through the coset's horoball, at the cost
+        `horoball_distance`; one layer adds the four non-peripheral edges
+        of the last layer and, per entry, the ring of lattice points at
+        exactly the new cost.  Candidates are the entry pairs of a shared
+        coset, one entry per side: r + r' + h.  If d <= rs + rt, a geodesic
+        has a deep stretch between two entries, or a depth-0 point p within
+        both radii; each side reaches p from one of its entries at exactly
+        its distance, and h obeys the triangle inequality through p, so
+        that pair's candidate is at most d.  The least candidate is
+        therefore exact once it is at most rs + rt; a search that stops
+        short of that has proved d > rs + rt, which a grown shared side can
+        put past the cap.
+
+        It is exact too once it reaches a lower bound: the t-exponent and
+        depth map the graph 1-Lipschitz onto the horoball over Z, so d >=
+        `horoball_distance` of the t-exponent difference and the depths.
+        That ends a search along t (e@0:0 to e@14:0, d = 8) at once, not
+        one along [a,b], whose t-exponents agree, nor e@0:0 to a@12:0,
+        whose sides raise PsiPowerCap first.
+
+        The pair's side starts with one check of its endpoint against the
+        entries of its coset in the source side; `grow` checks every later
+        pair when its second entry arrives."""
+        s = self.sides.get(n1)
+        if s is None:
+            s = self.sides[n1] = _Side(self.origin, 0, 0, n1)
+        key, alpha, beta = self.point(rel)
+        t = _Side(key, alpha, beta, n2)
+        # the source's lattice point is (0, 0)
+        low = horoball_distance(abs(beta), n1, n2)
+        best = s.via(key, alpha, beta, n2, 0, None)
+        while best is None or (best > s.radius + t.radius and best > low):
+            if s.radius + t.radius >= cap:
+                return s.radius + t.radius, False
+            # grow the cheaper side: a deep entry's first ring can hold
+            # millions of points while its side's last layer is one vertex
+            if s.cost <= t.cost:
+                best = s.grow(self.letters, t, best)
+            else:
+                best = t.grow(self.letters, s, best)
+        return best, True
 
 
 class CuspedGraph:
@@ -386,35 +424,18 @@ class CuspedGraph:
     psi-power (`words.gamma_rel`), so only the short relative word is
     twisted.
 
-    `_dist_cache` is keyed by the ordered pair (depth(u), v anchored at u),
-    which costs one relative word per query.  It maps the key to (d, True)
-    once the distance d is known, or to (b, False) once a search at cap c
-    has failed, having proved d > b >= c; a search writes its answer under
-    both orientations, so d(v, u) after d(u, v) never searches.  Every
-    pair but u = v is a search's fact, adjacent pairs included.  A query
-    reads one such fact (`distance_fact`), which never raises:
-    `distance` raises CapExceeded from it, and `distance_at_most` only
-    compares it with its bound.
+    Distances in Gamma and in its Heisenberg quotient are the two
+    instances of one `_Metric`, which owns their facts and shared sides:
+    `_gamma` keys a pair by (depth(u), v anchored at u, depth(v)), at the
+    cost of one relative word per query, and `_shadow` by the quotient's
+    anchoring (`shadow_at_most`).  A query reads one fact (`distance_fact`),
+    which never raises: `distance` raises CapExceeded from it, and
+    `distance_at_most` only compares it with its bound.
 
     `_geo_cache` is keyed by the canonical pair `anchor_simplex((u, v))`
     and holds the midpoint of that pair only, never a whole path.  A
     midpoint lists the source ball only (`neighbors`, `ball`) and asks the
     distance search which vertex of its sphere is on a geodesic.
-
-    The distance search (`_bidirectional`) holds depth-0 vertices only, as
-    coset keys and lattice points; a stretch through a horoball between two
-    points of one coset costs `horoball_distance` of their l1 distance and
-    depths, the Groves-Manning transit.
-
-    Every search starts at the anchored source (e, 0, depth(u)), so its
-    source half is shared: `_sides` keeps one search side per source depth
-    and every search grows it further.  A side holds the exact distances
-    of its source to the depth-0 points within its radius, a function of
-    the source and radius alone, so what an earlier query grew stays
-    valid.  It can answer a query exactly past its cap; `_dist_cache` then
-    holds (d, True) and the query raises CapExceeded.  `_shadow_sides` and
-    `_shadow_cache` keep the Heisenberg quotient's sides and facts the same
-    way (`shadow_at_most`).
     """
 
     def __init__(self, psi: Automorphism = DEFAULT_PSI,
@@ -425,12 +446,16 @@ class CuspedGraph:
             raise ValueError("configured automorphism does not fix [a,b]")
         self.psi = psi
         self.distance_cap = distance_cap
-        self._dist_cache: dict[tuple, tuple[int, bool]] = {}
         self._geo_cache: dict[Simplex, Vertex] = {}
-        self._sides: dict[int, _Side] = {}
-        self._quotient = Heisenberg(psi)
-        self._shadow_sides: dict[int, _Side] = {}
-        self._shadow_cache: dict[tuple, tuple[int, bool]] = {}
+        self._gamma = _Metric(
+            "", self._letters, lambda g: (*coset_key(g.base), g.texp),
+            lambda g: gamma_inv(g, psi))
+        quotient = self._quotient = Heisenberg(psi)
+        # (h, k)^-1 = (psibar^-k(h^-1), -k): `relative` of h and 1
+        self._shadow = _Metric(
+            (0, 0), self._shadow_letters,
+            lambda h: ((h[0], h[1]), h[2], h[3]),
+            lambda h: (*quotient.relative(h, (0, 0, 0), h[3]), -h[3]))
 
     # -- group action -------------------------------------------------
 
@@ -510,36 +535,13 @@ class CuspedGraph:
         """What a search at cap max(cap, 1) knows of d(u, v), without
         raising: (d, True) with the exact distance, which may exceed the
         cap, or (b, False) with the proven bound d > b >= max(cap, 1).
-        Every fact but u = v, d = 1 included, comes from `_bidirectional`
-        and is cached under both orientations."""
+        Every fact but u = v, d = 1 included, comes from a `_Metric`
+        search; lattice points are those of `coset_key`."""
         if u == v:
             return 0, True
-        cap = max(cap, 1)
         # v in the coordinates that move u to (e, 0, depth(u))
-        rel = gamma_rel(u, v, self.psi)
-        va = Vertex(rel.base, rel.texp, v.depth)
-        key = (u.depth, va)
-        fact = self._dist_cache.get(key)
-        if fact is None or (not fact[1] and cap > fact[0]):
-            fact = self._dist_cache[key] = self._bidirectional(
-                u.depth, va, cap)
-            ua = gamma_inv(va.elem, self.psi)
-            back = Vertex(ua.base, ua.texp, u.depth)
-            self._dist_cache[(v.depth, back)] = fact
-        return fact
-
-    def _bidirectional(self, depth: int, dst: Vertex,
-                       cap: int) -> tuple[int, bool]:
-        """`_meet` from (e, 0, depth) to dst: (d, True) with the exact
-        distance, which may exceed the cap, or (b, False) with d > b >= cap.
-        Lattice points are those of `coset_key`.  The source side is
-        shared: `_sides[depth]` is kept across queries and grown further by
-        any of them."""
-        s = self._sides.get(depth)
-        if s is None:
-            s = self._sides[depth] = _Side("", 0, 0, depth)
-        return _meet(s, _Side(*coset_key(dst.base), dst.texp, dst.depth),
-                     cap, self._letters)
+        return self._gamma.fact(u.depth, gamma_rel(u, v, self.psi), v.depth,
+                                max(cap, 1))
 
     def _letters(self, frontier: list[tuple]) -> list[tuple]:
         """The lattice points (coset key, alpha, beta) of the four letter
@@ -566,26 +568,13 @@ class CuspedGraph:
     def shadow_at_most(self, a: tuple, b: tuple, bound: int) -> bool:
         """Whether the images a and b of two vertices (`shadow`) are at
         most `bound` apart in the quotient's cusped graph; False proves
-        d(u, v) > bound without a word.  b is anchored at a, as
-        (psibar^-k(h_a^-1 h_b), texp difference) with k = texp of a, and
-        `_meet` runs from the shared side of a's depth to b, so a query
-        costs what its pair's distance does, whatever the bound.  The fact
-        is cached under the anchored pair, as `distance_fact` caches."""
-        relative = self._quotient.relative
-        x, y, z = relative(a, b, a[3])
-        k = b[3] - a[3]
-        key = (a[4], x, y, z, k, b[4])
-        fact = self._shadow_cache.get(key)
-        if fact is None or (not fact[1] and bound > fact[0]):
-            s = self._shadow_sides.get(a[4])
-            if s is None:
-                s = self._shadow_sides[a[4]] = _Side((0, 0), 0, 0, a[4])
-            fact = self._shadow_cache[key] = _meet(
-                s, _Side((x, y), z, k, b[4]), bound, self._shadow_letters)
-            # a anchored at b: psibar^-k of the inverse (-x, -y, xy - z)
-            back = relative((0, 0, 0), (-x, -y, x * y - z), k)
-            self._shadow_cache[(b[4], *back, -k, a[4])] = fact
-        return fact[1] and fact[0] <= bound
+        d(u, v) > bound without a word.  b is anchored at a, as (x, y, z,
+        k) = (psibar^-k(h_a^-1 h_b), texp difference) with k = texp of a,
+        and the search stops once its candidate is exact, so a query costs
+        what its pair's distance does, whatever the bound."""
+        rel = (*self._quotient.relative(a, b, a[3]), b[3] - a[3])
+        d, exact = self._shadow.fact(a[4], rel, b[4], bound)
+        return exact and d <= bound
 
     def _shadow_letters(self, frontier: list[tuple]) -> list[tuple]:
         """`_letters` in the quotient: (x, y, alpha) times psibar^beta of

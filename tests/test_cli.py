@@ -221,6 +221,23 @@ BAD_INPUTS = {
     "khat-zero-denominator": (("alpha", "certify", "--f", "linear:1",
                                "--radii", "1", "--ms", "2", "--khat", "1/0"),
                               "ValueError", ZERO_DENOMINATOR),
+    # argv that the parser rejects, which printed usage text to stderr
+    "argv-not-an-int": (("graph", "ball", "e@0:0", "--r", "x"), "ValueError",
+                        "argument --r: invalid int value: 'x'"),
+    "argv-missing-option": (("alpha", "am", "--f", "linear:1"), "ValueError",
+                            "the following arguments are required: --m"),
+    "argv-too-few-words": (("eps", "eval", "a", "b"), "ValueError",
+                           "the following arguments are required: words"),
+    "argv-no-command": ((), "ValueError",
+                        "the following arguments are required: command"),
+    # config values that are not integers, named by key and value
+    "kappa-not-an-int": (("--set", "kappa=x", "selfcheck"), "ValueError",
+                         "config key 'kappa' needs an integer, got 'x'"),
+    "kappa-no-value": (("--set", "kappa", "selfcheck"), "ValueError",
+                       "config key 'kappa' needs an integer, got ''"),
+    "distance-cap-fraction": (("--set", "distance_cap=1.5", "selfcheck"),
+                              "ValueError", "config key 'distance_cap' needs "
+                              "an integer, got '1.5'"),
 }
 
 
@@ -232,6 +249,15 @@ def test_bad_inputs_are_json_lines(capsys, argv, error, message):
     code, lines = run(capsys, *argv)
     assert code == 2
     assert lines == [{"error": error, "message": message}]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("alpha", "am", "--help")])
+def test_help_exits_zero(capsys, argv):
+    # help is not a rejected input: usage on stdout, exit code 0
+    with pytest.raises(SystemExit) as done:
+        main(list(argv))
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cuspedforms")
 
 
 NUMERAL = ("numeral '{}' has more than 4300 digits or an exponent beyond "

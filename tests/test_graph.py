@@ -90,17 +90,24 @@ def test_distance_fact_below_cap_two():
         assert graph.distance_fact(far, u, cap) == (4, True)
 
 
+def _count_searches(monkeypatch, graph) -> list:
+    """The caps of the distance searches that `graph` runs in Gamma from
+    now on, in order, as a list that each search appends to."""
+    searches = []
+    search = graph._gamma.search
+
+    def spy(n1, rel, n2, cap):
+        searches.append(cap)
+        return search(n1, rel, n2, cap)
+
+    monkeypatch.setattr(graph._gamma, "search", spy)
+    return searches
+
+
 def test_adjacent_pair_searches_once(monkeypatch):
     # d = 1 comes from the search too, and is cached in both orientations
     graph = CuspedGraph()
-    searches = []
-    search = graph._bidirectional
-
-    def spy(depth, dst, cap):
-        searches.append(cap)
-        return search(depth, dst, cap)
-
-    monkeypatch.setattr(graph, "_bidirectional", spy)
+    searches = _count_searches(monkeypatch, graph)
     u, v = Vertex("bA", 1, 0), Vertex("bAba", 1, 0)
     assert graph.distance(u, v, cap=0) == 1
     assert searches == [1]
@@ -237,14 +244,7 @@ def test_capped_miss_is_remembered(monkeypatch):
     # a failed search at cap c answers later queries of the same anchored
     # pair at caps <= c; a larger cap searches again
     graph = CuspedGraph()
-    searches = []
-    search = graph._bidirectional
-
-    def spy(depth, dst, cap):
-        searches.append(cap)
-        return search(depth, dst, cap)
-
-    monkeypatch.setattr(graph, "_bidirectional", spy)
+    searches = _count_searches(monkeypatch, graph)
     u, v = Vertex("", 0, 0), Vertex("abab", 0, 0)
     g = GroupElem("bA", 2)
     with pytest.raises(CapExceeded):
@@ -268,14 +268,7 @@ def test_reverse_distance_needs_no_search(monkeypatch, cap, known):
     # a search stores its answer under both orientations: d(v, u) after
     # d(u, v) is a cache hit, for a known distance and for a capped miss
     graph = CuspedGraph()
-    searches = []
-    search = graph._bidirectional
-
-    def spy(depth, dst, cap):
-        searches.append(cap)
-        return search(depth, dst, cap)
-
-    monkeypatch.setattr(graph, "_bidirectional", spy)
+    searches = _count_searches(monkeypatch, graph)
     u, v = Vertex("bA", 1, 0), Vertex("bAbababab", 0, 1)
     for x, y in ((u, v), (v, u)):
         if known:
@@ -393,13 +386,15 @@ def test_shadow_cost_follows_the_pair_not_the_bound():
         u = Vertex(random_gamma0_word(rng, 4), rng.randrange(-2, 3), 0)
         v = rng.choice(graph.neighbors(u))
         assert graph.shadow_at_most(graph.shadow(u), graph.shadow(v), 40)
-    assert [side.radius for side in graph._shadow_sides.values()] == [1]
+    assert [side.radius for side in graph._shadow.sides.values()] == [1]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_shadow_facts_hold_in_both_orientations(seed):
-    # a query caches its fact under the pair and under the pair reversed;
-    # each cached key, asked again on a fresh graph, gets the same answer
+def test_facts_hold_in_both_orientations(seed):
+    # a query caches its fact under the pair and under the pair reversed,
+    # in Gamma and in the quotient alike; each cached key, asked again on a
+    # fresh graph at the cap its fact names, gets the same (d, exact), and
+    # a quotient key asked through `shadow_at_most` the same answer
     rng = random.Random(seed)
     graph = CuspedGraph()
     for idx in range(60):
@@ -408,9 +403,15 @@ def test_shadow_facts_hold_in_both_orientations(seed):
         v = Vertex(mul(u.base, random_gamma0_word(rng, 3)),
                    u.texp + rng.randrange(-2, 3), rng.randrange(2))
         graph.shadow_at_most(graph.shadow(u), graph.shadow(v), 3)
-    assert len(graph._shadow_cache) > 60
+        graph.distance_at_most(u, v, 3)
+    for name in ("_gamma", "_shadow"):
+        facts = getattr(graph, name).facts
+        assert len(facts) > 60, name
+        for (n1, rel, n2), (d, exact) in facts.items():
+            fresh = getattr(CuspedGraph(), name)
+            assert fresh.fact(n1, rel, n2, d) == (d, exact), (name, rel)
     fresh = CuspedGraph()
-    for (n1, x, y, z, k, n2), (d, exact) in graph._shadow_cache.items():
+    for (n1, (x, y, z, k), n2), (d, exact) in graph._shadow.facts.items():
         assert fresh.shadow_at_most((0, 0, 0, 0, n1), (x, y, z, k, n2),
                                     3) == (exact and d <= 3)
 
@@ -470,19 +471,12 @@ def test_exact_answer_above_the_cap_stays_exact(monkeypatch):
     graph = CuspedGraph()
     u, v = Vertex("", 0, 0), Vertex("abab", 0, 0)
     assert graph.distance(u, parse_vertex("bAbababab@0:1")) == 8
-    assert graph._sides[0].radius == 4
-    searches = []
-    search = graph._bidirectional
-
-    def spy(depth, dst, cap):
-        searches.append(cap)
-        return search(depth, dst, cap)
-
-    monkeypatch.setattr(graph, "_bidirectional", spy)
+    assert graph._gamma.sides[0].radius == 4
+    searches = _count_searches(monkeypatch, graph)
     with pytest.raises(CapExceeded, match=r"= 4 > 3"):
         graph.distance(u, v, cap=3)
     assert searches == [3]
-    assert graph._dist_cache[(0, v)] == (4, True)
+    assert graph._gamma.facts[(0, v.elem, 0)] == (4, True)
     assert not graph.distance_at_most(v, u, 3)
     assert graph.distance(u, v, cap=6) == graph.distance(v, u) == 4
     assert searches == [3]
@@ -495,19 +489,12 @@ def test_failed_search_keeps_its_proven_bound(monkeypatch):
     graph = CuspedGraph()
     u, far = Vertex("", 0, 0), Vertex(word_pow("ab", 40), 0, 0)
     assert graph.distance(u, parse_vertex("bAbababab@0:1")) == 8
-    assert graph._sides[0].radius == 4
-    searches = []
-    search = graph._bidirectional
-
-    def spy(depth, dst, cap):
-        searches.append(cap)
-        return search(depth, dst, cap)
-
-    monkeypatch.setattr(graph, "_bidirectional", spy)
+    assert graph._gamma.sides[0].radius == 4
+    searches = _count_searches(monkeypatch, graph)
     with pytest.raises(CapExceeded, match=r"> 4$"):
         graph.distance(u, far, cap=2)
     assert searches == [2]
-    assert graph._dist_cache[(0, far)] == (4, False)
+    assert graph._gamma.facts[(0, far.elem, 0)] == (4, False)
     for cap in (2, 3, 4):
         assert not graph.distance_at_most(u, far, cap)
         assert not graph.distance_at_most(far, u, cap)
@@ -543,7 +530,7 @@ def test_shared_sides_answer_as_fresh_graphs():
         assert d == _capped(CuspedGraph(), u, v, cap), (u, v, cap)
         if cap <= 5 and max(u.depth, v.depth) <= 2:
             assert _checked_distance(graph, u, v, cap) == (d, d), (u, v, cap)
-    assert sorted(graph._sides) == [0, 1, 2, 3, 4]
+    assert sorted(graph._gamma.sides) == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("seed", [19, 20, 21])
@@ -555,12 +542,12 @@ def test_shared_side_is_the_side_grown_alone(seed):
     graph = CuspedGraph()
     for u, v, cap in queries:
         _capped(graph, u, v, cap)
-    assert min(side.radius for side in graph._sides.values()) >= 3
-    for n, shared in graph._sides.items():
+    assert min(side.radius for side in graph._gamma.sides.values()) >= 3
+    for n, shared in graph._gamma.sides.items():
         alone = _Side("", 0, 0, n)
         far = _Side(*coset_key("ab"), 3, 0)
         while alone.radius < shared.radius:
-            alone.grow(graph._letters, far, None)
+            alone.grow(graph._gamma.letters, far, None)
         assert vars(alone) == vars(shared), n
 
 
@@ -570,7 +557,7 @@ def test_side_points_are_priced_by_their_entries():
     graph = CuspedGraph()
     for u, v, cap in _seeded_queries(18, 120):
         _capped(graph, u, v, cap)
-    for side in graph._sides.values():
+    for side in graph._gamma.sides.values():
         assert side.radius >= 3
         for (key, alpha, beta), r in side.dist.items():
             assert r == min(
